@@ -112,6 +112,13 @@ class Json
         pre();
         os << '"' << key << "\": \"" << value << '"';
     }
+    // Without this overload a string literal converts to bool, not
+    // std::string, and is written as `true`.
+    void
+    field(const std::string &key, const char *value)
+    {
+        field(key, std::string(value));
+    }
     void
     field(const std::string &key, double value)
     {

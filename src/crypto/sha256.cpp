@@ -76,12 +76,10 @@ Digest256
 Sha256::finalize()
 {
     assert(!finalized);
-    finalized = true;
 
     std::uint64_t bit_len = totalLen * 8;
     std::uint8_t pad = 0x80;
     update({&pad, 1});
-    finalized = false; // update() asserts; restore the flag around use.
     std::uint8_t zero = 0x00;
     while (bufferLen != 56)
         update({&zero, 1});

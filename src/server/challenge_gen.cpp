@@ -23,6 +23,7 @@ ChallengeGenerator::drawWithRemap(DeviceRecord &record,
     GeneratedChallenge out;
     out.level = level;
     out.challenge.bits.reserve(bits);
+    out.retired.reserve(bits);
 
     // Retire-before-use: each drawn pair is checked against the
     // consumed set by its physical identity.

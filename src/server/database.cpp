@@ -68,7 +68,7 @@ bool
 DeviceRecord::consumePair(core::VddMv level, std::uint64_t line_a,
                           std::uint64_t line_b)
 {
-    return consumed[level].insert(pairKey(line_a, line_b)).second;
+    return consumed[level].insert(pairKey(line_a, line_b));
 }
 
 bool
@@ -78,7 +78,7 @@ DeviceRecord::pairAvailable(core::VddMv level, std::uint64_t line_a,
     auto it = consumed.find(level);
     if (it == consumed.end())
         return true;
-    return it->second.count(pairKey(line_a, line_b)) == 0;
+    return !it->second.contains(pairKey(line_a, line_b));
 }
 
 bool

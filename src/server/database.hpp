@@ -19,13 +19,13 @@
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/error_index.hpp"
 #include "core/error_map.hpp"
 #include "core/remap.hpp"
 #include "crypto/key.hpp"
+#include "server/pair_set.hpp"
 
 namespace authenticache::server {
 
@@ -187,7 +187,7 @@ class DeviceRecord
     mutable std::shared_ptr<core::LogicalRemap> remapCache;
     mutable std::shared_ptr<core::ErrorMap> logicalCache;
     mutable std::shared_ptr<core::ErrorIndexMap> indexCache;
-    std::map<core::VddMv, std::unordered_set<std::uint64_t>> consumed;
+    std::map<core::VddMv, PairSet> consumed;
     std::set<std::array<std::uint64_t, 4>> mixed;
     std::uint64_t nAccepted = 0;
     std::uint64_t nRejected = 0;

@@ -42,10 +42,7 @@ struct RecordStorageAccess
         for (const auto &[level, pairs] : record.consumed) {
             w.putU32(level);
             w.putU64(pairs.size());
-            std::vector<std::uint64_t> sorted(pairs.begin(),
-                                              pairs.end());
-            std::sort(sorted.begin(), sorted.end());
-            for (auto pair_key : sorted)
+            for (auto pair_key : pairs.sortedKeys())
                 w.putU64(pair_key);
         }
 
@@ -99,8 +96,13 @@ struct RecordStorageAccess
         for (std::uint32_t i = 0; i < consumed_levels; ++i) {
             core::VddMv level = r.getU32();
             std::uint64_t count = r.getU64();
+            // The count is untrusted: size the table only for keys
+            // the remaining bytes can actually hold.
+            if (count > r.remaining() / sizeof(std::uint64_t))
+                throw protocol::DecodeError(
+                    "consumed-pair count exceeds snapshot");
             auto &set = record.consumed[level];
-            set.reserve(count * 2);
+            set.reserve(static_cast<std::size_t>(count));
             for (std::uint64_t k = 0; k < count; ++k)
                 set.insert(r.getU64());
         }

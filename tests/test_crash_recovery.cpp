@@ -43,6 +43,7 @@
 #include "server/durability.hpp"
 #include "server/server.hpp"
 #include "server/storage.hpp"
+#include "temp_dir.hpp"
 
 namespace srv = authenticache::server;
 namespace jnl = authenticache::server::journal;
@@ -53,6 +54,7 @@ namespace proto = authenticache::protocol;
 namespace crypto = authenticache::crypto;
 namespace util = authenticache::util;
 namespace fs = std::filesystem;
+using authenticache::test::TempDir;
 
 namespace {
 
@@ -77,25 +79,6 @@ sweepStride(std::uint64_t quick_stride)
         return 1;
     return envFlag("AUTHENTICACHE_QUICK") ? quick_stride : 1;
 }
-
-struct TempDir
-{
-    explicit TempDir(const std::string &name)
-        : path(fs::temp_directory_path() / name)
-    {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~TempDir() { fs::remove_all(path); }
-    void
-    wipe()
-    {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    std::string str() const { return path.string(); }
-    fs::path path;
-};
 
 core::ErrorMap
 deviceMap(std::uint64_t id)

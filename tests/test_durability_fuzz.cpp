@@ -22,6 +22,7 @@
 #include "mc/mapgen.hpp"
 #include "server/durability.hpp"
 #include "server/storage.hpp"
+#include "temp_dir.hpp"
 
 namespace srv = authenticache::server;
 namespace jnl = authenticache::server::journal;
@@ -30,6 +31,7 @@ namespace sim = authenticache::sim;
 namespace proto = authenticache::protocol;
 namespace crypto = authenticache::crypto;
 namespace fs = std::filesystem;
+using authenticache::test::TempDir;
 using authenticache::util::Rng;
 
 namespace {
@@ -42,19 +44,6 @@ quickMode()
     const char *v = std::getenv("AUTHENTICACHE_QUICK");
     return v != nullptr && *v != '\0' && *v != '0';
 }
-
-struct TempDir
-{
-    explicit TempDir(const std::string &name)
-        : path(fs::temp_directory_path() / name)
-    {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~TempDir() { fs::remove_all(path); }
-    std::string str() const { return path.string(); }
-    fs::path path;
-};
 
 std::vector<std::uint8_t>
 readFile(const std::string &path)

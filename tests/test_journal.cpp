@@ -18,6 +18,7 @@
 #include "server/durability.hpp"
 #include "server/journal.hpp"
 #include "server/storage.hpp"
+#include "temp_dir.hpp"
 #include "util/crc32.hpp"
 
 namespace srv = authenticache::server;
@@ -27,6 +28,7 @@ namespace sim = authenticache::sim;
 namespace proto = authenticache::protocol;
 namespace crypto = authenticache::crypto;
 namespace fs = std::filesystem;
+using authenticache::test::TempDir;
 using authenticache::util::Rng;
 
 namespace {
@@ -70,20 +72,6 @@ roundTrip(const jnl::Event &event)
     EXPECT_TRUE(r.exhausted());
     return decoded;
 }
-
-/** A scratch directory wiped on destruction. */
-struct TempDir
-{
-    explicit TempDir(const std::string &name)
-        : path(fs::temp_directory_path() / name)
-    {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~TempDir() { fs::remove_all(path); }
-    std::string str() const { return path.string(); }
-    fs::path path;
-};
 
 std::vector<std::uint8_t>
 readFile(const std::string &path)

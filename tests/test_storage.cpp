@@ -6,12 +6,13 @@
  * detection, and file I/O.
  */
 
-#include <cstdio>
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
 #include "mc/mapgen.hpp"
 #include "server/storage.hpp"
+#include "temp_dir.hpp"
 #include "util/crc32.hpp"
 
 namespace srv = authenticache::server;
@@ -19,6 +20,7 @@ namespace core = authenticache::core;
 namespace sim = authenticache::sim;
 namespace proto = authenticache::protocol;
 namespace crypto = authenticache::crypto;
+using authenticache::test::TempDir;
 using authenticache::util::Rng;
 
 namespace {
@@ -180,12 +182,12 @@ TEST(Storage, FileRoundTrip)
     srv::EnrollmentDatabase db;
     db.enroll(sampleRecord(7, 70));
 
-    std::string path = "/tmp/authenticache_test_db.bin";
+    TempDir dir("auth_storage_file");
+    std::string path = (dir.path / "db.bin").string();
     srv::saveDatabaseFile(db, path);
     auto restored = srv::loadDatabaseFile(path);
     EXPECT_TRUE(restored.contains(7));
     EXPECT_EQ(restored.at(7).physicalMap(), db.at(7).physicalMap());
-    std::remove(path.c_str());
 
     EXPECT_THROW(srv::loadDatabaseFile("/nonexistent/nope.bin"),
                  std::runtime_error);
@@ -231,20 +233,73 @@ TEST(Storage, UnknownVersionRejected)
 TEST(Storage, CanonicalSnapshotBytes)
 {
     // Equal logical states must serialize identically even when the
-    // consumed sets were populated in different orders (they are
-    // unordered in memory; recovery compares states by snapshot
-    // bytes).
+    // consumed sets were populated in different orders (slot order in
+    // memory follows insertion history; recovery compares states by
+    // snapshot bytes). Enough pairs to grow the set through several
+    // resizes, retired in opposite orders and line orderings; key 0
+    // (the pair {0, 0}) rides along.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
+    Rng rng(17);
+    for (int i = 0; i < 3000; ++i)
+        pairs.emplace_back(rng.nextBelow(kGeom.lines()),
+                           rng.nextBelow(kGeom.lines()));
+    pairs.emplace_back(0, 0);
+
     srv::DeviceRecord a(1, sampleMap(5), {700}, {690});
     srv::DeviceRecord b(1, sampleMap(5), {700}, {690});
-    for (std::uint64_t k = 0; k < 40; ++k)
-        a.consumePair(700, k, k + 100);
-    for (std::uint64_t k = 40; k-- > 0;)
-        b.consumePair(700, k + 100, k);
+    for (const auto &[x, y] : pairs)
+        a.consumePair(700, x, y);
+    for (auto it = pairs.rbegin(); it != pairs.rend(); ++it)
+        b.consumePair(700, it->second, it->first);
 
     srv::EnrollmentDatabase da, dbb;
     da.enroll(std::move(a));
     dbb.enroll(std::move(b));
-    EXPECT_EQ(srv::saveDatabase(da), srv::saveDatabase(dbb));
+    const auto bytes = srv::saveDatabase(da);
+    EXPECT_EQ(bytes, srv::saveDatabase(dbb));
+
+    // And the canonical bytes survive a decode/encode round trip.
+    auto restored = srv::loadDatabase(bytes);
+    EXPECT_EQ(restored.at(1).consumedCount(700),
+              da.at(1).consumedCount(700));
+    for (const auto &[x, y] : pairs)
+        EXPECT_FALSE(restored.at(1).pairAvailable(700, y, x));
+    EXPECT_EQ(srv::saveDatabase(restored), bytes);
+}
+
+TEST(Storage, OversizedPairCountRejectedBeforeAllocating)
+{
+    srv::DeviceRecord record(1, sampleMap(5), {700}, {690});
+    record.consumePair(700, 0x5A5A5, 0x7B7B7);
+    proto::ByteWriter w;
+    srv::encodeDeviceRecord(w, record);
+    auto bytes = w.bytes();
+
+    // The level's pair count is the u64 just before its one key,
+    // little endian.
+    const std::uint64_t key = (std::uint64_t{0x5A5A5} << 32) | 0x7B7B7;
+    std::vector<std::uint8_t> key_le(8);
+    for (int i = 0; i < 8; ++i)
+        key_le[i] = static_cast<std::uint8_t>(key >> (8 * i));
+    auto at = std::search(bytes.begin(), bytes.end(), key_le.begin(),
+                          key_le.end());
+    ASSERT_NE(at, bytes.end());
+    const std::size_t count_off = (at - bytes.begin()) - 8;
+    ASSERT_EQ(bytes[count_off], 1u);
+
+    // 2^40 pairs would need terabytes if the decoder trusted the
+    // count; one past what the remaining bytes hold must fail too.
+    const std::uint64_t remaining_keys = (bytes.size() - count_off - 8) / 8;
+    for (std::uint64_t count :
+         {std::uint64_t{1} << 40, remaining_keys + 1}) {
+        auto patched = bytes;
+        for (int i = 0; i < 8; ++i)
+            patched[count_off + i] =
+                static_cast<std::uint8_t>(count >> (8 * i));
+        proto::ByteReader r(patched);
+        EXPECT_THROW(srv::decodeDeviceRecord(r), proto::DecodeError)
+            << "count " << count;
+    }
 }
 
 TEST(Storage, AtomicSaveSurvivesCrashMidWrite)
@@ -255,7 +310,8 @@ TEST(Storage, AtomicSaveSurvivesCrashMidWrite)
     new_db.enroll(sampleRecord(1, 10));
     new_db.enroll(sampleRecord(2, 20));
 
-    std::string path = "/tmp/authenticache_test_atomic.bin";
+    TempDir dir("auth_storage_atomic");
+    std::string path = (dir.path / "db.bin").string();
     srv::saveDatabaseFile(old_db, path);
     auto old_bytes = srv::saveDatabase(old_db);
 
@@ -283,6 +339,4 @@ TEST(Storage, AtomicSaveSurvivesCrashMidWrite)
                     loaded == srv::saveDatabase(new_db))
             << "torn snapshot at opportunity " << t;
     }
-    std::remove(path.c_str());
-    std::remove((path + ".tmp").c_str());
 }
