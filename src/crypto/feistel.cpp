@@ -1,31 +1,39 @@
 #include "crypto/feistel.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace authenticache::crypto {
 
-FeistelPermutation::FeistelPermutation(const SipHashKey &key_,
+FeistelPermutation::FeistelPermutation(const SipHashKey &key,
                                        std::uint64_t domain,
                                        unsigned rounds_)
-    : key(key_), domainSize(domain), rounds(rounds_)
+    : domainSize(domain), rounds(rounds_)
 {
     assert(domain >= 2);
     assert(rounds >= 3);
+    if (domain > (1ull << 32))
+        throw std::invalid_argument(
+            "FeistelPermutation: domain above 2^32");
     // Smallest even-bit-width power of two covering the domain, so the
     // Feistel halves are balanced.
     unsigned bits = 2;
     while ((domain - 1) >> bits != 0)
         bits += 2;
     halfBits = bits / 2;
-}
 
-std::uint64_t
-FeistelPermutation::roundFunction(unsigned round, std::uint64_t half) const
-{
     // Domain-separate rounds by folding the round index into the input.
-    std::uint64_t input = (static_cast<std::uint64_t>(round) << 56) ^
-                          (domainSize << 32) ^ half;
-    return siphash24(key, input);
+    // Appending round-major fills index (round << halfBits) | half.
+    const std::uint64_t halves = 1ull << halfBits;
+    table.reserve(rounds * halves);
+    for (unsigned r = 0; r < rounds; ++r) {
+        for (std::uint64_t half = 0; half < halves; ++half) {
+            std::uint64_t input = (static_cast<std::uint64_t>(r) << 56) ^
+                                  (domainSize << 32) ^ half;
+            table.push_back(static_cast<std::uint16_t>(
+                siphash24(key, input) & (halves - 1)));
+        }
+    }
 }
 
 std::uint64_t
@@ -35,7 +43,7 @@ FeistelPermutation::permuteOnce(std::uint64_t x) const
     std::uint64_t left = x >> halfBits;
     std::uint64_t right = x & mask;
     for (unsigned r = 0; r < rounds; ++r) {
-        std::uint64_t next = left ^ (roundFunction(r, right) & mask);
+        std::uint64_t next = left ^ roundValue(r, right);
         left = right;
         right = next;
     }
@@ -49,7 +57,7 @@ FeistelPermutation::unpermuteOnce(std::uint64_t y) const
     std::uint64_t left = y >> halfBits;
     std::uint64_t right = y & mask;
     for (unsigned r = rounds; r-- > 0;) {
-        std::uint64_t prev = right ^ (roundFunction(r, left) & mask);
+        std::uint64_t prev = right ^ roundValue(r, left);
         right = left;
         left = prev;
     }

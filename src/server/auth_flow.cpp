@@ -65,11 +65,11 @@ AuthFlow::onRequest(SessionShard &sh, const protocol::AuthRequest &msg)
     GeneratedChallenge gen;
     try {
         if (cfg.multiLevelChallenges && levels.size() >= 2)
-            gen = generator.generateMultiLevel(
-                record, cfg.challengeBits, rng, sh.evalScratch);
+            gen = generator.generateMultiLevel(record,
+                                               cfg.challengeBits, rng);
         else
             gen = generator.generate(record, level, cfg.challengeBits,
-                                     rng, sh.evalScratch);
+                                     rng);
     } catch (const std::runtime_error &e) {
         out.replies.push_back(protocol::ErrorMsg{e.what()});
         return out;

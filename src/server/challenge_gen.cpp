@@ -60,8 +60,7 @@ ChallengeGenerator::drawWithRemap(DeviceRecord &record,
 
 GeneratedChallenge
 ChallengeGenerator::generate(DeviceRecord &record, core::VddMv level,
-                             std::size_t bits, util::Rng &rng,
-                             core::EvalScratch &scratch)
+                             std::size_t bits, util::Rng &rng)
 {
     const auto &levels = record.challengeLevels();
     if (std::find(levels.begin(), levels.end(), level) == levels.end())
@@ -69,30 +68,29 @@ ChallengeGenerator::generate(DeviceRecord &record, core::VddMv level,
             "ChallengeGenerator: not a challenge level");
     GeneratedChallenge out = drawWithRemap(
         record, level, bits, record.logicalRemap(), rng);
-    out.expected = core::evaluateIndexed(record.logicalIndexes(),
-                                         out.challenge, scratch);
+    out.expected = core::evaluate(record.logicalMap(), out.challenge);
     return out;
 }
 
 GeneratedChallenge
 ChallengeGenerator::generate(DeviceRecord &record, core::VddMv level,
-                             std::size_t bits, util::Rng &rng)
+                             std::size_t bits, util::Rng &rng,
+                             core::EvalScratch &)
 {
-    return generate(record, level, bits, rng, ownScratch);
+    return generate(record, level, bits, rng);
 }
 
 GeneratedChallenge
 ChallengeGenerator::generate(DeviceRecord &record, core::VddMv level,
                              std::size_t bits)
 {
-    return generate(record, level, bits, ownRng, ownScratch);
+    return generate(record, level, bits, ownRng);
 }
 
 GeneratedChallenge
 ChallengeGenerator::generateMultiLevel(DeviceRecord &record,
                                        std::size_t bits,
-                                       util::Rng &rng,
-                                       core::EvalScratch &scratch)
+                                       util::Rng &rng)
 {
     const auto &levels = record.challengeLevels();
     if (levels.size() < 2)
@@ -143,24 +141,24 @@ ChallengeGenerator::generateMultiLevel(DeviceRecord &record,
         out.challenge.bits.push_back(bit);
     }
 
-    out.expected = core::evaluateIndexed(record.logicalIndexes(),
-                                         out.challenge, scratch);
+    out.expected = core::evaluate(record.logicalMap(), out.challenge);
     return out;
 }
 
 GeneratedChallenge
 ChallengeGenerator::generateMultiLevel(DeviceRecord &record,
                                        std::size_t bits,
-                                       util::Rng &rng)
+                                       util::Rng &rng,
+                                       core::EvalScratch &)
 {
-    return generateMultiLevel(record, bits, rng, ownScratch);
+    return generateMultiLevel(record, bits, rng);
 }
 
 GeneratedChallenge
 ChallengeGenerator::generateMultiLevel(DeviceRecord &record,
                                        std::size_t bits)
 {
-    return generateMultiLevel(record, bits, ownRng, ownScratch);
+    return generateMultiLevel(record, bits, ownRng);
 }
 
 GeneratedChallenge

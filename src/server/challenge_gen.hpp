@@ -65,12 +65,10 @@ class ChallengeGenerator
                                 std::size_t bits, util::Rng &rng);
 
     /**
-     * Same, with caller-provided evaluation scratch (one per session
-     * shard): the expected response is computed through the record's
-     * cached logical indexes with core::evaluateIndexed, so the
-     * steady-state hot path performs no per-challenge map copy and no
-     * heap allocation beyond the returned challenge itself. Results
-     * are bit-identical to the scratch-less overloads.
+     * Forwarder kept for callers that still pass evaluation scratch;
+     * the scratch is unused. The expected response is always the SIMD
+     * plane scan (core::evaluate) over the record's cached logical
+     * map, which beats the indexed path below ~500 errors per plane.
      */
     GeneratedChallenge generate(DeviceRecord &record, core::VddMv level,
                                 std::size_t bits, util::Rng &rng,
@@ -105,6 +103,7 @@ class ChallengeGenerator
     GeneratedChallenge generateMultiLevel(DeviceRecord &record,
                                           std::size_t bits,
                                           util::Rng &rng);
+    /** Forwarder; the scratch is unused (see generate()). */
     GeneratedChallenge generateMultiLevel(DeviceRecord &record,
                                           std::size_t bits,
                                           util::Rng &rng,
@@ -122,7 +121,6 @@ class ChallengeGenerator
                   util::Rng &rng);
 
     util::Rng ownRng; ///< Backs the legacy no-Rng overloads only.
-    core::EvalScratch ownScratch; ///< Backs the no-scratch overloads.
 };
 
 } // namespace authenticache::server

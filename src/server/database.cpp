@@ -46,15 +46,6 @@ DeviceRecord::logicalMap() const
     return *logicalCache;
 }
 
-const core::ErrorIndexMap &
-DeviceRecord::logicalIndexes() const
-{
-    if (!indexCache)
-        indexCache = std::make_shared<core::ErrorIndexMap>(
-            core::buildErrorIndexes(logicalMap()));
-    return *indexCache;
-}
-
 std::uint64_t
 DeviceRecord::pairKey(std::uint64_t a, std::uint64_t b)
 {

@@ -21,7 +21,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/error_index.hpp"
 #include "core/error_map.hpp"
 #include "core/remap.hpp"
 #include "crypto/key.hpp"
@@ -60,7 +59,6 @@ class DeviceRecord
         if (!(k == key)) {
             remapCache.reset();
             logicalCache.reset();
-            indexCache.reset();
         }
         key = k;
     }
@@ -83,13 +81,6 @@ class DeviceRecord
      * invalidation point.
      */
     const core::ErrorMap &logicalMap() const;
-
-    /**
-     * Per-plane nearest-error indexes over logicalMap(), cached the
-     * same way; the generator's batched expected-response evaluation
-     * (core::evaluateIndexed) runs against these.
-     */
-    const core::ErrorIndexMap &logicalIndexes() const;
 
     /**
      * Consume a challenge pair at a level. Pairs are canonicalized
@@ -186,7 +177,6 @@ class DeviceRecord
     // which swaps the pointer rather than mutating through it).
     mutable std::shared_ptr<core::LogicalRemap> remapCache;
     mutable std::shared_ptr<core::ErrorMap> logicalCache;
-    mutable std::shared_ptr<core::ErrorIndexMap> indexCache;
     std::map<core::VddMv, PairSet> consumed;
     std::set<std::array<std::uint64_t, 4>> mixed;
     std::uint64_t nAccepted = 0;

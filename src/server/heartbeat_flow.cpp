@@ -76,8 +76,7 @@ HeartbeatFlow::issueRound(SessionShard &sh, HeartbeatSession &session,
                                      ? cfg.challengeBits
                                      : cfg.trust.heartbeatBits;
         try {
-            gen = generator.generate(record, level, bits, rng,
-                                     sh.evalScratch);
+            gen = generator.generate(record, level, bits, rng);
         } catch (const std::runtime_error &e) {
             abort_reason = e.what();
         }

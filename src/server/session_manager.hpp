@@ -151,13 +151,6 @@ struct SessionShard
      */
     std::vector<journal::Event> wal AUTH_GUARDED_BY(mutex);
 
-    /**
-     * Shard-local challenge-evaluation scratch, reused across every
-     * frame this shard services: steady-state challenge generation
-     * performs no heap allocation (see core::EvalScratch).
-     */
-    core::EvalScratch evalScratch AUTH_GUARDED_BY(mutex);
-
     std::size_t
     pending() const AUTH_REQUIRES(mutex)
     {

@@ -6,7 +6,11 @@
  */
 
 #include <cstring>
+#include <ostream>
 #include <set>
+#include <string>
+#include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -192,6 +196,91 @@ TEST(Feistel, PermutationLooksUniform)
         below_half += perm.map(x) < 5000;
     EXPECT_GT(below_half, 400u);
     EXPECT_LT(below_half, 600u);
+}
+
+struct FeistelGolden
+{
+    std::uint64_t domain;
+    std::vector<std::uint64_t> map;   ///< map(0..31)
+    std::vector<std::uint64_t> unmap; ///< unmap(0..31)
+};
+
+void
+PrintTo(const FeistelGolden &g, std::ostream *os)
+{
+    *os << "domain " << g.domain;
+}
+
+class FeistelGoldenVectors : public ::testing::TestWithParam<FeistelGolden>
+{
+};
+
+TEST_P(FeistelGoldenVectors, MapAndUnmapMatchRecordedValues)
+{
+    // Recorded from the per-call SipHash round function. A round
+    // table that still permutes but computes different values (wrong
+    // round index, domain tweak or mask) fails here, where the
+    // bijection tests above would pass. 1000 and 5000 exercise cycle
+    // walking; 1024 and 65536 are exact powers of four.
+    const FeistelGolden &g = GetParam();
+    c::FeistelPermutation perm(
+        c::SipHashKey{0x0706050403020100ull, 0x0F0E0D0C0B0A0908ull},
+        g.domain);
+    for (std::uint64_t x = 0; x < 32; ++x) {
+        EXPECT_EQ(perm.map(x), g.map[x]) << "map(" << x << ")";
+        EXPECT_EQ(perm.unmap(x), g.unmap[x]) << "unmap(" << x << ")";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RecordedDomains, FeistelGoldenVectors,
+    ::testing::Values(
+        FeistelGolden{
+            1000,
+            {328, 413, 684, 168, 894, 414, 846, 627, 383, 556, 630,
+             116, 189, 428, 570, 379, 826, 699, 621, 110, 105, 575,
+             783, 204, 486, 479, 960, 662, 723, 282, 854, 860},
+            {443, 209, 48,  570, 879, 326, 462, 105, 256, 767, 448,
+             313, 743, 311, 244, 986, 211, 99,  176, 664, 160, 863,
+             453, 647, 707, 315, 555, 849, 364, 683, 546, 394}},
+        FeistelGolden{
+            1024,
+            {582, 218, 998, 280, 242, 521, 197, 482, 156, 977, 126,
+             383, 173, 945, 843, 875, 690, 515, 61,  719, 862, 241,
+             9,   1018, 296, 157, 255, 450, 833, 222, 243, 364},
+            {917, 678, 894, 272, 67,  118, 239, 475, 152, 22,  517,
+             132, 212, 344, 690, 722, 843, 407, 525, 135, 882, 921,
+             205, 523, 581, 334, 700, 415, 238, 599, 1013, 602}},
+        FeistelGolden{
+            5000,
+            {2107, 1105, 572,  4618, 4164, 2005, 3403, 1473,
+             3114, 605,  2022, 1675, 2315, 1038, 4750, 2100,
+             43,   4008, 4714, 4799, 2564, 3651, 3906, 1519,
+             2162, 550,  169,  2013, 835,  2417, 268,  1541},
+            {3913, 2620, 2359, 3340, 2717, 2726, 3211, 3952,
+             251,  3661, 4951, 1634, 4337, 3265, 3005, 4925,
+             549,  1093, 3337, 751,  4494, 111,  1999, 482,
+             3163, 190,  3180, 1074, 2844, 4651, 4567, 1054}},
+        FeistelGolden{
+            65536,
+            {15342, 17825, 28048, 35257, 36548, 47305, 30484, 7836,
+             26177, 26778, 60780, 12903, 55470, 63275, 62118, 43160,
+             24802, 58443, 36442, 64721, 2570,  27247, 12692, 36110,
+             22615, 48658, 4836,  44095, 917,   18100, 1887,  36567},
+            {32540, 14756, 65297, 24067, 4526,  63639, 32192, 35598,
+             11845, 15821, 47973, 59079, 61241, 32075, 50550, 8084,
+             11861, 46532, 18005, 56899, 33013, 55980, 27130, 19051,
+             12127, 9855,  62024, 16994, 8742,  36374, 23952, 16796}}),
+    [](const ::testing::TestParamInfo<FeistelGolden> &param) {
+        return "Domain" + std::to_string(param.param.domain);
+    });
+
+TEST(Feistel, RejectsDomainAboveTwoToThe32)
+{
+    c::SipHashKey key{1, 2};
+    EXPECT_THROW(c::FeistelPermutation(key, (1ull << 32) + 1),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(c::FeistelPermutation(key, 1ull << 32));
 }
 
 TEST(FuzzyExtractor, RejectsBadRepetition)

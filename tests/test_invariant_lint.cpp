@@ -1,7 +1,7 @@
 /**
  * @file
  * Golden-fixture tests for the invariant lint (tools/lint): each of
- * the five cross-file rules must fire on its violating fixture tree
+ * the six cross-file rules must fire on its violating fixture tree
  * (tests/lint_fixtures/inv_*_bad) and stay quiet on the clean one
  * (inv_*_clean), the `// LINT:allow(<rule>)` escape hatch and the
  * shrink-only baseline must both suppress without hiding, and a
@@ -55,6 +55,14 @@ keysOf(const std::vector<lint::Finding> &findings)
         keys.insert(f.key);
     return keys;
 }
+
+// The test-scratch rule's expected keys spell out its own patterns.
+const std::string kScratchTempPathKey =
+    "test-scratch:tests/test_store.cpp:"
+    "temp_directory_path"; // LINT:allow(test-scratch)
+const std::string kScratchTmpKey =
+    "test-scratch:tests/test_store.cpp:"
+    "\"/tmp/"; // LINT:allow(test-scratch)
 
 const lint::Finding *
 findByKey(const std::vector<lint::Finding> &findings,
@@ -228,6 +236,34 @@ TEST(InvariantLintStatsKey, CoveredKeyPasses)
     EXPECT_TRUE(report.findings.empty());
 }
 
+TEST(InvariantLintTestScratch, FixedScratchLocationsFire)
+{
+    const auto report = lintFixtureTree("inv_scratch_bad");
+    EXPECT_EQ(rulesOf(report.findings),
+              std::set<std::string>{"test-scratch"});
+    EXPECT_EQ(keysOf(report.findings),
+              (std::set<std::string>{kScratchTempPathKey,
+                                     kScratchTmpKey}));
+
+    // Anchored at the code, not at the comment that names both, and
+    // past the escaped use on line 12.
+    const lint::Finding *temp =
+        findByKey(report.findings, kScratchTempPathKey);
+    ASSERT_NE(temp, nullptr);
+    EXPECT_EQ(temp->line, 18u);
+    const lint::Finding *tmp = findByKey(report.findings, kScratchTmpKey);
+    ASSERT_NE(tmp, nullptr);
+    EXPECT_EQ(tmp->line, 24u);
+    EXPECT_NE(tmp->message.find("tests/temp_dir.hpp"),
+              std::string::npos);
+}
+
+TEST(InvariantLintTestScratch, TempDirHeaderCommentsAndAllowPass)
+{
+    const auto report = lintFixtureTree("inv_scratch_clean");
+    EXPECT_TRUE(report.findings.empty());
+}
+
 TEST(InvariantLintBaseline, EntrySuppressesButStaysVisible)
 {
     const std::string key =
@@ -275,7 +311,7 @@ TEST(InvariantLintReport, JsonCarriesFindingsAndCounts)
     EXPECT_EQ(json.find("\n\""), json.rfind("\n\""));
 }
 
-TEST(InvariantLintInventory, AllFiveRulesListed)
+TEST(InvariantLintInventory, AllSixRulesListed)
 {
     std::set<std::string> names;
     for (const auto &[rule, summary] : lint::invariantRuleInventory()) {
@@ -284,5 +320,6 @@ TEST(InvariantLintInventory, AllFiveRulesListed)
     }
     EXPECT_EQ(names, (std::set<std::string>{
                          "exhaustiveness", "sync-before-reply",
-                         "layering", "lock-annotation", "stats-key"}));
+                         "layering", "lock-annotation", "stats-key",
+                         "test-scratch"}));
 }

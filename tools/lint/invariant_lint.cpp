@@ -66,6 +66,14 @@ editDistance(const std::string &a, const std::string &b)
     return row[b.size()];
 }
 
+bool
+isCppSource(const fs::path &path)
+{
+    const std::string ext = path.extension().string();
+    return ext == ".cpp" || ext == ".hpp" || ext == ".h" ||
+           ext == ".cc" || ext == ".hh";
+}
+
 /** All models plus lazily-loaded coverage files outside src/. */
 struct Tree
 {
@@ -108,11 +116,7 @@ loadTree(const fs::path &root)
                 it.disable_recursion_pending();
                 continue;
             }
-            if (!it->is_regular_file())
-                continue;
-            const std::string ext = it->path().extension().string();
-            if (ext == ".cpp" || ext == ".hpp" || ext == ".h" ||
-                ext == ".cc" || ext == ".hh")
+            if (it->is_regular_file() && isCppSource(it->path()))
                 files.push_back(it->path());
         }
     }
@@ -587,6 +591,56 @@ lintStatsKeys(Tree &tree, const InvariantOptions &options,
     }
 }
 
+// ---------------------------------------------------------------- //
+// Rule: test-scratch                                               //
+// ---------------------------------------------------------------- //
+
+void
+lintTestScratch(const fs::path &root, const InvariantOptions &options,
+                std::vector<Finding> &findings)
+{
+    const std::string rule = "test-scratch";
+    const fs::path tests = root / "tests";
+    if (!fs::is_directory(tests))
+        return;
+    std::vector<fs::path> files;
+    for (const auto &entry : fs::recursive_directory_iterator(tests)) {
+        if (entry.is_regular_file() && isCppSource(entry.path()))
+            files.push_back(entry.path());
+    }
+    std::sort(files.begin(), files.end());
+    for (const auto &file : files) {
+        const std::string label =
+            fs::relative(file, root).generic_string();
+        if (pathAllowed(options, rule, label))
+            continue;
+        auto raw = readFile(file);
+        if (!raw)
+            continue;
+        // Comments may name the patterns; string literals must stay.
+        const std::string code = stripComments(*raw);
+        const std::vector<std::string> raw_lines = splitLines(*raw);
+        // One finding per file and pattern, at its first use that no
+        // LINT:allow covers.
+        for (const auto &pattern : options.scratchPatterns) {
+            for (std::size_t pos = code.find(pattern); pos != npos;
+                 pos = code.find(pattern, pos + 1)) {
+                const std::size_t line = lineOfOffset(code, pos);
+                if (allowedByComment(raw_lines, line, rule))
+                    continue;
+                push(findings, label, line, rule,
+                     "test names a fixed scratch location (" +
+                         pattern +
+                         ") -- parallel ctest runs collide on it; "
+                         "take a unique directory from "
+                         "tests/temp_dir.hpp",
+                     label + ":" + pattern);
+                break;
+            }
+        }
+    }
+}
+
 } // namespace
 
 InvariantOptions
@@ -637,6 +691,12 @@ InvariantOptions::defaults()
 
     o.statsCoverageFiles = {"tests/test_stats.cpp",
                             "docs/STATS.md"};
+
+    o.scratchPatterns = {"temp_directory_path", "\"/tmp/"};
+    // temp_dir.hpp is the one sanctioned mkdtemp wrapper; the lint
+    // fixtures hold deliberate violations.
+    o.allow["test-scratch"] = {"tests/temp_dir.hpp",
+                               "tests/lint_fixtures/"};
     return o;
 }
 
@@ -663,6 +723,10 @@ invariantRuleInventory()
          "every StatsRegistry key literal must be covered by "
          "tests/test_stats.cpp or docs/STATS.md (with did-you-mean "
          "near-miss detection)"},
+        {"test-scratch",
+         "tests/ may not use temp_directory_path() or \"/tmp/ "
+         "literals outside tests/temp_dir.hpp; scratch directories "
+         "must be unique per process"},
     };
 }
 
@@ -678,6 +742,7 @@ lintInvariantTree(const fs::path &root,
     lintLayering(tree, options, raw);
     lintLockAnnotation(tree, options, raw);
     lintStatsKeys(tree, options, raw);
+    lintTestScratch(root, options, raw);
     std::sort(raw.begin(), raw.end(),
               [](const Finding &a, const Finding &b) {
                   return std::tie(a.file, a.line, a.rule, a.message) <

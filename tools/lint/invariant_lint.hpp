@@ -30,6 +30,10 @@
  *                     docs/STATS.md; near-misses (edit distance <= 2
  *                     from a covered key) get a "did you mean"
  *                     diagnostic, catching typo'd keys.
+ *   test-scratch      C++ files under tests/ may not name a fixed
+ *                     scratch location (temp_directory_path() or a
+ *                     "/tmp/ literal); tests/temp_dir.hpp, the unique
+ *                     mkdtemp wrapper, is the one exemption.
  *
  * Escapes, in review-visibility order: `// LINT:allow(<rule>)` on or
  * above the flagged line, per-rule path allowlists in the options,
@@ -100,6 +104,10 @@ struct InvariantOptions
     std::vector<std::string> statsCoverageFiles;
     std::size_t statsSuggestDistance = 2;
 
+    /** Test-scratch: substrings banned from comment-stripped C++
+     *  under tests/ (string literals are kept, so "/tmp/ matches). */
+    std::vector<std::string> scratchPatterns;
+
     /** The project's shipping configuration. */
     static InvariantOptions defaults();
 };
@@ -122,7 +130,8 @@ struct InvariantReport
 
 /**
  * Run every rule over the repo at @p root (models built for C++
- * sources under root/src; coverage files read relative to root).
+ * sources under root/src; coverage files read relative to root;
+ * test-scratch reads C++ files under root/tests).
  * @p baseline holds finding keys (see Finding::key) to tolerate.
  */
 InvariantReport

@@ -11,10 +11,20 @@ isIdentChar(char c)
     return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
+namespace {
+
+/**
+ * The stripper state machine. Comments always become spaces; string
+ * and char literals (delimiters included) only when @p blank_literals.
+ */
 std::string
-stripCommentsAndStrings(const std::string &text)
+strip(const std::string &text, bool blank_literals)
 {
     std::string out = text;
+    const auto lit = [&](std::size_t j) {
+        if (blank_literals)
+            out[j] = ' ';
+    };
     enum class State { Code, Line, Block, Str, Chr, Raw } st =
         State::Code;
     for (std::size_t i = 0; i < out.size(); ++i) {
@@ -31,14 +41,14 @@ stripCommentsAndStrings(const std::string &text)
             } else if (c == 'R' && nx == '"' &&
                        (i == 0 || !isIdentChar(out[i - 1]))) {
                 st = State::Raw;
-                out[i] = ' ';
+                lit(i);
             } else if (c == '"') {
                 st = State::Str;
-                out[i] = ' ';
+                lit(i);
             } else if (c == '\'' && i > 0 && !isIdentChar(out[i - 1])) {
                 // Identifier check skips digit separators (1'000).
                 st = State::Chr;
-                out[i] = ' ';
+                lit(i);
             }
             break;
           case State::Line:
@@ -58,45 +68,49 @@ stripCommentsAndStrings(const std::string &text)
             }
             break;
           case State::Str:
+          case State::Chr: {
+            const char close = st == State::Str ? '"' : '\'';
             if (c == '\\' && nx != '\0') {
-                out[i] = ' ';
+                lit(i);
                 if (nx != '\n')
-                    out[i + 1] = ' ';
+                    lit(i + 1);
                 ++i;
-            } else if (c == '"') {
-                out[i] = ' ';
+            } else if (c == close) {
+                lit(i);
                 st = State::Code;
             } else if (c != '\n') {
-                out[i] = ' ';
+                lit(i);
             }
             break;
-          case State::Chr:
-            if (c == '\\' && nx != '\0') {
-                out[i] = ' ';
-                if (nx != '\n')
-                    out[i + 1] = ' ';
-                ++i;
-            } else if (c == '\'') {
-                out[i] = ' ';
-                st = State::Code;
-            } else if (c != '\n') {
-                out[i] = ' ';
-            }
-            break;
+          }
           case State::Raw:
             // Plain R"( ... )" only -- no custom delimiters in-tree.
             if (c == ')' && nx == '"') {
-                out[i] = ' ';
-                out[i + 1] = ' ';
+                lit(i);
+                lit(i + 1);
                 ++i;
                 st = State::Code;
             } else if (c != '\n') {
-                out[i] = ' ';
+                lit(i);
             }
             break;
         }
     }
     return out;
+}
+
+} // namespace
+
+std::string
+stripCommentsAndStrings(const std::string &text)
+{
+    return strip(text, true);
+}
+
+std::string
+stripComments(const std::string &text)
+{
+    return strip(text, false);
 }
 
 std::size_t

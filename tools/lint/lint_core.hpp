@@ -43,6 +43,10 @@ bool isIdentChar(char c);
  */
 std::string stripCommentsAndStrings(const std::string &text);
 
+/** Same state machine, but string/char literals are kept verbatim, for
+ *  rules that match literal contents (test-scratch's "/tmp/"). */
+std::string stripComments(const std::string &text);
+
 /** 1-based line number of @p offset within @p text. */
 std::size_t lineOfOffset(const std::string &text, std::size_t offset);
 
