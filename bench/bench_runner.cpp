@@ -7,9 +7,11 @@
  *
  *  - BENCH_hotpath.json -- microkernel numbers: the nearest-error
  *    scan over a 4MB-cache plane at every supported SIMD width, the
- *    SECDED batch encode/decode kernels, and the server's indexed
- *    challenge evaluation. Per-op p50/p99 latency plus ops/s, and
- *    derived hardware-independent ratios (SIMD speedup over scalar).
+ *    SECDED batch encode/decode kernels, and 64-bit challenge
+ *    evaluation both ways: the server's query-major plane scan
+ *    (core::evaluate) and the indexed evaluator. Per-op p50/p99
+ *    latency plus ops/s, and derived hardware-independent ratios
+ *    (SIMD speedup over scalar).
  *
  *  - BENCH_server.json -- end-to-end batch front-end throughput
  *    (frames/s, per-batch p50/p99) at several thread counts, with
@@ -313,8 +315,9 @@ runHotpath(bool quick)
                        std::move(dec_samples)));
     }
 
-    // Indexed challenge evaluation (the server's expected-response
-    // path): 64-bit challenges against an indexed map.
+    // Challenge evaluation: 64-bit challenges against a 60-error
+    // map, through the ErrorIndex evaluator and through the plane
+    // scan the server computes expected responses with.
     const core::VddMv level_mv = 700.0;
     core::ErrorMap map = mc::randomErrorMap(geom, level_mv, 60, rng);
     auto indexes = core::buildErrorIndexes(map);
@@ -342,6 +345,30 @@ runHotpath(bool quick)
                        std::move(samples)));
     }
 
+    std::vector<core::Response> responses_ref;
+    for (util::SimdLevel level : util::supportedSimdLevels()) {
+        std::vector<double> samples;
+        samples.reserve(evals);
+        std::vector<core::Response> responses;
+        responses.reserve(evals);
+        for (const auto &ch : challenges) {
+            auto t0 = Clock::now();
+            auto resp = core::evaluate(map, ch, level);
+            samples.push_back(nsSince(t0));
+            responses.push_back(std::move(resp));
+        }
+        if (level == util::SimdLevel::Scalar)
+            responses_ref = std::move(responses);
+        else if (responses != responses_ref) {
+            std::cerr << "FAIL: evaluate diverged at "
+                      << util::simdLevelName(level) << "\n";
+            std::exit(1);
+        }
+        out.series.push_back(
+            makeSeries("evaluate_64bit", util::simdLevelName(level), 1,
+                       std::move(samples)));
+    }
+
     const std::string widest =
         util::simdLevelName(util::detectedSimdLevel());
     auto ratio = [&](const std::string &name) {
@@ -357,6 +384,7 @@ runHotpath(bool quick)
         ratio("secded_decode_batch");
     out.derived["evaluate_indexed_simd_speedup"] =
         ratio("evaluate_indexed_64bit");
+    out.derived["evaluate_simd_speedup"] = ratio("evaluate_64bit");
     return out;
 }
 
@@ -579,8 +607,10 @@ writeHotpath(const std::string &path, const HotpathResult &r,
         j.field(k, v);
     j.closeObject();
     j.openObject("floors");
-    // The acceptance floor the compare script enforces on every run:
-    // the widest nearest-error scan must hold >= 2x over scalar.
+    // The acceptance floors the compare script enforces on every
+    // run: the widest nearest-error scan and the widest challenge
+    // evaluation must each hold >= 2x over scalar.
+    j.field("evaluate_simd_speedup", 2.0);
     j.field("nearest_scan_simd_speedup", 2.0);
     j.closeObject();
     j.close();

@@ -1,33 +1,124 @@
 #include "core/challenge.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "core/nearest.hpp"
 #include "core/nearest_scan.hpp"
 
 namespace authenticache::core {
 
+namespace {
+
+/** The plane at @p level if it holds any error; else null. */
+const ErrorPlane *
+scannablePlane(const ErrorMap &map, VddMv level)
+{
+    if (!map.hasPlane(level))
+        return nullptr;
+    const ErrorPlane &plane = map.plane(level);
+    return plane.errorCount() == 0 ? nullptr : &plane;
+}
+
+/** Endpoint @p i of a challenge: bit i/2's a (even) or b (odd). */
+const ChallengePoint &
+endpointAt(const Challenge &challenge, std::size_t i)
+{
+    const ChallengeBit &bit = challenge.bits[i / 2];
+    return (i % 2 == 0) ? bit.a : bit.b;
+}
+
+} // namespace
+
 std::uint64_t
 pointDistance(const ErrorMap &map, const ChallengePoint &point)
 {
-    if (!map.hasPlane(point.vddMv))
+    const ErrorPlane *plane = scannablePlane(map, point.vddMv);
+    if (plane == nullptr)
         return kInfiniteDistance;
-    // The SIMD scan is bit-identical to nearestErrorBrute at every
-    // width (tests/test_nearest_scan.cpp), so evaluation results do
-    // not depend on the host's vector capability.
-    NearestResult r = nearestErrorScan(map.plane(point.vddMv),
-                                       point.line);
-    return r.found ? r.distance : kInfiniteDistance;
+    std::uint32_t d = 0;
+    nearestDistancesSoA(plane->errorSets().data(),
+                        plane->errorWays().data(), plane->errorCount(),
+                        &point.line.set, &point.line.way, 1, &d,
+                        util::simdLevel());
+    return d;
+}
+
+Response
+evaluate(const ErrorMap &map, const Challenge &challenge,
+         util::SimdLevel level)
+{
+    const std::size_t bits = challenge.size();
+    const std::size_t npts = bits * 2;
+
+    // One buffer, five npts-long arrays: each endpoint's distance,
+    // then per-plane staging (query sets, query ways, the kernel's
+    // distances, each query's endpoint index). Distances stay in the
+    // kernel's domain, where UINT32_MAX means "no error": a point
+    // whose level has no plane, or an empty one, keeps it. No real
+    // distance reaches it: that would take coordinates near 2^31.
+    std::vector<std::uint32_t> buf(5 * npts);
+    std::uint32_t *dist = buf.data();
+    std::uint32_t *qsets = dist + npts;
+    std::uint32_t *qways = qsets + npts;
+    std::uint32_t *qdist = qways + npts;
+    std::uint32_t *order = qdist + npts;
+    std::fill(dist, qsets, std::numeric_limits<std::uint32_t>::max());
+
+    // One kernel call per plane, levels taken in challenge order:
+    // gather that level's endpoints, answer them all at once,
+    // scatter the distances back. No endpoint before `first` is at
+    // an unseen level, so each gather starts there, and the first
+    // endpoint it skips is where the search for the next level
+    // resumes (a single-level challenge makes one pass).
+    std::vector<VddMv> done;
+    std::size_t first = 0;
+    while (first < npts) {
+        const VddMv vdd = endpointAt(challenge, first).vddMv;
+        const ErrorPlane *plane = nullptr;
+        if (std::find(done.begin(), done.end(), vdd) == done.end()) {
+            done.push_back(vdd);
+            plane = scannablePlane(map, vdd);
+        }
+        if (plane == nullptr) {
+            ++first;
+            continue;
+        }
+        std::size_t m = 0;
+        std::size_t next = npts;
+        for (std::size_t i = first; i < npts; ++i) {
+            const ChallengePoint &p = endpointAt(challenge, i);
+            if (p.vddMv != vdd) {
+                next = std::min(next, i);
+                continue;
+            }
+            qsets[m] = p.line.set;
+            qways[m] = p.line.way;
+            order[m] = static_cast<std::uint32_t>(i);
+            ++m;
+        }
+        nearestDistancesSoA(plane->errorSets().data(),
+                            plane->errorWays().data(),
+                            plane->errorCount(), qsets, qways, m, qdist,
+                            level);
+        for (std::size_t j = 0; j < m; ++j)
+            dist[order[j]] = qdist[j];
+        first = next;
+    }
+
+    std::vector<std::uint64_t> words((bits + 63) / 64, 0);
+    for (std::size_t i = 0; i < bits; ++i) {
+        const bool bit =
+            responseBitFromDistances(dist[2 * i], dist[2 * i + 1]);
+        words[i / 64] |= std::uint64_t{bit} << (i % 64);
+    }
+    return Response::fromWords(std::move(words), bits);
 }
 
 Response
 evaluate(const ErrorMap &map, const Challenge &challenge)
 {
-    Response response(challenge.size());
-    for (std::size_t i = 0; i < challenge.size(); ++i) {
-        std::uint64_t da = pointDistance(map, challenge.bits[i].a);
-        std::uint64_t db = pointDistance(map, challenge.bits[i].b);
-        response.set(i, responseBitFromDistances(da, db));
-    }
-    return response;
+    return evaluate(map, challenge, util::simdLevel());
 }
 
 Response
@@ -47,10 +138,6 @@ evaluateIndexed(const ErrorIndexMap &indexes,
     for (std::size_t i = 0; i < npts; ++i)
         dist[i] = kInfiniteDistance;
 
-    auto pointAt = [&](std::size_t i) -> const ChallengePoint & {
-        const ChallengeBit &bit = challenge.bits[i / 2];
-        return (i % 2 == 0) ? bit.a : bit.b;
-    };
 
     // One batched query per plane: gather that level's endpoints
     // contiguously, answer them in one nearestBatch call, scatter
@@ -58,9 +145,9 @@ evaluateIndexed(const ErrorIndexMap &indexes,
     for (const auto &[vdd, index] : indexes) {
         std::size_t m = 0;
         for (std::size_t i = 0; i < npts; ++i) {
-            if (pointAt(i).vddMv == vdd) {
+            if (endpointAt(challenge, i).vddMv == vdd) {
                 order[m] = static_cast<std::uint32_t>(i);
-                pts[m] = pointAt(i).line;
+                pts[m] = endpointAt(challenge, i).line;
                 ++m;
             }
         }

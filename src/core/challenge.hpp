@@ -75,7 +75,17 @@ responseBitFromDistances(std::uint64_t dist_a, std::uint64_t dist_b)
     return dist_a > dist_b;
 }
 
-/** Ideal evaluation of a whole challenge against an error map. */
+/**
+ * Ideal evaluation of a whole challenge against an error map. The
+ * 2*bits endpoints are grouped by voltage level and each plane
+ * answers its group in one query-major kernel call
+ * (nearestDistancesSoA). Only distances are computed: Eq 8 reads
+ * nothing else, so the result is the same at every @p level.
+ */
+Response evaluate(const ErrorMap &map, const Challenge &challenge,
+                  util::SimdLevel level);
+
+/** Same, dispatched at the process-wide util::simdLevel(). */
 Response evaluate(const ErrorMap &map, const Challenge &challenge);
 
 /**

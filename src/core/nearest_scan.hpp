@@ -26,6 +26,14 @@
  * coordinates explicitly because gather order is per-way, not
  * lexicographic.
  *
+ * nearestDistancesSoA is the query-major kernel behind
+ * core::evaluate: many query points against one plane, queries in
+ * the lanes (8 per AVX2 vector, 4 per SSE2 vector), each error point
+ * broadcast in turn, and a running unsigned minimum per lane. It
+ * returns distances only -- no argmin and no cross-lane reduction --
+ * because a response bit (Eq 8) reads nothing but the two distances,
+ * so no tie rule can change it.
+ *
  * Coordinate-range contract: all kernels require set + way sums
  * below 2^30 (any realistic cache geometry is orders of magnitude
  * smaller); wider planes fall back to the scalar path.
@@ -64,6 +72,21 @@ NearestResult nearestErrorScan(const ErrorPlane &plane,
 /** Same, dispatched at the process-wide util::simdLevel(). */
 NearestResult nearestErrorScan(const ErrorPlane &plane,
                                const LinePoint &from);
+
+/**
+ * Query-major nearest-error distances: for each j < m,
+ * out_d[j] = min over i < n of |sets[i] - qsets[j]| +
+ * |ways[i] - qways[j]|. The error stream follows nearestScanSoA's
+ * contract (sorted by (set, way), so sets[n-1] bounds the sets); the
+ * queries may come in any order. n == 0 writes UINT32_MAX ("no
+ * error") to every output. @p level is clamped to the CPU's
+ * capability, and to scalar when any coordinate reaches 2^29.
+ */
+void nearestDistancesSoA(const std::uint32_t *sets,
+                         const std::uint32_t *ways, std::size_t n,
+                         const std::uint32_t *qsets,
+                         const std::uint32_t *qways, std::size_t m,
+                         std::uint32_t *out_d, util::SimdLevel level);
 
 /**
  * Fill @p out_d[i] = |sets[i] - from.set| + |ways[i] - from.way| for

@@ -44,6 +44,17 @@ class LogicalRemap
     /** Logical -> physical coordinate at a voltage level. */
     LinePoint unmap(const LinePoint &p, VddMv level) const;
 
+    /**
+     * The line-index permutation behind map/unmap at @p level, or
+     * null for the identity key. Hot loops resolve it once and then
+     * work in line-index space: unmap(p, level) is
+     * geometry().pointOf(perm->unmap(geometry().lineIndex(p))).
+     */
+    const crypto::FeistelPermutation *permutation(VddMv level) const
+    {
+        return identity ? nullptr : &permFor(level);
+    }
+
     /** Physical -> logical view of a whole error map. */
     ErrorMap mapErrorMap(const ErrorMap &physical) const;
 

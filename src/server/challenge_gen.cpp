@@ -25,6 +25,10 @@ ChallengeGenerator::drawWithRemap(DeviceRecord &record,
     out.challenge.bits.reserve(bits);
     out.retired.reserve(bits);
 
+    // Resolved once per challenge; pairs are unmapped in line-index
+    // space (identity key: logical line == physical line).
+    const crypto::FeistelPermutation *perm = remap.permutation(level);
+
     // Retire-before-use: each drawn pair is checked against the
     // consumed set by its physical identity.
     std::size_t attempts = 0;
@@ -39,20 +43,16 @@ ChallengeGenerator::drawWithRemap(DeviceRecord &record,
         if (la == lb)
             continue;
 
-        sim::LinePoint logical_a = geom.pointOf(la);
-        sim::LinePoint logical_b = geom.pointOf(lb);
-        std::uint64_t phys_a =
-            geom.lineIndex(remap.unmap(logical_a, level));
-        std::uint64_t phys_b =
-            geom.lineIndex(remap.unmap(logical_b, level));
+        std::uint64_t phys_a = perm ? perm->unmap(la) : la;
+        std::uint64_t phys_b = perm ? perm->unmap(lb) : lb;
         if (!record.consumePair(level, phys_a, phys_b))
             continue; // Already used (in either order); redraw.
         out.retired.push_back(
             journal::RetiredPair{level, level, phys_a, phys_b});
 
         core::ChallengeBit bit;
-        bit.a = core::ChallengePoint{logical_a, level};
-        bit.b = core::ChallengePoint{logical_b, level};
+        bit.a = core::ChallengePoint{geom.pointOf(la), level};
+        bit.b = core::ChallengePoint{geom.pointOf(lb), level};
         out.challenge.bits.push_back(bit);
     }
     return out;
@@ -103,11 +103,17 @@ ChallengeGenerator::generateMultiLevel(DeviceRecord &record,
                 "generateMultiLevel: missing error map plane");
     }
 
+    // One permutation per level, resolved once (null: identity key).
     const core::LogicalRemap &remap = record.logicalRemap();
+    std::vector<const crypto::FeistelPermutation *> perms;
+    perms.reserve(levels.size());
+    for (auto level : levels)
+        perms.push_back(remap.permutation(level));
 
     GeneratedChallenge out;
     out.level = 0; // Mixed levels; no single value applies.
     out.challenge.bits.reserve(bits);
+    out.retired.reserve(bits);
 
     std::size_t attempts = 0;
     const std::size_t max_attempts = bits * 64 + 1024;
@@ -116,19 +122,17 @@ ChallengeGenerator::generateMultiLevel(DeviceRecord &record,
             throw std::runtime_error(
                 "generateMultiLevel: fresh pair supply exhausted");
         }
-        core::VddMv level_a = levels[rng.nextBelow(levels.size())];
-        core::VddMv level_b = levels[rng.nextBelow(levels.size())];
+        const std::size_t ia = rng.nextBelow(levels.size());
+        const std::size_t ib = rng.nextBelow(levels.size());
+        const core::VddMv level_a = levels[ia];
+        const core::VddMv level_b = levels[ib];
         std::uint64_t la = rng.nextBelow(geom.lines());
         std::uint64_t lb = rng.nextBelow(geom.lines());
         if (la == lb && level_a == level_b)
             continue;
 
-        sim::LinePoint logical_a = geom.pointOf(la);
-        sim::LinePoint logical_b = geom.pointOf(lb);
-        std::uint64_t phys_a =
-            geom.lineIndex(remap.unmap(logical_a, level_a));
-        std::uint64_t phys_b =
-            geom.lineIndex(remap.unmap(logical_b, level_b));
+        std::uint64_t phys_a = perms[ia] ? perms[ia]->unmap(la) : la;
+        std::uint64_t phys_b = perms[ib] ? perms[ib]->unmap(lb) : lb;
         if (!record.consumeMixedPair(level_a, phys_a, level_b,
                                      phys_b))
             continue;
@@ -136,8 +140,8 @@ ChallengeGenerator::generateMultiLevel(DeviceRecord &record,
                                                    phys_a, phys_b});
 
         core::ChallengeBit bit;
-        bit.a = core::ChallengePoint{logical_a, level_a};
-        bit.b = core::ChallengePoint{logical_b, level_b};
+        bit.a = core::ChallengePoint{geom.pointOf(la), level_a};
+        bit.b = core::ChallengePoint{geom.pointOf(lb), level_b};
         out.challenge.bits.push_back(bit);
     }
 

@@ -60,11 +60,12 @@ HeartbeatFlow::issueRound(SessionShard &sh, HeartbeatSession &session,
     const auto &levels = record.challengeLevels();
     const std::uint64_t device = session.deviceId;
 
-    // A session that cannot issue its next round (no levels / pair
-    // supply exhausted) is torn down rather than left to strand
-    // wheel entries forever. (Inlined rather than a lambda: the
-    // thread-safety analysis treats lambdas as lock-unaware
-    // functions; see SessionManager::sumCounter.)
+    // A session that cannot issue its next round (no levels, a
+    // level without an error-map plane, pair supply exhausted) is
+    // torn down rather than left to strand wheel entries forever.
+    // (Inlined rather than a lambda: the thread-safety analysis
+    // treats lambdas as lock-unaware functions; see
+    // SessionManager::sumCounter.)
     std::string abort_reason;
     GeneratedChallenge gen;
     if (levels.empty()) {
@@ -77,7 +78,7 @@ HeartbeatFlow::issueRound(SessionShard &sh, HeartbeatSession &session,
                                      : cfg.trust.heartbeatBits;
         try {
             gen = generator.generate(record, level, bits, rng);
-        } catch (const std::runtime_error &e) {
+        } catch (const std::exception &e) {
             abort_reason = e.what();
         }
     }

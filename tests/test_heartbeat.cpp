@@ -9,10 +9,12 @@
 
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "mc/mapgen.hpp"
 #include "server/server.hpp"
 #include "sim/drift.hpp"
 #include "substrate/drift_injector.hpp"
@@ -358,6 +360,168 @@ TEST(Heartbeat, StopTearsDownSession)
     for (int s = 0; s < 10; ++s)
         rig.step(/*pump_agent=*/false);
     EXPECT_EQ(rig.server.sessions().heartbeatsFailed(), 0u);
+}
+
+namespace {
+
+/** Collects every message the server sends. */
+struct RecordingSink : proto::ReplySink
+{
+    std::vector<proto::Message> sent;
+    void send(const proto::Message &m) override { sent.push_back(m); }
+
+    std::size_t count(bool (*pred)(const proto::Message &)) const
+    {
+        std::size_t n = 0;
+        for (const auto &m : sent)
+            n += pred(m);
+        return n;
+    }
+};
+
+bool
+isBeat(const proto::Message &m)
+{
+    return std::holds_alternative<proto::Heartbeat>(m);
+}
+
+bool
+isError(const proto::Message &m)
+{
+    return std::holds_alternative<proto::ErrorMsg>(m);
+}
+
+/**
+ * Challenge levels {720, 700} with a plane at 700 only: enrollment
+ * accepts it, and every round that draws 720 fails to generate.
+ */
+srv::DeviceRecord
+planelessLevelRecord(std::uint64_t id)
+{
+    const sim::CacheGeometry geom(64 * 1024);
+    util::Rng rng(0x700 + id);
+    return srv::DeviceRecord(
+        id, authenticache::mc::randomErrorMap(geom, 700, 40, rng),
+        {720, 700}, {});
+}
+
+/** Silent clients keep their trust, so only generation ends rounds. */
+srv::ServerConfig
+noDecayConfig()
+{
+    srv::ServerConfig cfg;
+    cfg.sessionShards = 1;
+    cfg.trust.failPenalty = 0;
+    cfg.trust.periodSteps = 1;
+    return cfg;
+}
+
+} // namespace
+
+TEST(Heartbeat, StartOnPlanelessLevelTearsDownSession)
+{
+    srv::AuthenticationServer server(noDecayConfig(), 0x5A1);
+    util::SimClock clock;
+    server.bindClock(&clock);
+
+    bool tried = false;
+    for (std::uint64_t id = 1; id <= 32 && !tried; ++id) {
+        server.enrollRecord(planelessLevelRecord(id));
+        RecordingSink sink;
+        server.startHeartbeat(id, sink);
+        ASSERT_EQ(sink.sent.size(), 1u);
+        if (isBeat(sink.sent[0])) {
+            EXPECT_TRUE(server.stopHeartbeat(id));
+            continue; // Drew 700; look for a device that draws 720.
+        }
+        tried = true;
+        EXPECT_NE(std::get<proto::ErrorMsg>(sink.sent[0]).reason.find(
+                      "no error map"),
+                  std::string::npos);
+        EXPECT_EQ(server.sessions().activeHeartbeats(), 0u);
+
+        // No zombie session: later starts are never refused as
+        // already active, and one that draws 700 opens a session.
+        bool opened = false;
+        for (int attempt = 0; attempt < 32 && !opened; ++attempt) {
+            RecordingSink again;
+            server.startHeartbeat(id, again);
+            ASSERT_EQ(again.sent.size(), 1u);
+            if (isError(again.sent[0])) {
+                EXPECT_EQ(
+                    std::get<proto::ErrorMsg>(again.sent[0]).reason.find(
+                        "already active"),
+                    std::string::npos);
+                EXPECT_EQ(server.sessions().activeHeartbeats(), 0u);
+            }
+            opened = isBeat(again.sent[0]);
+        }
+        EXPECT_TRUE(opened);
+        EXPECT_EQ(server.sessions().activeHeartbeats(), 1u);
+    }
+    EXPECT_TRUE(tried);
+}
+
+TEST(Heartbeat, TickOnPlanelessLevelTearsDownOnlyThatSession)
+{
+    srv::AuthenticationServer server(noDecayConfig(), 0x5B1);
+    util::SimClock clock;
+    server.bindClock(&clock);
+
+    // A healthy device in the same (only) shard.
+    const std::uint64_t healthy = 100;
+    {
+        const sim::CacheGeometry geom(64 * 1024);
+        util::Rng rng(0x5B2);
+        server.enrollRecord(srv::DeviceRecord(
+            healthy,
+            authenticache::mc::randomErrorMap(geom, 700, 40, rng),
+            {700}, {}));
+    }
+    RecordingSink sink;
+    server.startHeartbeat(healthy, sink);
+
+    // A device whose first round draws 700 and so opens.
+    std::uint64_t broken = 0;
+    for (std::uint64_t id = 1; id <= 32 && broken == 0; ++id) {
+        server.enrollRecord(planelessLevelRecord(id));
+        server.startHeartbeat(id, sink);
+        if (isBeat(sink.sent.back()))
+            broken = id;
+    }
+    ASSERT_NE(broken, 0u);
+    ASSERT_EQ(server.sessions().activeHeartbeats(), 2u);
+
+    // Both sessions come due every step; sooner or later the broken
+    // one draws 720. That tick must not throw, must end only the
+    // broken session with an error, and must still issue the healthy
+    // device's round.
+    bool torn_down = false;
+    for (int step = 0; step < 64 && !torn_down; ++step) {
+        clock.advance();
+        sink.sent.clear();
+        ASSERT_NO_THROW(server.tickHeartbeats(sink));
+        if (sink.count(isError) == 0) {
+            EXPECT_EQ(sink.count(isBeat), 2u);
+            continue;
+        }
+        torn_down = true;
+        EXPECT_EQ(sink.count(isError), 1u);
+        EXPECT_EQ(sink.count(isBeat), 1u);
+        EXPECT_EQ(server.sessions().activeHeartbeats(), 1u);
+    }
+    ASSERT_TRUE(torn_down);
+
+    // The healthy session keeps its cadence afterwards.
+    for (int step = 0; step < 3; ++step) {
+        clock.advance();
+        sink.sent.clear();
+        server.tickHeartbeats(sink);
+        EXPECT_EQ(sink.count(isBeat), 1u);
+        EXPECT_EQ(sink.count(isError), 0u);
+    }
+    EXPECT_FALSE(server.stopHeartbeat(broken));
+    EXPECT_TRUE(server.stopHeartbeat(healthy));
 }
 
 TEST(Heartbeat, DriftTrajectoryIsDeterministic)

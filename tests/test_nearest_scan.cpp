@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/challenge.hpp"
@@ -341,5 +342,192 @@ TEST(NearestScan, EvaluateIndexedMatchesEvaluate)
             EXPECT_EQ(fast, reference)
                 << "@" << util::simdLevelName(level);
         }
+    }
+}
+
+// ---------------------------------------------------------------
+// Query-major distance kernel (nearestDistancesSoA), the path behind
+// core::evaluate and core::pointDistance.
+// ---------------------------------------------------------------
+
+namespace {
+
+/**
+ * Run the kernel for @p queries at every supported width and check
+ * each distance against nearestErrorBrute (UINT32_MAX when the plane
+ * is empty).
+ */
+void
+expectKernelMatchesBrute(const core::ErrorPlane &plane,
+                         const std::vector<sim::LinePoint> &queries)
+{
+    std::vector<std::uint32_t> qs, qw;
+    for (const auto &q : queries) {
+        qs.push_back(q.set);
+        qw.push_back(q.way);
+    }
+    std::vector<std::uint32_t> out(queries.size());
+    for (util::SimdLevel level : util::supportedSimdLevels()) {
+        std::fill(out.begin(), out.end(), 0xDEADBEEFu);
+        core::nearestDistancesSoA(
+            plane.errorSets().data(), plane.errorWays().data(),
+            plane.errorCount(), qs.data(), qw.data(), queries.size(),
+            out.data(), level);
+        for (std::size_t j = 0; j < queries.size(); ++j) {
+            const auto brute = core::nearestErrorBrute(plane, queries[j]);
+            const std::uint64_t want =
+                brute.found ? brute.distance : 0xFFFFFFFFu;
+            EXPECT_EQ(out[j], want)
+                << "@" << util::simdLevelName(level) << " n="
+                << plane.errorCount() << " m=" << queries.size()
+                << " query " << j << " at (" << queries[j].set << ","
+                << queries[j].way << ")";
+        }
+    }
+}
+
+} // namespace
+
+TEST(NearestScan, DistancesKernelEveryTailLength)
+{
+    // M = 1..17 hits every query tail at 4 and 8 lanes (and at the
+    // two-vector blocks); n spans single errors, partial and full
+    // vectors, and a dense plane.
+    Rng rng(0xD157A);
+    for (std::size_t errors : {1u, 7u, 8u, 9u, 40u, 500u}) {
+        auto plane = mc::randomPlane(kGeom, errors, rng);
+        for (std::size_t m = 1; m <= 17; ++m) {
+            std::vector<sim::LinePoint> queries;
+            for (std::size_t j = 0; j < m; ++j) {
+                // Every third query sits on an error (distance 0).
+                queries.push_back(
+                    j % 3 == 0
+                        ? plane.errors()[rng.nextBelow(errors)]
+                        : randomPoint(kGeom, rng));
+            }
+            expectKernelMatchesBrute(plane, queries);
+        }
+    }
+}
+
+TEST(NearestScan, DistancesKernelTiesAndCorners)
+{
+    // The diamond of ForcedEqualDistanceTies: six errors at distance
+    // 3 from (50, 4). Only the distance is reported, so any of them
+    // may be the one that achieved it.
+    core::ErrorPlane plane(kGeom);
+    for (sim::LinePoint e : {sim::LinePoint{47, 4}, {53, 4}, {50, 1},
+                             {50, 7}, {48, 2}, {52, 6}})
+        plane.add(e);
+    const std::uint32_t last_set = kGeom.sets() - 1;
+    const std::uint32_t last_way = kGeom.ways() - 1;
+    expectKernelMatchesBrute(
+        plane, {{50, 4}, {0, 0}, {last_set, last_way}, {0, last_way},
+                {last_set, 0}, {47, 4}, {50, 4}, {51, 5}, {49, 3}});
+
+    // Errors in the corners, queried from the corners and the middle.
+    core::ErrorPlane corners(kGeom);
+    for (sim::LinePoint e : {sim::LinePoint{0, 0}, {0, last_way},
+                             {last_set, 0}, {last_set, last_way}})
+        corners.add(e);
+    expectKernelMatchesBrute(
+        corners, {{0, 0}, {last_set, last_way}, {64, 4}, {63, 3},
+                  {1, 1}, {last_set - 1, last_way - 1}});
+}
+
+TEST(NearestScan, DistancesKernelEmptyPlane)
+{
+    core::ErrorPlane plane(kGeom);
+    expectKernelMatchesBrute(plane, {{0, 0}, {5, 3}, {127, 7}});
+
+    // Through the evaluator: an empty plane is infinitely far.
+    core::ErrorMap map(kGeom);
+    map.plane(700);
+    EXPECT_EQ(core::pointDistance(map, {{5, 3}, 700}),
+              core::kInfiniteDistance);
+    EXPECT_EQ(core::pointDistance(map, {{5, 3}, 710}),
+              core::kInfiniteDistance);
+}
+
+TEST(NearestScan, DistancesKernelCoordLimitFallsBackToScalar)
+{
+    // Coordinates at or above 2^29 take the scalar body at every
+    // requested width; the result still matches a 64-bit brute
+    // reference, for a wide error stream and for a wide query.
+    const std::uint32_t limit = 1u << 29;
+    // Differences up to 3 * 2^30 would overflow a signed lane.
+    const std::vector<std::uint32_t> sets = {
+        3, 17, limit - 1, limit, limit + 9, 1u << 30, 3u << 30};
+    const std::vector<std::uint32_t> ways = {1, 6, 2, 0, 7, 4, 5};
+    const std::vector<std::uint32_t> qs = {0, limit, 20, 1u << 30,
+                                           limit - 2, 3u << 30};
+    const std::vector<std::uint32_t> qw = {0, 3, 5, 4, 1, 2};
+
+    for (std::size_t n : {std::size_t{2}, sets.size()}) {
+        // n == 2: a small stream with wide queries.
+        std::vector<std::uint32_t> out(qs.size());
+        for (util::SimdLevel level : util::supportedSimdLevels()) {
+            core::nearestDistancesSoA(sets.data(), ways.data(), n,
+                                      qs.data(), qw.data(), qs.size(),
+                                      out.data(), level);
+            for (std::size_t j = 0; j < qs.size(); ++j) {
+                std::uint64_t want = ~0ull;
+                for (std::size_t i = 0; i < n; ++i) {
+                    std::uint64_t dx = sets[i] > qs[j] ? sets[i] - qs[j]
+                                                       : qs[j] - sets[i];
+                    std::uint64_t dy = ways[i] > qw[j] ? ways[i] - qw[j]
+                                                       : qw[j] - ways[i];
+                    want = std::min(want, dx + dy);
+                }
+                EXPECT_EQ(out[j], want)
+                    << "@" << util::simdLevelName(level) << " n=" << n
+                    << " query " << j;
+            }
+        }
+    }
+}
+
+TEST(NearestScan, EvaluateMatchesBruteAtEveryWidth)
+{
+    // core::evaluate at each width against Eq 8 over brute distances,
+    // on single-level challenges and on mixed-level ones touching a
+    // plane with errors, an empty plane (720) and a missing one (730).
+    Rng rng(0xE7A1);
+    core::ErrorMap map = mc::randomErrorMap(kGeom, 700, 40, rng);
+    const auto sparse = mc::randomPlane(kGeom, 9, rng);
+    for (const auto &e : sparse.errors())
+        map.plane(710).add(e);
+    map.plane(720);
+    const std::vector<core::VddMv> levels = {700, 710, 720, 730};
+
+    auto bruteDistance = [&](const core::ChallengePoint &p) {
+        if (!map.hasPlane(p.vddMv))
+            return core::kInfiniteDistance;
+        auto r = core::nearestErrorBrute(map.plane(p.vddMv), p.line);
+        return r.found ? r.distance : core::kInfiniteDistance;
+    };
+
+    for (int round = 0; round < 24; ++round) {
+        const std::size_t bits = 1 + rng.nextBelow(130);
+        core::Challenge challenge =
+            core::randomChallenge(kGeom, 700, bits, rng);
+        if (round % 2) {
+            for (auto &bit : challenge.bits) {
+                bit.a.vddMv = levels[rng.nextBelow(levels.size())];
+                bit.b.vddMv = levels[rng.nextBelow(levels.size())];
+            }
+        }
+        core::Response want(bits);
+        for (std::size_t i = 0; i < bits; ++i) {
+            want.set(i, core::responseBitFromDistances(
+                            bruteDistance(challenge.bits[i].a),
+                            bruteDistance(challenge.bits[i].b)));
+        }
+        for (util::SimdLevel level : util::supportedSimdLevels()) {
+            EXPECT_EQ(core::evaluate(map, challenge, level), want)
+                << "@" << util::simdLevelName(level) << " round "
+                << round;
+        }
+        EXPECT_EQ(core::evaluate(map, challenge), want);
     }
 }
