@@ -13,7 +13,7 @@
 
 #include "bench_common.hpp"
 #include "attack/model_attack.hpp"
-#include "core/error_index.hpp"
+#include "core/challenge.hpp"
 #include "core/remap.hpp"
 #include "crypto/sha256.hpp"
 #include "mc/mapgen.hpp"
@@ -23,23 +23,20 @@ using namespace authenticache;
 
 namespace {
 
-bool
-truthBit(const core::ErrorIndex &index, const core::ChallengeBit &bit)
+/** @p n random pairs at 700 mV, endpoint a then b of each. */
+core::Challenge
+randomPairs(const core::CacheGeometry &geom, std::size_t n,
+            util::Rng &rng)
 {
-    return core::responseBitFromDistances(
-        index.distanceOrInfinite(bit.a.line),
-        index.distanceOrInfinite(bit.b.line));
-}
-
-core::ChallengeBit
-randomPair(const core::CacheGeometry &geom, util::Rng &rng)
-{
-    core::ChallengeBit bit;
-    bit.a = core::ChallengePoint{
-        geom.pointOf(rng.nextBelow(geom.lines())), 700};
-    bit.b = core::ChallengePoint{
-        geom.pointOf(rng.nextBelow(geom.lines())), 700};
-    return bit;
+    core::Challenge pairs;
+    pairs.bits.resize(n);
+    for (auto &bit : pairs.bits) {
+        bit.a = core::ChallengePoint{
+            geom.pointOf(rng.nextBelow(geom.lines())), 700};
+        bit.b = core::ChallengePoint{
+            geom.pointOf(rng.nextBelow(geom.lines())), 700};
+    }
+    return pairs;
 }
 
 } // namespace
@@ -107,35 +104,38 @@ main()
                                  std::to_string(phase)));
         core::LogicalRemap remap(key, geom);
         core::ErrorMap logical = remap.mapErrorMap(physical);
-        const core::ErrorIndex lindex(logical.plane(700));
 
-        // Train for one period on the current logical map.
-        for (std::uint64_t i = 0; i < rotation_period; ++i) {
-            auto bit = randomPair(geom, crng);
-            model.train(bit, truthBit(lindex, bit));
+        // Train for one period on the current logical map. The
+        // ground truth is the server's evaluation of all the pairs
+        // at once; train() draws no randomness, so drawing them up
+        // front keeps the RNG stream.
+        const auto pairs = randomPairs(geom, rotation_period, crng);
+        const auto truth = core::evaluate(logical, pairs);
+        for (std::size_t i = 0; i < pairs.size(); ++i) {
+            model.train(pairs.bits[i], truth.get(i));
             ++trained;
         }
 
         // Accuracy against this map (pre-rotation) and the next
         // (post-rotation).
-        auto measure = [&](const core::ErrorIndex &index) {
-            std::size_t correct = 0;
+        auto measure = [&](const core::ErrorMap &map) {
             const std::size_t val = 2000;
-            for (std::size_t i = 0; i < val; ++i) {
-                auto bit = randomPair(geom, crng);
-                correct += model.predict(bit) == truthBit(index, bit);
-            }
+            const auto held_out = randomPairs(geom, val, crng);
+            const auto held_truth = core::evaluate(map, held_out);
+            std::size_t correct = 0;
+            for (std::size_t i = 0; i < val; ++i)
+                correct += model.predict(held_out.bits[i]) ==
+                           held_truth.get(i);
             return static_cast<double>(correct) / val;
         };
-        double pre = measure(lindex);
+        double pre = measure(logical);
 
         crypto::Key256 next_key = crypto::Key256::fromDigest(
             crypto::Sha256::hash("rotation-" +
                                  std::to_string(phase + 1)));
         core::ErrorMap next_logical =
             core::LogicalRemap(next_key, geom).mapErrorMap(physical);
-        double post =
-            measure(core::ErrorIndex(next_logical.plane(700)));
+        double post = measure(next_logical);
 
         saw.row()
             .cell(phase)

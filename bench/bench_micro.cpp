@@ -10,7 +10,6 @@
 #include <benchmark/benchmark.h>
 
 #include "core/challenge.hpp"
-#include "core/error_index.hpp"
 #include "core/nearest.hpp"
 #include "core/remap.hpp"
 #include "crypto/feistel.hpp"
@@ -141,31 +140,6 @@ BM_NearestBrute(benchmark::State &state)
         benchmark::DoNotOptimize(core::nearestErrorBrute(plane, p));
 }
 BENCHMARK(BM_NearestBrute)->Arg(20)->Arg(100)->Arg(500)->Arg(2000);
-
-void
-BM_NearestIndexed(benchmark::State &state)
-{
-    const sim::CacheGeometry geom(4ull * 1024 * 1024);
-    util::Rng rng(5);
-    core::ErrorIndex index(mc::randomPlane(
-        geom, static_cast<std::size_t>(state.range(0)), rng));
-    sim::LinePoint p{1234, 3};
-    for (auto _ : state)
-        benchmark::DoNotOptimize(index.nearest(p));
-}
-BENCHMARK(BM_NearestIndexed)->Arg(20)->Arg(100)->Arg(500)->Arg(2000);
-
-void
-BM_ErrorIndexBuild(benchmark::State &state)
-{
-    const sim::CacheGeometry geom(4ull * 1024 * 1024);
-    util::Rng rng(5);
-    auto plane = mc::randomPlane(
-        geom, static_cast<std::size_t>(state.range(0)), rng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(core::ErrorIndex(plane));
-}
-BENCHMARK(BM_ErrorIndexBuild)->Arg(100)->Arg(2000);
 
 void
 BM_SpiralSearchIdealProbe(benchmark::State &state)

@@ -5,13 +5,12 @@
  *
  * Emits two JSON files (default: current directory):
  *
- *  - BENCH_hotpath.json -- microkernel numbers: the nearest-error
- *    scan over a 4MB-cache plane at every supported SIMD width, the
- *    SECDED batch encode/decode kernels, and 64-bit challenge
- *    evaluation both ways: the server's query-major plane scan
- *    (core::evaluate) and the indexed evaluator. Per-op p50/p99
- *    latency plus ops/s, and derived hardware-independent ratios
- *    (SIMD speedup over scalar).
+ *  - BENCH_hotpath.json -- microkernel numbers at every supported
+ *    SIMD width: the SECDED batch encode/decode kernels and 64-bit
+ *    challenge evaluation through the server's query-major plane scan
+ *    (core::evaluate). Per-op p50/p99 latency plus ops/s, and derived
+ *    hardware-independent ratios (SIMD speedup over scalar, the
+ *    median over interleaved passes).
  *
  *  - BENCH_server.json -- end-to-end batch front-end throughput
  *    (frames/s, per-batch p50/p99) at several thread counts, with
@@ -40,8 +39,6 @@
 
 #include "bench_common.hpp"
 #include "core/challenge.hpp"
-#include "core/error_index.hpp"
-#include "core/nearest_scan.hpp"
 #include "core/remap.hpp"
 #include "ecc/secded.hpp"
 #include "mc/mapgen.hpp"
@@ -231,14 +228,12 @@ struct HotpathResult
     std::map<std::string, double> derived;
 };
 
+/** Median of @p v (upper middle for an even count). */
 double
-opsRate(const std::vector<Series> &all, const std::string &name,
-        const std::string &simd)
+median(std::vector<double> v)
 {
-    for (const auto &s : all)
-        if (s.name == name && s.simd == simd)
-            return s.opsPerS;
-    return 0.0;
+    std::sort(v.begin(), v.end());
+    return v.empty() ? 0.0 : v[v.size() / 2];
 }
 
 HotpathResult
@@ -246,46 +241,12 @@ runHotpath(bool quick)
 {
     HotpathResult out;
     util::Rng rng(0xBE7C);
-
-    // Nearest-error scan on a 4MB cache (8192 sets x 8 ways): the
-    // acceptance plane for the SIMD speedup ratio.
-    const core::CacheGeometry geom(4 * 1024 * 1024);
-    const std::size_t errors = 4096;
-    const std::size_t queries = quick ? 2000 : 20000;
-    auto plane = mc::randomPlane(geom, errors, rng);
-
-    std::vector<sim::LinePoint> qpts;
-    qpts.reserve(queries);
-    for (std::size_t i = 0; i < queries; ++i)
-        qpts.push_back(geom.pointOf(rng.nextBelow(geom.lines())));
-
-    std::uint64_t checksum_ref = 0;
-    for (util::SimdLevel level : util::supportedSimdLevels()) {
-        std::vector<double> samples;
-        samples.reserve(queries);
-        std::uint64_t checksum = 0;
-        for (const auto &q : qpts) {
-            auto t0 = Clock::now();
-            auto r = core::nearestErrorScan(plane, q, level);
-            samples.push_back(nsSince(t0));
-            checksum += r.distance + r.at.set + r.at.way;
-        }
-        if (level == util::SimdLevel::Scalar)
-            checksum_ref = checksum;
-        else if (checksum != checksum_ref) {
-            std::cerr << "FAIL: nearest scan diverged at "
-                      << util::simdLevelName(level) << "\n";
-            std::exit(1);
-        }
-        out.series.push_back(
-            makeSeries("nearest_scan_4mb",
-                       util::simdLevelName(level), 1,
-                       std::move(samples)));
-    }
+    const auto levels = util::supportedSimdLevels();
+    const util::SimdLevel widest = util::detectedSimdLevel();
 
     // SECDED batch kernels: encode + decode over a word buffer.
     const std::size_t words = quick ? (1u << 14) : (1u << 16);
-    const std::size_t reps = quick ? 8 : 24;
+    const std::size_t reps = quick ? 2 : 4;
     std::vector<std::uint64_t> data(words);
     for (auto &w : data)
         w = rng.next();
@@ -293,98 +254,94 @@ runHotpath(bool quick)
     std::vector<ecc::DecodeResult> dec(words);
     ecc::SecdedCodec codec(64);
 
-    for (util::SimdLevel level : util::supportedSimdLevels()) {
-        std::vector<double> enc_samples, dec_samples;
-        for (std::size_t r = 0; r < reps; ++r) {
-            auto t0 = Clock::now();
-            codec.encodeBatch(data.data(), check.data(), words,
-                              level);
-            enc_samples.push_back(nsSince(t0));
-            t0 = Clock::now();
-            codec.decodeBatch(data.data(), check.data(), dec.data(),
-                              words, level);
-            dec_samples.push_back(nsSince(t0));
-        }
-        out.series.push_back(
-            makeSeries("secded_encode_batch",
-                       util::simdLevelName(level), words,
-                       std::move(enc_samples)));
-        out.series.push_back(
-            makeSeries("secded_decode_batch",
-                       util::simdLevelName(level), words,
-                       std::move(dec_samples)));
-    }
-
-    // Challenge evaluation: 64-bit challenges against a 60-error
-    // map, through the ErrorIndex evaluator and through the plane
-    // scan the server computes expected responses with.
+    // Challenge evaluation: 64-bit challenges against a 60-error map
+    // of a 4MB cache, through the query-major plane scan the server
+    // computes expected responses with. Every width must give the
+    // scalar responses.
+    const core::CacheGeometry geom(4 * 1024 * 1024);
     const core::VddMv level_mv = 700.0;
     core::ErrorMap map = mc::randomErrorMap(geom, level_mv, 60, rng);
-    auto indexes = core::buildErrorIndexes(map);
-    core::EvalScratch scratch;
     const std::size_t evals = quick ? 200 : 2000;
     std::vector<core::Challenge> challenges;
+    std::vector<core::Response> want;
     challenges.reserve(evals);
-    for (std::size_t i = 0; i < evals; ++i)
+    want.reserve(evals);
+    for (std::size_t i = 0; i < evals; ++i) {
         challenges.push_back(
             core::randomChallenge(geom, level_mv, 64, rng));
-
-    for (util::SimdLevel level : util::supportedSimdLevels()) {
-        std::vector<double> samples;
-        samples.reserve(evals);
-        for (const auto &ch : challenges) {
-            auto t0 = Clock::now();
-            auto resp =
-                core::evaluateIndexed(indexes, ch, scratch, level);
-            samples.push_back(nsSince(t0));
-            (void)resp;
-        }
-        out.series.push_back(
-            makeSeries("evaluate_indexed_64bit",
-                       util::simdLevelName(level), 1,
-                       std::move(samples)));
+        want.push_back(core::evaluate(map, challenges.back(),
+                                      util::SimdLevel::Scalar));
     }
 
-    std::vector<core::Response> responses_ref;
-    for (util::SimdLevel level : util::supportedSimdLevels()) {
-        std::vector<double> samples;
-        samples.reserve(evals);
-        std::vector<core::Response> responses;
-        responses.reserve(evals);
-        for (const auto &ch : challenges) {
-            auto t0 = Clock::now();
-            auto resp = core::evaluate(map, ch, level);
-            samples.push_back(nsSince(t0));
-            responses.push_back(std::move(resp));
-        }
-        if (level == util::SimdLevel::Scalar)
-            responses_ref = std::move(responses);
-        else if (responses != responses_ref) {
-            std::cerr << "FAIL: evaluate diverged at "
-                      << util::simdLevelName(level) << "\n";
-            std::exit(1);
-        }
-        out.series.push_back(
-            makeSeries("evaluate_64bit", util::simdLevelName(level), 1,
-                       std::move(samples)));
-    }
+    // Each pass times every kernel at every width, one width's block
+    // after the other, so a pass's widest/scalar ratio compares
+    // steady-state runs made milliseconds apart. A derived ratio is
+    // the median of the per-pass ratios; a series pools its samples
+    // over all passes.
+    constexpr std::size_t kPasses = 7;
+    struct Kernel
+    {
+        std::string name;
+        std::uint64_t opsPerSample;
+        std::map<util::SimdLevel, std::vector<double>> samples;
+        std::map<util::SimdLevel, double> passNs; ///< Current pass.
+        std::vector<double> passRatios;
 
-    const std::string widest =
-        util::simdLevelName(util::detectedSimdLevel());
-    auto ratio = [&](const std::string &name) {
-        double scalar = opsRate(out.series, name, "scalar");
-        double wide = opsRate(out.series, name, widest);
-        return scalar > 0.0 ? wide / scalar : 0.0;
+        void
+        record(util::SimdLevel level, double ns)
+        {
+            samples[level].push_back(ns);
+            passNs[level] += ns;
+        }
     };
-    out.derived["nearest_scan_simd_speedup"] =
-        ratio("nearest_scan_4mb");
-    out.derived["secded_encode_simd_speedup"] =
-        ratio("secded_encode_batch");
-    out.derived["secded_decode_simd_speedup"] =
-        ratio("secded_decode_batch");
-    out.derived["evaluate_indexed_simd_speedup"] =
-        ratio("evaluate_indexed_64bit");
-    out.derived["evaluate_simd_speedup"] = ratio("evaluate_64bit");
+    Kernel encode{"secded_encode_batch", words, {}, {}, {}};
+    Kernel decode{"secded_decode_batch", words, {}, {}, {}};
+    Kernel evaluate{"evaluate_64bit", 1, {}, {}, {}};
+    Kernel *const kernels[] = {&encode, &decode, &evaluate};
+
+    for (std::size_t pass = 0; pass < kPasses; ++pass) {
+        for (Kernel *k : kernels)
+            k->passNs.clear();
+        for (util::SimdLevel level : levels) {
+            for (std::size_t r = 0; r < reps; ++r) {
+                auto t0 = Clock::now();
+                codec.encodeBatch(data.data(), check.data(), words,
+                                  level);
+                encode.record(level, nsSince(t0));
+                t0 = Clock::now();
+                codec.decodeBatch(data.data(), check.data(), dec.data(),
+                                  words, level);
+                decode.record(level, nsSince(t0));
+            }
+            for (std::size_t i = 0; i < evals; ++i) {
+                auto t0 = Clock::now();
+                auto resp = core::evaluate(map, challenges[i], level);
+                evaluate.record(level, nsSince(t0));
+                if (resp != want[i]) {
+                    std::cerr << "FAIL: evaluate diverged at "
+                              << util::simdLevelName(level) << "\n";
+                    std::exit(1);
+                }
+            }
+        }
+        // Equal work at every width: the speedup is a time ratio.
+        for (Kernel *k : kernels) {
+            const double wide = k->passNs[widest];
+            k->passRatios.push_back(
+                wide > 0.0 ? k->passNs[util::SimdLevel::Scalar] / wide
+                           : 0.0);
+        }
+    }
+
+    for (Kernel *k : kernels) {
+        for (util::SimdLevel level : levels)
+            out.series.push_back(makeSeries(
+                k->name, util::simdLevelName(level), k->opsPerSample,
+                std::move(k->samples[level])));
+    }
+    out.derived["secded_encode_simd_speedup"] = median(encode.passRatios);
+    out.derived["secded_decode_simd_speedup"] = median(decode.passRatios);
+    out.derived["evaluate_simd_speedup"] = median(evaluate.passRatios);
     return out;
 }
 
@@ -607,11 +564,9 @@ writeHotpath(const std::string &path, const HotpathResult &r,
         j.field(k, v);
     j.closeObject();
     j.openObject("floors");
-    // The acceptance floors the compare script enforces on every
-    // run: the widest nearest-error scan and the widest challenge
-    // evaluation must each hold >= 2x over scalar.
+    // The acceptance floor the compare script enforces on every run:
+    // the widest challenge evaluation must hold >= 2x over scalar.
     j.field("evaluate_simd_speedup", 2.0);
-    j.field("nearest_scan_simd_speedup", 2.0);
     j.closeObject();
     j.close();
 }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/error_index.hpp"
-
 namespace authenticache::attack {
 
 DistanceFieldModel::DistanceFieldModel(const core::CacheGeometry &geom_,
@@ -100,24 +98,34 @@ DistanceFieldModel::reset()
 
 namespace {
 
-/** Ground-truth response bit for a pair on an indexed plane. */
-bool
-truthBit(const core::ErrorIndex &index, const core::ChallengeBit &bit)
+/** @p n random pairs, endpoint a then b of each. */
+std::vector<core::ChallengeBit>
+randomPairs(const core::CacheGeometry &geom, std::size_t n,
+            util::Rng &rng)
 {
-    return core::responseBitFromDistances(
-        index.distanceOrInfinite(bit.a.line),
-        index.distanceOrInfinite(bit.b.line));
+    std::vector<core::ChallengeBit> pairs(n);
+    for (auto &bit : pairs) {
+        bit.a = core::ChallengePoint{
+            geom.pointOf(rng.nextBelow(geom.lines())), 0};
+        bit.b = core::ChallengePoint{
+            geom.pointOf(rng.nextBelow(geom.lines())), 0};
+    }
+    return pairs;
 }
 
-core::ChallengeBit
-randomPair(const core::CacheGeometry &geom, util::Rng &rng)
+/**
+ * Ground-truth response bits of @p pairs: the server's evaluation
+ * (core::evaluate, one kernel call over all the endpoints).
+ */
+std::vector<bool>
+truthBits(const core::ErrorMap &map,
+          const std::vector<core::ChallengeBit> &pairs)
 {
-    core::ChallengeBit bit;
-    bit.a = core::ChallengePoint{
-        geom.pointOf(rng.nextBelow(geom.lines())), 0};
-    bit.b = core::ChallengePoint{
-        geom.pointOf(rng.nextBelow(geom.lines())), 0};
-    return bit;
+    const core::Response response = core::evaluate(map, {pairs});
+    std::vector<bool> truth(pairs.size());
+    for (std::size_t i = 0; i < pairs.size(); ++i)
+        truth[i] = response.get(i);
+    return truth;
 }
 
 } // namespace
@@ -129,17 +137,13 @@ runModelAttack(const core::ErrorPlane &plane, std::uint64_t total_crps,
 {
     const auto &geom = plane.geometry();
     DistanceFieldModel model(geom, params);
-    const core::ErrorIndex index(plane);
+    // The victim's plane at level 0, the level randomPairs draws at.
+    core::ErrorMap map(geom);
+    map.plane(0) = plane;
 
     // Fixed held-out validation set.
-    std::vector<core::ChallengeBit> val_bits;
-    std::vector<bool> val_truth;
-    val_bits.reserve(validation_size);
-    for (std::size_t i = 0; i < validation_size; ++i) {
-        auto bit = randomPair(geom, rng);
-        val_bits.push_back(bit);
-        val_truth.push_back(truthBit(index, bit));
-    }
+    const auto val_bits = randomPairs(geom, validation_size, rng);
+    const auto val_truth = truthBits(map, val_bits);
 
     std::vector<LearningCurvePoint> curve;
     curve.push_back({0, model.accuracy(val_bits, val_truth)});
@@ -150,10 +154,13 @@ runModelAttack(const core::ErrorPlane &plane, std::uint64_t total_crps,
     while (trained < total_crps) {
         std::uint64_t target =
             std::min(total_crps, trained + per_checkpoint);
-        for (; trained < target; ++trained) {
-            auto bit = randomPair(geom, rng);
-            model.train(bit, truthBit(index, bit));
-        }
+        // train() draws no randomness, so drawing the checkpoint's
+        // pairs up front keeps the RNG stream of one pair at a time.
+        const auto pairs = randomPairs(geom, target - trained, rng);
+        const auto truth = truthBits(map, pairs);
+        for (std::size_t i = 0; i < pairs.size(); ++i)
+            model.train(pairs[i], truth[i]);
+        trained = target;
         curve.push_back(
             {trained, model.accuracy(val_bits, val_truth)});
     }

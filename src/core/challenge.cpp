@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/nearest.hpp"
 #include "core/nearest_scan.hpp"
 
 namespace authenticache::core {
@@ -119,63 +118,6 @@ Response
 evaluate(const ErrorMap &map, const Challenge &challenge)
 {
     return evaluate(map, challenge, util::simdLevel());
-}
-
-Response
-evaluateIndexed(const ErrorIndexMap &indexes,
-                const Challenge &challenge, EvalScratch &scratch,
-                util::SimdLevel level)
-{
-    const std::size_t npts = challenge.size() * 2;
-    scratch.arena.reset();
-    auto pts = scratch.arena.allocate<LinePoint>(npts);
-    auto order = scratch.arena.allocate<std::uint32_t>(npts);
-    auto results = scratch.arena.allocate<NearestResult>(npts);
-    auto dist = scratch.arena.allocate<std::uint64_t>(npts);
-
-    // Points at a level with no index keep infinite distance --
-    // evaluate()'s missing-plane rule.
-    for (std::size_t i = 0; i < npts; ++i)
-        dist[i] = kInfiniteDistance;
-
-
-    // One batched query per plane: gather that level's endpoints
-    // contiguously, answer them in one nearestBatch call, scatter
-    // the distances back.
-    for (const auto &[vdd, index] : indexes) {
-        std::size_t m = 0;
-        for (std::size_t i = 0; i < npts; ++i) {
-            if (endpointAt(challenge, i).vddMv == vdd) {
-                order[m] = static_cast<std::uint32_t>(i);
-                pts[m] = endpointAt(challenge, i).line;
-                ++m;
-            }
-        }
-        if (m == 0)
-            continue;
-        index.nearestBatch(pts.subspan(0, m),
-                           results.subspan(0, m), scratch.nearest,
-                           level);
-        for (std::size_t j = 0; j < m; ++j) {
-            dist[order[j]] = results[j].found ? results[j].distance
-                                              : kInfiniteDistance;
-        }
-    }
-
-    Response response(challenge.size());
-    for (std::size_t i = 0; i < challenge.size(); ++i) {
-        response.set(i, responseBitFromDistances(dist[2 * i],
-                                                 dist[2 * i + 1]));
-    }
-    return response;
-}
-
-Response
-evaluateIndexed(const ErrorIndexMap &indexes,
-                const Challenge &challenge, EvalScratch &scratch)
-{
-    return evaluateIndexed(indexes, challenge, scratch,
-                           util::simdLevel());
 }
 
 Challenge

@@ -21,9 +21,7 @@
 #include <limits>
 #include <vector>
 
-#include "core/error_index.hpp"
 #include "core/error_map.hpp"
-#include "util/arena.hpp"
 #include "util/bitvec.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -89,36 +87,14 @@ Response evaluate(const ErrorMap &map, const Challenge &challenge,
 Response evaluate(const ErrorMap &map, const Challenge &challenge);
 
 /**
- * Reusable scratch for evaluateIndexed. One per session shard (or
- * thread): both arenas are recycled wholesale each call, so
- * steady-state evaluation performs no heap allocation. The staging
- * arena is separate from the nearest scratch because the latter is
- * reset inside every nearestBatch call.
+ * An empty type, kept only so that existing callers of the
+ * ChallengeGenerator overloads that take a scratch still compile.
+ * Evaluation needs no caller-held scratch: core::evaluate stages its
+ * queries in one local buffer per call.
  */
 struct EvalScratch
 {
-    util::Arena arena;       ///< Query staging / distance buffers.
-    NearestScratch nearest;  ///< ErrorIndex::nearestBatch buffers.
 };
-
-/**
- * Indexed challenge evaluation: all 2*bits endpoints are grouped by
- * voltage level and answered with one batched nearest-error query
- * (ErrorIndex::nearestBatch) per plane, instead of a full plane scan
- * per point. Bit-identical to evaluate() on the map the indexes were
- * built from, at every @p level: nearestBatch matches
- * nearestErrorBrute exactly, including ties. A point whose level has
- * no index entry gets infinite distance, mirroring evaluate()'s
- * missing-plane rule.
- */
-Response evaluateIndexed(const ErrorIndexMap &indexes,
-                         const Challenge &challenge,
-                         EvalScratch &scratch, util::SimdLevel level);
-
-/** Same, dispatched at the process-wide util::simdLevel(). */
-Response evaluateIndexed(const ErrorIndexMap &indexes,
-                         const Challenge &challenge,
-                         EvalScratch &scratch);
 
 /**
  * Draw a random challenge whose points are distinct cache lines at one

@@ -48,9 +48,9 @@ class ErrorPlane
     /**
      * Structure-of-arrays mirror of errors(): the set (and way)
      * coordinates in the same sorted order, kept in sync by
-     * add/remove. This is the layout the SIMD nearest-error scan
-     * (core/nearest_scan.hpp) consumes -- one contiguous lane-friendly
-     * stream per coordinate instead of interleaved LinePoints.
+     * add/remove. This is the layout the query-major nearest-error
+     * kernel (core/nearest_scan.hpp) consumes -- one contiguous stream
+     * per coordinate, each error broadcast across a vector of queries.
      */
     const std::vector<std::uint32_t> &errorSets() const
     {

@@ -2,10 +2,11 @@
  * @file
  * Nearest-error search on the (set, way) plane.
  *
- * Two implementations with identical semantics:
+ * Two implementations with identical distance semantics:
  *
- *  - nearestErrorBrute: scans the plane's error list; the reference
- *    the server uses (it owns the exact enrolled map).
+ *  - nearestErrorBrute: scans the plane's error list; the test oracle
+ *    every width of the production kernel (core/nearest_scan.hpp,
+ *    distances only) is held to.
  *  - spiralSearch: the client-side procedure of Sec 5.4 -- explore the
  *    Von Neumann neighborhood of the challenge point outward and
  *    clockwise, range r = 0, 1, 2, ..., testing each candidate cell
@@ -34,18 +35,13 @@ namespace authenticache::core {
 /**
  * Result of a nearest-error query.
  *
- * cellsExamined accounting -- the unified definition every
- * implementation follows (so the Fig 13/14 runtime benches compare
+ * cellsExamined accounting -- the unified definition both
+ * implementations follow (so the Fig 13/14 runtime benches compare
  * like with like): it counts each candidate cell whose error status
  * or distance was actually evaluated, *including* the successful one.
  * Concretely:
- *  - nearestErrorBrute / nearestErrorScan: every error point on the
- *    plane (each is distance-compared exactly once);
- *  - ErrorIndex::nearest: every flank candidate compared (<= two per
- *    way row; rows skipped by the incumbent-distance bound examine
- *    nothing and add nothing);
- *  - ErrorIndex::nearestBatch: every gathered flank candidate (no
- *    row pruning, see error_index.hpp);
+ *  - nearestErrorBrute: every error point on the plane (each is
+ *    distance-compared exactly once);
  *  - spiralSearch: every cell probed, the terminating hit included.
  * The counts are comparable *units* (cells evaluated), not equal
  * numbers -- each algorithm examines a different candidate set.

@@ -17,34 +17,6 @@ namespace {
 /** Kernels only run when every distance fits a signed 32-bit lane. */
 constexpr std::uint32_t kCoordLimit = 1u << 29;
 
-struct ScanHit
-{
-    std::uint32_t distance = std::numeric_limits<std::uint32_t>::max();
-    std::size_t index = 0;
-    bool found = false;
-};
-
-ScanHit
-scanScalar(const std::uint32_t *sets, const std::uint32_t *ways,
-           std::size_t n, std::uint32_t qs, std::uint32_t qw)
-{
-    ScanHit hit;
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint32_t dx = sets[i] > qs ? sets[i] - qs : qs - sets[i];
-        std::uint32_t dy = ways[i] > qw ? ways[i] - qw : qw - ways[i];
-        std::uint32_t d = dx + dy;
-        // Strict less keeps the earliest index on ties; with the SoA
-        // stream sorted by (set, way) that is exactly the brute
-        // reference's lexicographic tie rule.
-        if (!hit.found || d < hit.distance) {
-            hit.found = true;
-            hit.distance = d;
-            hit.index = i;
-        }
-    }
-    return hit;
-}
-
 void
 distancesScalar(const std::uint32_t *sets, const std::uint32_t *ways,
                 std::size_t n, const std::uint32_t *qsets,
@@ -65,197 +37,6 @@ distancesScalar(const std::uint32_t *sets, const std::uint32_t *ways,
 }
 
 #if AUTH_SIMD_X86
-
-/**
- * Merge one lane-wise (distance, index) partial into the running
- * scalar best. Lane distances are INT32_MAX when never updated; real
- * distances stay below it (kCoordLimit), so the sentinel never wins.
- */
-inline void
-mergeLane(ScanHit &hit, std::uint32_t d, std::uint32_t i)
-{
-    if (d == static_cast<std::uint32_t>(
-                 std::numeric_limits<std::int32_t>::max()))
-        return;
-    if (!hit.found || d < hit.distance ||
-        (d == hit.distance && i < hit.index)) {
-        hit.found = true;
-        hit.distance = d;
-        hit.index = i;
-    }
-}
-
-ScanHit
-scanSse2(const std::uint32_t *sets, const std::uint32_t *ways,
-         std::size_t n, std::uint32_t qs, std::uint32_t qw)
-{
-    const __m128i vqs = _mm_set1_epi32(static_cast<int>(qs));
-    const __m128i vqw = _mm_set1_epi32(static_cast<int>(qw));
-    __m128i best_d =
-        _mm_set1_epi32(std::numeric_limits<std::int32_t>::max());
-    __m128i best_i = _mm_setzero_si128();
-    __m128i idx = _mm_setr_epi32(0, 1, 2, 3);
-    const __m128i step = _mm_set1_epi32(4);
-
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        __m128i vs = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(sets + i));
-        __m128i vw = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(ways + i));
-        // |a - b| via a signed compare (coordinates < 2^29).
-        __m128i gtx = _mm_cmpgt_epi32(vs, vqs);
-        __m128i dx = _mm_or_si128(
-            _mm_and_si128(gtx, _mm_sub_epi32(vs, vqs)),
-            _mm_andnot_si128(gtx, _mm_sub_epi32(vqs, vs)));
-        __m128i gty = _mm_cmpgt_epi32(vw, vqw);
-        __m128i dy = _mm_or_si128(
-            _mm_and_si128(gty, _mm_sub_epi32(vw, vqw)),
-            _mm_andnot_si128(gty, _mm_sub_epi32(vqw, vw)));
-        __m128i d = _mm_add_epi32(dx, dy);
-        // Strict less per lane keeps each lane's earliest index.
-        __m128i lt = _mm_cmpgt_epi32(best_d, d);
-        best_d = _mm_or_si128(_mm_and_si128(lt, d),
-                              _mm_andnot_si128(lt, best_d));
-        best_i = _mm_or_si128(_mm_and_si128(lt, idx),
-                              _mm_andnot_si128(lt, best_i));
-        idx = _mm_add_epi32(idx, step);
-    }
-
-    alignas(16) std::uint32_t ds[4];
-    alignas(16) std::uint32_t is[4];
-    _mm_store_si128(reinterpret_cast<__m128i *>(ds), best_d);
-    _mm_store_si128(reinterpret_cast<__m128i *>(is), best_i);
-    ScanHit hit;
-    for (int lane = 0; lane < 4; ++lane)
-        mergeLane(hit, ds[lane], is[lane]);
-
-    // Tail elements carry indices above every vector index, so a tie
-    // never displaces the incumbent; strict less is sufficient.
-    for (; i < n; ++i) {
-        std::uint32_t dx = sets[i] > qs ? sets[i] - qs : qs - sets[i];
-        std::uint32_t dy = ways[i] > qw ? ways[i] - qw : qw - ways[i];
-        std::uint32_t d = dx + dy;
-        if (!hit.found || d < hit.distance) {
-            hit.found = true;
-            hit.distance = d;
-            hit.index = i;
-        }
-    }
-    return hit;
-}
-
-__attribute__((target("avx2"))) ScanHit
-scanAvx2(const std::uint32_t *sets, const std::uint32_t *ways,
-         std::size_t n, std::uint32_t qs, std::uint32_t qw)
-{
-    const __m256i vqs = _mm256_set1_epi32(static_cast<int>(qs));
-    const __m256i vqw = _mm256_set1_epi32(static_cast<int>(qw));
-    __m256i best_d =
-        _mm256_set1_epi32(std::numeric_limits<std::int32_t>::max());
-    __m256i best_i = _mm256_setzero_si256();
-    __m256i idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    const __m256i step = _mm256_set1_epi32(8);
-
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m256i vs = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(sets + i));
-        __m256i vw = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(ways + i));
-        __m256i dx = _mm256_sub_epi32(_mm256_max_epu32(vs, vqs),
-                                      _mm256_min_epu32(vs, vqs));
-        __m256i dy = _mm256_sub_epi32(_mm256_max_epu32(vw, vqw),
-                                      _mm256_min_epu32(vw, vqw));
-        __m256i d = _mm256_add_epi32(dx, dy);
-        __m256i lt = _mm256_cmpgt_epi32(best_d, d);
-        best_d = _mm256_blendv_epi8(best_d, d, lt);
-        best_i = _mm256_blendv_epi8(best_i, idx, lt);
-        idx = _mm256_add_epi32(idx, step);
-    }
-
-    alignas(32) std::uint32_t ds[8];
-    alignas(32) std::uint32_t is[8];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(ds), best_d);
-    _mm256_store_si256(reinterpret_cast<__m256i *>(is), best_i);
-    ScanHit hit;
-    for (int lane = 0; lane < 8; ++lane)
-        mergeLane(hit, ds[lane], is[lane]);
-
-    for (; i < n; ++i) {
-        std::uint32_t dx = sets[i] > qs ? sets[i] - qs : qs - sets[i];
-        std::uint32_t dy = ways[i] > qw ? ways[i] - qw : qw - ways[i];
-        std::uint32_t d = dx + dy;
-        if (!hit.found || d < hit.distance) {
-            hit.found = true;
-            hit.distance = d;
-            hit.index = i;
-        }
-    }
-    return hit;
-}
-
-void
-manhattanScalar(const std::uint32_t *sets, const std::uint32_t *ways,
-                std::size_t n, std::uint32_t qs, std::uint32_t qw,
-                std::uint32_t *out_d, std::size_t from_index)
-{
-    for (std::size_t i = from_index; i < n; ++i) {
-        std::uint32_t dx = sets[i] > qs ? sets[i] - qs : qs - sets[i];
-        std::uint32_t dy = ways[i] > qw ? ways[i] - qw : qw - ways[i];
-        out_d[i] = dx + dy;
-    }
-}
-
-void
-manhattanSse2(const std::uint32_t *sets, const std::uint32_t *ways,
-              std::size_t n, std::uint32_t qs, std::uint32_t qw,
-              std::uint32_t *out_d)
-{
-    const __m128i vqs = _mm_set1_epi32(static_cast<int>(qs));
-    const __m128i vqw = _mm_set1_epi32(static_cast<int>(qw));
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        __m128i vs = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(sets + i));
-        __m128i vw = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(ways + i));
-        __m128i gtx = _mm_cmpgt_epi32(vs, vqs);
-        __m128i dx = _mm_or_si128(
-            _mm_and_si128(gtx, _mm_sub_epi32(vs, vqs)),
-            _mm_andnot_si128(gtx, _mm_sub_epi32(vqs, vs)));
-        __m128i gty = _mm_cmpgt_epi32(vw, vqw);
-        __m128i dy = _mm_or_si128(
-            _mm_and_si128(gty, _mm_sub_epi32(vw, vqw)),
-            _mm_andnot_si128(gty, _mm_sub_epi32(vqw, vw)));
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(out_d + i),
-                         _mm_add_epi32(dx, dy));
-    }
-    manhattanScalar(sets, ways, n, qs, qw, out_d, i);
-}
-
-__attribute__((target("avx2"))) void
-manhattanAvx2(const std::uint32_t *sets, const std::uint32_t *ways,
-              std::size_t n, std::uint32_t qs, std::uint32_t qw,
-              std::uint32_t *out_d)
-{
-    const __m256i vqs = _mm256_set1_epi32(static_cast<int>(qs));
-    const __m256i vqw = _mm256_set1_epi32(static_cast<int>(qw));
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m256i vs = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(sets + i));
-        __m256i vw = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(ways + i));
-        __m256i dx = _mm256_sub_epi32(_mm256_max_epu32(vs, vqs),
-                                      _mm256_min_epu32(vs, vqs));
-        __m256i dy = _mm256_sub_epi32(_mm256_max_epu32(vw, vqw),
-                                      _mm256_min_epu32(vw, vqw));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out_d + i),
-                            _mm256_add_epi32(dx, dy));
-    }
-    manhattanScalar(sets, ways, n, qs, qw, out_d, i);
-}
 
 /**
  * Run @p block over the queries @p width at a time; it stores the
@@ -398,72 +179,7 @@ distancesAvx2(const std::uint32_t *sets, const std::uint32_t *ways,
 
 #endif // AUTH_SIMD_X86
 
-util::SimdLevel
-clampLevel(util::SimdLevel level, const LinePoint &from,
-           std::uint32_t max_coord)
-{
-    level = std::min(level, util::detectedSimdLevel());
-    // Kernels assume distances fit signed 32-bit lanes; planes that
-    // could overflow take the scalar path (no realistic geometry
-    // does).
-    if (from.set >= kCoordLimit || from.way >= kCoordLimit ||
-        max_coord >= kCoordLimit)
-        return util::SimdLevel::Scalar;
-    return level;
-}
-
 } // namespace
-
-NearestResult
-nearestScanSoA(const std::uint32_t *sets, const std::uint32_t *ways,
-               std::size_t n, const LinePoint &from,
-               util::SimdLevel level)
-{
-    NearestResult out;
-    out.cellsExamined = n;
-    if (n == 0)
-        return out;
-
-    // The stream is sorted by (set, way): sets[n-1] bounds the set
-    // coordinates. Way coordinates are bounded by the same geometry
-    // ways() limit every producer of a SoA stream enforces, and are
-    // far below any overflow concern for real cache shapes; the
-    // per-element guard would cost a second pass for nothing.
-    level = clampLevel(level, from, sets[n - 1]);
-    ScanHit hit;
-    switch (level) {
-#if AUTH_SIMD_X86
-    case util::SimdLevel::Avx2:
-        hit = scanAvx2(sets, ways, n, from.set, from.way);
-        break;
-    case util::SimdLevel::Sse2:
-        hit = scanSse2(sets, ways, n, from.set, from.way);
-        break;
-#endif
-    default:
-        hit = scanScalar(sets, ways, n, from.set, from.way);
-        break;
-    }
-    out.found = hit.found;
-    out.distance = hit.distance;
-    out.at = LinePoint{sets[hit.index], ways[hit.index]};
-    return out;
-}
-
-NearestResult
-nearestErrorScan(const ErrorPlane &plane, const LinePoint &from,
-                 util::SimdLevel level)
-{
-    return nearestScanSoA(plane.errorSets().data(),
-                          plane.errorWays().data(),
-                          plane.errorCount(), from, level);
-}
-
-NearestResult
-nearestErrorScan(const ErrorPlane &plane, const LinePoint &from)
-{
-    return nearestErrorScan(plane, from, util::simdLevel());
-}
 
 void
 nearestDistancesSoA(const std::uint32_t *sets,
@@ -477,14 +193,18 @@ nearestDistancesSoA(const std::uint32_t *sets,
                   std::numeric_limits<std::uint32_t>::max());
         return;
     }
-    // sets[n-1] bounds the error stream as in nearestScanSoA; the
-    // queries are few and unsorted, so they are bounded directly.
-    LinePoint qmax;
-    for (std::size_t j = 0; j < m; ++j) {
-        qmax.set = std::max(qmax.set, qsets[j]);
-        qmax.way = std::max(qmax.way, qways[j]);
-    }
-    switch (clampLevel(level, qmax, sets[n - 1])) {
+    // The vector bodies assume distances fit signed 32-bit lanes;
+    // wider coordinates take the scalar path (no realistic geometry
+    // has them). The error stream is sorted by (set, way), so
+    // sets[n-1] bounds its sets; its ways are bounded by the
+    // geometry's, far below the limit. The queries come unsorted, so
+    // they are bounded directly.
+    std::uint32_t max_coord = sets[n - 1];
+    for (std::size_t j = 0; j < m; ++j)
+        max_coord = std::max({max_coord, qsets[j], qways[j]});
+    if (max_coord >= kCoordLimit)
+        level = util::SimdLevel::Scalar;
+    switch (std::min(level, util::detectedSimdLevel())) {
 #if AUTH_SIMD_X86
     case util::SimdLevel::Avx2:
         distancesAvx2(sets, ways, n, qsets, qways, m, out_d);
@@ -495,32 +215,6 @@ nearestDistancesSoA(const std::uint32_t *sets,
 #endif
     default:
         distancesScalar(sets, ways, n, qsets, qways, m, out_d);
-        return;
-    }
-}
-
-void
-manhattanBatch(const std::uint32_t *sets, const std::uint32_t *ways,
-               std::size_t n, const LinePoint &from,
-               std::uint32_t *out_d, util::SimdLevel level)
-{
-    std::uint32_t max_coord = 0;
-    // The candidate list is small and unsorted; bounding it costs one
-    // cheap pass and keeps the signed-lane contract checked.
-    for (std::size_t i = 0; i < n; ++i)
-        max_coord = std::max(max_coord, std::max(sets[i], ways[i]));
-    level = clampLevel(level, from, max_coord);
-    switch (level) {
-#if AUTH_SIMD_X86
-    case util::SimdLevel::Avx2:
-        manhattanAvx2(sets, ways, n, from.set, from.way, out_d);
-        return;
-    case util::SimdLevel::Sse2:
-        manhattanSse2(sets, ways, n, from.set, from.way, out_d);
-        return;
-#endif
-    default:
-        manhattanScalar(sets, ways, n, from.set, from.way, out_d, 0);
         return;
     }
 }

@@ -1,9 +1,10 @@
 #include "mc/experiments.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
-#include "core/error_index.hpp"
+#include "core/nearest_scan.hpp"
 #include "mc/mapgen.hpp"
 #include "metrics/identifiability.hpp"
 #include "util/thread_pool.hpp"
@@ -20,19 +21,62 @@ constexpr std::uint64_t kInterTag = 0x147E6;
 constexpr std::uint64_t kDistTag = 0xD157;
 constexpr std::uint64_t kQualityTag = 0xA11A5;
 
-/** One response bit of the pair (a, b) through the index. */
-bool
-bitOn(const core::ErrorIndex &index, const sim::LinePoint &a,
-      const sim::LinePoint &b)
+/**
+ * Random query points in the kernel's structure-of-arrays layout,
+ * drawn in index order. Consecutive points (2i, 2i + 1) are the
+ * endpoints a and b of challenge pair i. Every plane a sample is
+ * evaluated on is answered by one kernel call over all the points.
+ */
+struct Queries
 {
-    return core::responseBitFromDistances(index.distanceOrInfinite(a),
-                                          index.distanceOrInfinite(b));
-}
+    std::vector<std::uint32_t> sets;
+    std::vector<std::uint32_t> ways;
 
-sim::LinePoint
-randomPoint(const core::CacheGeometry &geom, util::Rng &rng)
+    Queries(const core::CacheGeometry &geom, std::size_t count,
+            util::Rng &rng)
+        : sets(count), ways(count)
+    {
+        for (std::size_t i = 0; i < count; ++i) {
+            const sim::LinePoint p =
+                geom.pointOf(rng.nextBelow(geom.lines()));
+            sets[i] = p.set;
+            ways[i] = p.way;
+        }
+    }
+
+    /** Nearest-error distance of every point; UINT32_MAX if none. */
+    std::vector<std::uint32_t>
+    distancesOn(const core::ErrorPlane &plane) const
+    {
+        std::vector<std::uint32_t> d(sets.size());
+        core::nearestDistancesSoA(
+            plane.errorSets().data(), plane.errorWays().data(),
+            plane.errorCount(), sets.data(), ways.data(), sets.size(),
+            d.data(), util::simdLevel());
+        return d;
+    }
+
+    /** Response bit (Eq 8) of every pair on @p plane. */
+    std::vector<bool>
+    bitsOn(const core::ErrorPlane &plane) const
+    {
+        const auto d = distancesOn(plane);
+        std::vector<bool> bits(d.size() / 2);
+        for (std::size_t i = 0; i < bits.size(); ++i)
+            bits[i] = core::responseBitFromDistances(d[2 * i],
+                                                     d[2 * i + 1]);
+        return bits;
+    }
+};
+
+/** Positions at which two equally long bit vectors differ. */
+std::uint32_t
+differing(const std::vector<bool> &x, const std::vector<bool> &y)
 {
-    return geom.pointOf(rng.nextBelow(geom.lines()));
+    std::uint32_t n = 0;
+    for (std::size_t i = 0; i < x.size(); ++i)
+        n += x[i] != y[i];
+    return n;
 }
 
 /**
@@ -71,24 +115,15 @@ hammingDistributions(const core::CacheGeometry &geom, std::size_t errors,
         util::Rng rng = util::Rng::forStream(cfg.seed, m);
         core::ErrorPlane enrolled = randomPlane(geom, errors, rng);
         core::ErrorPlane other = randomPlane(geom, errors, rng);
-        core::ErrorIndex enrolled_idx(enrolled);
-        core::ErrorIndex other_idx(other);
 
         for (std::size_t s = 0; s < cfg.samplesPerMap; ++s) {
-            core::ErrorIndex noisy_idx(
-                applyNoise(enrolled, noise, rng));
-
-            std::uint32_t hd_intra = 0;
-            std::uint32_t hd_inter = 0;
-            for (std::size_t bit = 0; bit < bits; ++bit) {
-                sim::LinePoint a = randomPoint(geom, rng);
-                sim::LinePoint b = randomPoint(geom, rng);
-                bool expected = bitOn(enrolled_idx, a, b);
-                hd_intra += expected != bitOn(noisy_idx, a, b);
-                hd_inter += expected != bitOn(other_idx, a, b);
-            }
-            out.intra[m * cfg.samplesPerMap + s] = hd_intra;
-            out.inter[m * cfg.samplesPerMap + s] = hd_inter;
+            core::ErrorPlane noisy = applyNoise(enrolled, noise, rng);
+            Queries q(geom, 2 * bits, rng);
+            const auto expected = q.bitsOn(enrolled);
+            out.intra[m * cfg.samplesPerMap + s] =
+                differing(expected, q.bitsOn(noisy));
+            out.inter[m * cfg.samplesPerMap + s] =
+                differing(expected, q.bitsOn(other));
         }
     });
     return out;
@@ -105,16 +140,9 @@ estimateIntraFlipProbability(const core::CacheGeometry &geom,
         util::Rng rng =
             util::Rng::forStream(cfg.seed ^ kIntraTag, m);
         core::ErrorPlane enrolled = randomPlane(geom, errors, rng);
-        core::ErrorIndex enrolled_idx(enrolled);
-        core::ErrorIndex noisy_idx(applyNoise(enrolled, noise, rng));
-        std::uint64_t local = 0;
-        for (std::size_t s = 0; s < cfg.samplesPerMap; ++s) {
-            sim::LinePoint a = randomPoint(geom, rng);
-            sim::LinePoint b = randomPoint(geom, rng);
-            local += bitOn(enrolled_idx, a, b) !=
-                     bitOn(noisy_idx, a, b);
-        }
-        flips[m] = local;
+        core::ErrorPlane noisy = applyNoise(enrolled, noise, rng);
+        Queries q(geom, 2 * cfg.samplesPerMap, rng);
+        flips[m] = differing(q.bitsOn(enrolled), q.bitsOn(noisy));
     });
 
     std::uint64_t total_flips = 0;
@@ -133,15 +161,10 @@ estimateInterFlipProbability(const core::CacheGeometry &geom,
     shard(cfg, cfg.maps, [&](std::size_t m) {
         util::Rng rng =
             util::Rng::forStream(cfg.seed ^ kInterTag, m);
-        core::ErrorIndex chip_a(randomPlane(geom, errors, rng));
-        core::ErrorIndex chip_b(randomPlane(geom, errors, rng));
-        std::uint64_t local = 0;
-        for (std::size_t s = 0; s < cfg.samplesPerMap; ++s) {
-            sim::LinePoint a = randomPoint(geom, rng);
-            sim::LinePoint b = randomPoint(geom, rng);
-            local += bitOn(chip_a, a, b) != bitOn(chip_b, a, b);
-        }
-        flips[m] = local;
+        core::ErrorPlane chip_a = randomPlane(geom, errors, rng);
+        core::ErrorPlane chip_b = randomPlane(geom, errors, rng);
+        Queries q(geom, 2 * cfg.samplesPerMap, rng);
+        flips[m] = differing(q.bitsOn(chip_a), q.bitsOn(chip_b));
     });
 
     std::uint64_t total_flips = 0;
@@ -226,11 +249,14 @@ averageNearestErrorDistance(const core::CacheGeometry &geom,
     std::vector<double> acc(cfg.maps, 0.0);
     shard(cfg, cfg.maps, [&](std::size_t m) {
         util::Rng rng = util::Rng::forStream(cfg.seed ^ kDistTag, m);
-        core::ErrorIndex index(randomPlane(geom, errors, rng));
+        core::ErrorPlane plane = randomPlane(geom, errors, rng);
+        Queries q(geom, cfg.samplesPerMap, rng);
         double local = 0.0;
-        for (std::size_t s = 0; s < cfg.samplesPerMap; ++s) {
-            local += static_cast<double>(
-                index.distanceOrInfinite(randomPoint(geom, rng)));
+        for (std::uint32_t d : q.distancesOn(plane)) {
+            // An empty plane is infinitely far, as in core::evaluate.
+            local += d == std::numeric_limits<std::uint32_t>::max()
+                         ? static_cast<double>(core::kInfiniteDistance)
+                         : static_cast<double>(d);
         }
         acc[m] = local;
     });
@@ -250,12 +276,11 @@ aliasingUniformity(const core::CacheGeometry &geom, std::size_t errors,
     // the per-position ones-rate across chips, uniformity the
     // per-chip ones-rate across a response.
     const std::size_t chips = std::max<std::size_t>(2, cfg.maps);
-    std::vector<core::ErrorIndex> indexes(chips,
-                                          core::ErrorIndex(geom));
+    std::vector<core::ErrorPlane> planes(chips, core::ErrorPlane(geom));
     shard(cfg, chips, [&](std::size_t c) {
         util::Rng rng =
             util::Rng::forStream(cfg.seed ^ kQualityTag, c);
-        indexes[c] = core::ErrorIndex(randomPlane(geom, errors, rng));
+        planes[c] = randomPlane(geom, errors, rng);
     });
 
     const std::size_t challenges =
@@ -268,12 +293,11 @@ aliasingUniformity(const core::CacheGeometry &geom, std::size_t errors,
     shard(cfg, challenges, [&](std::size_t ch) {
         util::Rng rng = util::Rng::forStream(
             cfg.seed ^ kQualityTag, chips + ch);
+        Queries q(geom, 2 * bits, rng);
         std::uint64_t ones = 0;
-        for (std::size_t bit = 0; bit < bits; ++bit) {
-            sim::LinePoint a = randomPoint(geom, rng);
-            sim::LinePoint b = randomPoint(geom, rng);
-            for (const auto &index : indexes)
-                ones += bitOn(index, a, b);
+        for (const auto &plane : planes) {
+            const auto response = q.bitsOn(plane);
+            ones += std::count(response.begin(), response.end(), true);
         }
         aliasing[ch] = ones;
     });
@@ -286,15 +310,10 @@ aliasingUniformity(const core::CacheGeometry &geom, std::size_t errors,
     shard(cfg, chips, [&](std::size_t c) {
         util::Rng rng = util::Rng::forStream(
             cfg.seed ^ kQualityTag, chips + challenges + c);
-        std::uint64_t ones = 0;
-        for (std::size_t ch = 0; ch < challenges; ++ch) {
-            for (std::size_t bit = 0; bit < bits; ++bit) {
-                sim::LinePoint a = randomPoint(geom, rng);
-                sim::LinePoint b = randomPoint(geom, rng);
-                ones += bitOn(indexes[c], a, b);
-            }
-        }
-        uniform[c] = ones;
+        // All of the chip's challenges, drawn back to back.
+        Queries q(geom, 2 * challenges * bits, rng);
+        const auto response = q.bitsOn(planes[c]);
+        uniform[c] = std::count(response.begin(), response.end(), true);
     });
 
     std::uint64_t aliasing_ones = 0;

@@ -65,10 +65,9 @@ class ChallengeGenerator
                                 std::size_t bits, util::Rng &rng);
 
     /**
-     * Forwarder kept for callers that still pass evaluation scratch;
-     * the scratch is unused. The expected response is always the SIMD
-     * plane scan (core::evaluate) over the record's cached logical
-     * map, which beats the indexed path below ~500 errors per plane.
+     * Forwarder kept for callers that still pass an (empty)
+     * core::EvalScratch; the scratch is unused. The expected response
+     * is always core::evaluate over the record's cached logical map.
      */
     GeneratedChallenge generate(DeviceRecord &record, core::VddMv level,
                                 std::size_t bits, util::Rng &rng,

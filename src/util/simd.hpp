@@ -2,10 +2,9 @@
  * @file
  * Runtime SIMD capability detection and width selection.
  *
- * The hot kernels (core::nearestDistancesSoA, core::nearestErrorScan,
- * ecc::SecdedCodec batch encode/decode) ship scalar, SSE2, and AVX2
- * implementations that produce bit-identical results; the widest
- * instruction set the CPU
+ * The hot kernels (core::nearestDistancesSoA, ecc::SecdedCodec batch
+ * encode/decode) ship scalar, SSE2, and AVX2 implementations that
+ * produce bit-identical results; the widest instruction set the CPU
  * supports is selected once at startup. Every kernel also accepts an
  * explicit SimdLevel so tests and benchmarks can pin a width.
  *

@@ -4,7 +4,26 @@
 #include <cassert>
 #include <cmath>
 
+#include <math.h> // lgamma_r
+
 namespace authenticache::util {
+
+namespace {
+
+/**
+ * log|Gamma(x)|. std::lgamma stores the sign of Gamma(x) in the
+ * global signgam, a data race when pool threads verify concurrently;
+ * lgamma_r returns the sign through an argument instead and computes
+ * the same value.
+ */
+double
+logGamma(double x)
+{
+    int sign = 0;
+    return ::lgamma_r(x, &sign);
+}
+
+} // namespace
 
 void
 RunningStats::add(double x)
@@ -81,9 +100,9 @@ logBinomialCoefficient(std::uint64_t n, std::uint64_t k)
 {
     if (k > n)
         return -std::numeric_limits<double>::infinity();
-    return std::lgamma(static_cast<double>(n) + 1.0) -
-           std::lgamma(static_cast<double>(k) + 1.0) -
-           std::lgamma(static_cast<double>(n - k) + 1.0);
+    return logGamma(static_cast<double>(n) + 1.0) -
+           logGamma(static_cast<double>(k) + 1.0) -
+           logGamma(static_cast<double>(n - k) + 1.0);
 }
 
 double

@@ -4,6 +4,8 @@
  * attacker plumbing.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "attack/model_attack.hpp"
@@ -209,4 +211,36 @@ TEST(ReplayAttacker, EmptyTranscriptYieldsNothing)
     authenticache::attack::ReplayAttacker attacker(transcript);
     EXPECT_FALSE(attacker.lastRequestFrame().has_value());
     EXPECT_FALSE(attacker.lastResponseFrame().has_value());
+}
+
+TEST(ModelAttack, LearningCurveGolden)
+{
+    // Recorded with the per-pair indexed ground truth the study used
+    // before it moved to one batched kernel call per checkpoint; the
+    // RNG draw order and every accuracy must stay exactly the same.
+    const std::vector<std::vector<attack::LearningCurvePoint>> want = {
+        {{0, 0.495},
+         {750, 0.76500000000000001},
+         {1500, 0.82250000000000001},
+         {2250, 0.83750000000000002},
+         {3000, 0.80249999999999999}},
+        {{0, 0.58499999999999996},
+         {750, 0.71999999999999997},
+         {1500, 0.73250000000000004},
+         {2250, 0.72250000000000003},
+         {3000, 0.745}},
+    };
+    const std::size_t errors[] = {20, 100};
+    for (std::size_t k = 0; k < 2; ++k) {
+        Rng rng(0xA77AC);
+        auto plane = authenticache::mc::randomPlane(kGeom, errors[k], rng);
+        auto curve = attack::runModelAttack(plane, 3000, 4, 400,
+                                            attack::ModelParams{}, rng);
+        ASSERT_EQ(curve.size(), want[k].size());
+        for (std::size_t i = 0; i < curve.size(); ++i) {
+            EXPECT_EQ(curve[i].observedCrps, want[k][i].observedCrps);
+            EXPECT_EQ(curve[i].predictionRate, want[k][i].predictionRate)
+                << errors[k] << " errors, point " << i;
+        }
+    }
 }

@@ -3,9 +3,9 @@
  * The server's expected response must not depend on how it is
  * computed. ChallengeGenerator evaluates with the SIMD plane scan over
  * the record's cached logical map; these tests hold every generation
- * path to the indexed evaluator (core::evaluateIndexed over freshly
- * built ErrorIndexes) under a random key, the identity key, two
- * challenge levels, and after a key rotation rebuilds the remap.
+ * path to Eq 8 over per-endpoint nearestErrorBrute distances under a
+ * random key, the identity key, two challenge levels, and after a key
+ * rotation rebuilds the remap.
  * Golden digests pin evaluate() bits and whole generated challenges,
  * including how pairs are drawn.
  */
@@ -16,7 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "core/challenge.hpp"
-#include "core/error_index.hpp"
+#include "core/nearest.hpp"
 #include "crypto/sha256.hpp"
 #include "mc/mapgen.hpp"
 #include "server/challenge_gen.hpp"
@@ -50,15 +50,31 @@ makeRecord(std::size_t errors, std::uint64_t seed)
     return srv::DeviceRecord(1, std::move(map), {700, 710}, {});
 }
 
-/** The indexed oracle over the record's current logical map. */
+/**
+ * The brute oracle over the record's current logical map: Eq 8 on
+ * each endpoint's nearestErrorBrute distance, infinite when its level
+ * has no plane or an empty one. (The *MatchesIndexed case names date
+ * from an earlier indexed oracle; they are kept so test history
+ * stays continuous.)
+ */
 core::Response
-indexedExpected(const srv::DeviceRecord &record,
-                const core::Challenge &challenge)
+bruteExpected(const srv::DeviceRecord &record,
+              const core::Challenge &challenge)
 {
-    core::EvalScratch scratch;
-    return core::evaluateIndexed(
-        core::buildErrorIndexes(record.logicalMap()), challenge,
-        scratch);
+    const core::ErrorMap &map = record.logicalMap();
+    auto distance = [&](const core::ChallengePoint &p) {
+        if (!map.hasPlane(p.vddMv))
+            return core::kInfiniteDistance;
+        auto r = core::nearestErrorBrute(map.plane(p.vddMv), p.line);
+        return r.found ? r.distance : core::kInfiniteDistance;
+    };
+    core::Response response(challenge.size());
+    for (std::size_t i = 0; i < challenge.size(); ++i) {
+        response.set(i, core::responseBitFromDistances(
+                            distance(challenge.bits[i].a),
+                            distance(challenge.bits[i].b)));
+    }
+    return response;
 }
 
 } // namespace
@@ -75,7 +91,7 @@ TEST_P(ChallengeGenExpected, RandomKeySingleLevelMatchesIndexed)
     Rng rng(3);
     for (int round = 0; round < 8; ++round) {
         auto out = gen.generate(record, round % 2 ? 710 : 700, 64, rng);
-        EXPECT_EQ(out.expected, indexedExpected(record, out.challenge));
+        EXPECT_EQ(out.expected, bruteExpected(record, out.challenge));
     }
 }
 
@@ -86,7 +102,7 @@ TEST_P(ChallengeGenExpected, IdentityKeyMatchesIndexed)
     srv::ChallengeGenerator gen(Rng(5));
     for (int round = 0; round < 8; ++round) {
         auto out = gen.generate(record, 700, 128);
-        EXPECT_EQ(out.expected, indexedExpected(record, out.challenge));
+        EXPECT_EQ(out.expected, bruteExpected(record, out.challenge));
         EXPECT_EQ(out.expected,
                   core::evaluate(record.physicalMap(), out.challenge));
     }
@@ -99,7 +115,7 @@ TEST_P(ChallengeGenExpected, MultiLevelMatchesIndexed)
     srv::ChallengeGenerator gen(Rng(7));
     for (int round = 0; round < 8; ++round) {
         auto out = gen.generateMultiLevel(record, 64);
-        EXPECT_EQ(out.expected, indexedExpected(record, out.challenge));
+        EXPECT_EQ(out.expected, bruteExpected(record, out.challenge));
     }
 }
 
@@ -110,7 +126,7 @@ TEST_P(ChallengeGenExpected, KeyRotationUsesRebuiltRemap)
     srv::ChallengeGenerator gen(Rng(9));
     Rng rng(10);
     auto before = gen.generate(record, 700, 64, rng);
-    EXPECT_EQ(before.expected, indexedExpected(record, before.challenge));
+    EXPECT_EQ(before.expected, bruteExpected(record, before.challenge));
 
     // After the rotation the cached views must come from the new key:
     // the logical map equals a fresh remap's, and both generation
@@ -121,10 +137,10 @@ TEST_P(ChallengeGenExpected, KeyRotationUsesRebuiltRemap)
     for (int round = 0; round < 4; ++round) {
         auto single = gen.generate(record, 710, 64, rng);
         EXPECT_EQ(single.expected,
-                  indexedExpected(record, single.challenge));
+                  bruteExpected(record, single.challenge));
         auto multi = gen.generateMultiLevel(record, 64, rng);
         EXPECT_EQ(multi.expected,
-                  indexedExpected(record, multi.challenge));
+                  bruteExpected(record, multi.challenge));
     }
 }
 

@@ -6,6 +6,7 @@
  */
 
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -329,4 +330,109 @@ TEST(Noise, MapOverloadKeepsEmptiedPlanes)
     auto noisy = mc::applyNoise(map, profile, rng);
     ASSERT_TRUE(noisy.hasPlane(700));
     EXPECT_EQ(noisy.plane(700).errorCount(), 0u);
+}
+
+// ---------------------------------------------------------------
+// Goldens. Recorded with the per-point indexed search the estimators
+// used before they moved to batched kernel calls; any change to how
+// the nearest-error distances are computed must keep every value
+// exactly, at every execution width (doubles compared with EXPECT_EQ).
+// ---------------------------------------------------------------
+
+namespace {
+
+mc::ExperimentConfig
+goldenConfig(unsigned threads, std::size_t maps, std::size_t samples)
+{
+    mc::ExperimentConfig cfg;
+    cfg.maps = maps;
+    cfg.samplesPerMap = samples;
+    cfg.seed = 0x601D;
+    cfg.threads = threads;
+    return cfg;
+}
+
+mc::NoiseProfile
+goldenNoise()
+{
+    mc::NoiseProfile noise;
+    noise.injectFraction = 0.5;
+    return noise;
+}
+
+} // namespace
+
+TEST(ExperimentsGolden, HammingDistributions)
+{
+    const std::vector<std::uint32_t> intra20 = {
+        5, 3, 7, 8, 7, 4, 5, 10, 6, 8, 4, 2,
+        6, 5, 4, 8, 4, 8, 5, 5, 6, 3, 7, 10};
+    const std::vector<std::uint32_t> inter20 = {
+        14, 15, 17, 17, 21, 12, 17, 17, 19, 14, 19, 18,
+        13, 12, 15, 14, 16, 15, 18, 24, 16, 15, 16, 16};
+    const std::vector<std::uint32_t> intra100 = {
+        9, 9, 5, 5, 8, 4, 5, 4, 5, 4, 5, 7,
+        5, 5, 7, 6, 7, 8, 4, 4, 5, 4, 6, 9};
+    const std::vector<std::uint32_t> inter100 = {
+        13, 13, 15, 12, 14, 15, 15, 13, 16, 12, 15, 15,
+        18, 14, 14, 16, 16, 17, 18, 13, 16, 18, 20, 16};
+    for (unsigned threads : {1u, 4u}) {
+        const auto cfg = goldenConfig(threads, 3, 8);
+        auto s20 = mc::hammingDistributions(kGeom, 20, 32, goldenNoise(),
+                                            cfg);
+        EXPECT_EQ(s20.intra, intra20) << threads << " threads";
+        EXPECT_EQ(s20.inter, inter20) << threads << " threads";
+        auto s100 = mc::hammingDistributions(kGeom, 100, 32,
+                                             goldenNoise(), cfg);
+        EXPECT_EQ(s100.intra, intra100) << threads << " threads";
+        EXPECT_EQ(s100.inter, inter100) << threads << " threads";
+    }
+}
+
+TEST(ExperimentsGolden, FlipProbabilitiesAndDistance)
+{
+    for (unsigned threads : {1u, 4u}) {
+        const auto cfg = goldenConfig(threads, 5, 64);
+        EXPECT_EQ(mc::estimateIntraFlipProbability(kGeom, 20,
+                                                   goldenNoise(), cfg),
+                  0.15312500000000001);
+        EXPECT_EQ(mc::estimateIntraFlipProbability(kGeom, 100,
+                                                   goldenNoise(), cfg),
+                  0.13437499999999999);
+        EXPECT_EQ(mc::estimateInterFlipProbability(kGeom, 20, cfg),
+                  0.45937499999999998);
+        EXPECT_EQ(mc::estimateInterFlipProbability(kGeom, 100, cfg),
+                  0.50312500000000004);
+        EXPECT_EQ(mc::averageNearestErrorDistance(kGeom, 20, cfg),
+                  15.5625);
+        EXPECT_EQ(mc::averageNearestErrorDistance(kGeom, 100, cfg),
+                  4.921875);
+    }
+}
+
+TEST(ExperimentsGolden, AliasingUniformity)
+{
+    for (unsigned threads : {1u, 4u}) {
+        const auto cfg = goldenConfig(threads, 5, 64);
+        auto c20 = mc::aliasingUniformity(kGeom, 20, 32, cfg);
+        EXPECT_EQ(c20.bitAliasingPercent, 49.6875);
+        EXPECT_EQ(c20.uniformityPercent, 55.625);
+        auto c100 = mc::aliasingUniformity(kGeom, 100, 32, cfg);
+        EXPECT_EQ(c100.bitAliasingPercent, 41.5625);
+        EXPECT_EQ(c100.uniformityPercent, 41.875);
+    }
+}
+
+TEST(ExperimentsGolden, MaxTolerableRemovalNoise)
+{
+    // The bisection starts at 100% removal, where every noisy plane is
+    // empty and every distance on it infinite.
+    for (unsigned threads : {1u, 4u}) {
+        const auto cfg = goldenConfig(threads, 5, 64);
+        auto t = mc::maxTolerableNoise(kGeom, 100, 64, false, 1e-6, cfg);
+        EXPECT_EQ(t.maxNoisePercent, 8.4999978542327881);
+        EXPECT_EQ(t.pIntraAtMax, 0.040625000000000001);
+        EXPECT_EQ(t.pInter, 0.50312500000000004);
+        EXPECT_EQ(t.rateAtMax, 7.3789678684330997e-07);
+    }
 }

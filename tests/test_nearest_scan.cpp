@@ -1,12 +1,11 @@
 /**
  * @file
- * Differential property fuzz for the nearest-error implementations:
- * nearestErrorBrute (reference), ErrorIndex::nearest,
- * nearestErrorScan at every supported SIMD width, and
- * ErrorIndex::nearestBatch at every width -- all must agree on
- * found/distance/coordinate, including equal-distance ties, on
- * randomized planes and on the degenerate geometries (empty plane,
- * single error, one-way plane, everything in one row).
+ * Differential property fuzz for the nearest-error paths: the
+ * query-major kernel (nearestDistancesSoA) at every supported SIMD
+ * width against the nearestErrorBrute oracle, on randomized planes
+ * and on the degenerate geometries (empty plane, single error,
+ * one-way plane, everything in one row, equal-distance ties), and
+ * core::evaluate against Eq 8 over brute distances.
  *
  * Also pins the spiralSearch contract of nearest.hpp: distances
  * always agree with the map-side searches; the coordinate follows
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "core/challenge.hpp"
-#include "core/error_index.hpp"
 #include "core/nearest.hpp"
 #include "core/nearest_scan.hpp"
 #include "mc/mapgen.hpp"
@@ -43,314 +41,39 @@ randomPoint(const sim::CacheGeometry &geom, Rng &rng)
     return geom.pointOf(rng.nextBelow(geom.lines()));
 }
 
-/**
- * Assert every implementation returns the brute answer for one
- * query, at every SIMD width the host supports.
- */
-void
-expectAllAgree(const core::ErrorPlane &plane,
-               const core::ErrorIndex &index,
-               const sim::LinePoint &from)
+/** @p count random points of @p geom plus its four corners. */
+std::vector<sim::LinePoint>
+randomQueries(const sim::CacheGeometry &geom, int count, Rng &rng)
 {
-    const auto brute = core::nearestErrorBrute(plane, from);
-
-    const auto indexed = index.nearest(from);
-    ASSERT_EQ(indexed.found, brute.found)
-        << "index.nearest at (" << from.set << "," << from.way << ")";
-    if (brute.found) {
-        EXPECT_EQ(indexed.distance, brute.distance);
-        EXPECT_EQ(indexed.at, brute.at);
-    }
-
-    core::NearestScratch scratch;
-    for (util::SimdLevel level : util::supportedSimdLevels()) {
-        const auto scan = core::nearestErrorScan(plane, from, level);
-        ASSERT_EQ(scan.found, brute.found)
-            << "scan @" << util::simdLevelName(level) << " at ("
-            << from.set << "," << from.way << ")";
-        if (brute.found) {
-            EXPECT_EQ(scan.distance, brute.distance)
-                << "scan @" << util::simdLevelName(level);
-            EXPECT_EQ(scan.at, brute.at)
-                << "scan @" << util::simdLevelName(level);
-        }
-        // The scan examines every error point exactly once.
-        EXPECT_EQ(scan.cellsExamined, plane.errorCount());
-
-        core::NearestResult batched;
-        index.nearestBatch({&from, 1}, {&batched, 1}, scratch, level);
-        ASSERT_EQ(batched.found, brute.found)
-            << "batch @" << util::simdLevelName(level);
-        if (brute.found) {
-            EXPECT_EQ(batched.distance, brute.distance)
-                << "batch @" << util::simdLevelName(level);
-            EXPECT_EQ(batched.at, brute.at)
-                << "batch @" << util::simdLevelName(level);
-        }
-    }
-}
-
-} // namespace
-
-TEST(NearestScan, EmptyPlane)
-{
-    core::ErrorPlane plane(kGeom);
-    core::ErrorIndex index(plane);
-    for (util::SimdLevel level : util::supportedSimdLevels()) {
-        auto r = core::nearestErrorScan(plane, {5, 3}, level);
-        EXPECT_FALSE(r.found);
-        EXPECT_EQ(r.cellsExamined, 0u);
-    }
-    expectAllAgree(plane, index, {0, 0});
-    expectAllAgree(plane, index, {kGeom.sets() - 1, kGeom.ways() - 1});
-}
-
-TEST(NearestScan, SingleError)
-{
-    core::ErrorPlane plane(kGeom);
-    plane.add({100, 2});
-    core::ErrorIndex index(plane);
-    for (auto from : {sim::LinePoint{100, 2}, sim::LinePoint{0, 0},
-                      sim::LinePoint{127, 7}, sim::LinePoint{100, 0},
-                      sim::LinePoint{0, 2}}) {
-        expectAllAgree(plane, index, from);
-    }
-}
-
-TEST(NearestScan, ForcedEqualDistanceTies)
-{
-    // A diamond of errors all at distance 3 from (50, 4): the
-    // lexicographically smallest, (47, 4), must win at every width.
-    core::ErrorPlane plane(kGeom);
-    plane.add({47, 4});
-    plane.add({53, 4});
-    plane.add({50, 1});
-    plane.add({50, 7});
-    plane.add({48, 2});
-    plane.add({52, 6});
-    core::ErrorIndex index(plane);
-    const sim::LinePoint q{50, 4};
-    for (util::SimdLevel level : util::supportedSimdLevels()) {
-        auto r = core::nearestErrorScan(plane, q, level);
-        ASSERT_TRUE(r.found);
-        EXPECT_EQ(r.distance, 3u);
-        EXPECT_EQ(r.at, (sim::LinePoint{47, 4}))
-            << "@" << util::simdLevelName(level);
-    }
-    expectAllAgree(plane, index, q);
-}
-
-TEST(NearestScan, OneWayGeometry)
-{
-    // ways = 1 exercises the single-row binary-search path and the
-    // scan's way-delta arithmetic with all-equal ways.
-    const sim::CacheGeometry geom(8 * 1024, 64, 1);
-    Rng rng(0x1A1);
-    for (std::size_t errors : {1u, 2u, 9u, 40u}) {
-        auto plane = mc::randomPlane(geom, errors, rng);
-        core::ErrorIndex index(plane);
-        for (int q = 0; q < 60; ++q)
-            expectAllAgree(plane, index, randomPoint(geom, rng));
-        expectAllAgree(plane, index, {0, 0});
-        expectAllAgree(plane, index, {geom.sets() - 1, 0});
-    }
-}
-
-TEST(NearestScan, SingleRowPlane)
-{
-    // Every error in one way row: all other rows are empty, the
-    // sparse-row skip path in ErrorIndex and lane-tail handling in
-    // the kernels.
-    core::ErrorPlane plane(kGeom);
-    for (std::uint32_t set = 3; set < 120; set += 7)
-        plane.add({set, 5});
-    core::ErrorIndex index(plane);
-    Rng rng(0x5107);
-    for (int q = 0; q < 100; ++q)
-        expectAllAgree(plane, index, randomPoint(kGeom, rng));
-}
-
-TEST(NearestScan, DifferentialFuzzRandomPlanes)
-{
-    Rng rng(0xF022);
-    // Error counts straddle the SIMD lane widths (1..8 cover every
-    // partial-vector tail; the large counts exercise full vectors).
-    for (std::size_t errors :
-         {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 60u, 333u,
-          1000u}) {
-        auto plane = mc::randomPlane(kGeom, errors, rng);
-        core::ErrorIndex index(plane);
-        for (int q = 0; q < 40; ++q)
-            expectAllAgree(plane, index, randomPoint(kGeom, rng));
-        expectAllAgree(plane, index, {0, 0});
-        expectAllAgree(plane, index, {kGeom.sets() - 1, 0});
-        expectAllAgree(plane, index, {0, kGeom.ways() - 1});
-        expectAllAgree(plane, index,
-                       {kGeom.sets() - 1, kGeom.ways() - 1});
-    }
-}
-
-TEST(NearestScan, BatchMatchesSequentialQueries)
-{
-    Rng rng(0xBA7C);
-    auto plane = mc::randomPlane(kGeom, 200, rng);
-    core::ErrorIndex index(plane);
-
     std::vector<sim::LinePoint> queries;
-    for (int q = 0; q < 128; ++q)
-        queries.push_back(randomPoint(kGeom, rng));
-
-    core::NearestScratch scratch;
-    std::vector<core::NearestResult> batched(queries.size());
-    for (util::SimdLevel level : util::supportedSimdLevels()) {
-        index.nearestBatch(queries, batched, scratch, level);
-        for (std::size_t i = 0; i < queries.size(); ++i) {
-            auto one = index.nearest(queries[i]);
-            ASSERT_EQ(batched[i].found, one.found);
-            EXPECT_EQ(batched[i].distance, one.distance);
-            EXPECT_EQ(batched[i].at, one.at);
-        }
-    }
-    // Steady state: the second batch through the same scratch must
-    // not grow the arena (no per-call heap traffic).
-    index.nearestBatch(queries, batched, scratch);
-    const std::size_t blocks = scratch.arena.blockCount();
-    index.nearestBatch(queries, batched, scratch);
-    EXPECT_EQ(scratch.arena.blockCount(), blocks);
-    EXPECT_EQ(blocks, 1u);
+    for (int q = 0; q < count; ++q)
+        queries.push_back(randomPoint(geom, rng));
+    const std::uint32_t last_set = geom.sets() - 1;
+    const std::uint32_t last_way = geom.ways() - 1;
+    for (sim::LinePoint corner : {sim::LinePoint{0, 0}, {last_set, 0},
+                                  {0, last_way}, {last_set, last_way}})
+        queries.push_back(corner);
+    return queries;
 }
 
-TEST(NearestScan, ManhattanBatchAllWidths)
+/** The kernel's distances for @p queries at @p level. */
+std::vector<std::uint32_t>
+kernelDistances(const core::ErrorPlane &plane,
+                const std::vector<sim::LinePoint> &queries,
+                util::SimdLevel level)
 {
-    Rng rng(0xD157);
-    const std::size_t n = 203; // Odd size: every kernel tail runs.
-    std::vector<std::uint32_t> sets(n), ways(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        sets[i] = static_cast<std::uint32_t>(rng.nextBelow(100000));
-        ways[i] = static_cast<std::uint32_t>(rng.nextBelow(64));
+    std::vector<std::uint32_t> qs, qw;
+    for (const auto &q : queries) {
+        qs.push_back(q.set);
+        qw.push_back(q.way);
     }
-    const sim::LinePoint from{51234, 17};
-
-    std::vector<std::uint32_t> expected(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint32_t dx = sets[i] > from.set ? sets[i] - from.set
-                                              : from.set - sets[i];
-        std::uint32_t dy = ways[i] > from.way ? ways[i] - from.way
-                                              : from.way - ways[i];
-        expected[i] = dx + dy;
-    }
-
-    std::vector<std::uint32_t> out(n);
-    for (util::SimdLevel level : util::supportedSimdLevels()) {
-        std::fill(out.begin(), out.end(), 0xFFFFFFFFu);
-        core::manhattanBatch(sets.data(), ways.data(), n, from,
-                             out.data(), level);
-        EXPECT_EQ(out, expected)
-            << "@" << util::simdLevelName(level);
-    }
+    std::vector<std::uint32_t> out(queries.size(), 0xDEADBEEFu);
+    core::nearestDistancesSoA(plane.errorSets().data(),
+                              plane.errorWays().data(),
+                              plane.errorCount(), qs.data(), qw.data(),
+                              queries.size(), out.data(), level);
+    return out;
 }
-
-TEST(NearestScan, SpiralDistanceAgreesWithMapSearches)
-{
-    // The client-side spiral probes cells in exact distance order, so
-    // its distance always matches brute/index/scan on an equal error
-    // set; its coordinate follows the clockwise-first tie rule and is
-    // only pinned when the nearest error is unique (nearest.hpp).
-    Rng rng(0x5B1A);
-    const std::uint64_t max_r = core::maxSearchRadius(kGeom);
-    for (std::size_t errors : {1u, 5u, 80u}) {
-        auto plane = mc::randomPlane(kGeom, errors, rng);
-        core::ErrorIndex index(plane);
-        for (int q = 0; q < 30; ++q) {
-            auto from = randomPoint(kGeom, rng);
-            auto brute = core::nearestErrorBrute(plane, from);
-            auto spiral = core::spiralSearch(
-                kGeom, from, max_r,
-                [&](const sim::LinePoint &p) {
-                    return plane.contains(p);
-                });
-            ASSERT_EQ(spiral.found, brute.found);
-            ASSERT_TRUE(spiral.found);
-            EXPECT_EQ(spiral.distance, brute.distance);
-            EXPECT_EQ(spiral.distance,
-                      index.nearest(from).distance);
-            for (util::SimdLevel level :
-                 util::supportedSimdLevels()) {
-                EXPECT_EQ(
-                    spiral.distance,
-                    core::nearestErrorScan(plane, from, level)
-                        .distance);
-            }
-
-            // Unique nearest error => identical coordinate too.
-            std::size_t at_min = 0;
-            for (const auto &e : plane.errors()) {
-                if (sim::manhattan(e, from) == brute.distance)
-                    ++at_min;
-            }
-            if (at_min == 1)
-                EXPECT_EQ(spiral.at, brute.at);
-        }
-    }
-}
-
-TEST(NearestScan, CellsExaminedUnifiedAccounting)
-{
-    // nearest.hpp's unified definition: the brute scan and the SIMD
-    // scan examine every error point exactly once; the index
-    // examines at most two flank candidates per way row; the batch
-    // path examines every gathered flank (no row pruning), so its
-    // count is >= the sequential index's and <= 2 * ways.
-    Rng rng(0xCE11);
-    auto plane = mc::randomPlane(kGeom, 300, rng);
-    core::ErrorIndex index(plane);
-    core::NearestScratch scratch;
-    for (int q = 0; q < 50; ++q) {
-        auto from = randomPoint(kGeom, rng);
-        auto brute = core::nearestErrorBrute(plane, from);
-        EXPECT_EQ(brute.cellsExamined, plane.errorCount());
-        for (util::SimdLevel level : util::supportedSimdLevels()) {
-            EXPECT_EQ(
-                core::nearestErrorScan(plane, from, level)
-                    .cellsExamined,
-                plane.errorCount());
-        }
-        auto indexed = index.nearest(from);
-        EXPECT_LE(indexed.cellsExamined, 2ull * kGeom.ways());
-        core::NearestResult batched;
-        index.nearestBatch({&from, 1}, {&batched, 1}, scratch);
-        EXPECT_GE(batched.cellsExamined, indexed.cellsExamined);
-        EXPECT_LE(batched.cellsExamined, 2ull * kGeom.ways());
-    }
-}
-
-TEST(NearestScan, EvaluateIndexedMatchesEvaluate)
-{
-    // The server's batched expected-response path must be
-    // bit-identical to the reference evaluation at every width.
-    Rng rng(0xEA17);
-    core::ErrorMap map = mc::randomErrorMap(kGeom, 700, 60, rng);
-    auto indexes = core::buildErrorIndexes(map);
-    core::EvalScratch scratch;
-    for (int round = 0; round < 20; ++round) {
-        auto challenge =
-            core::randomChallenge(kGeom, 700, 64, rng);
-        auto reference = core::evaluate(map, challenge);
-        for (util::SimdLevel level : util::supportedSimdLevels()) {
-            auto fast = core::evaluateIndexed(indexes, challenge,
-                                              scratch, level);
-            EXPECT_EQ(fast, reference)
-                << "@" << util::simdLevelName(level);
-        }
-    }
-}
-
-// ---------------------------------------------------------------
-// Query-major distance kernel (nearestDistancesSoA), the path behind
-// core::evaluate and core::pointDistance.
-// ---------------------------------------------------------------
-
-namespace {
 
 /**
  * Run the kernel for @p queries at every supported width and check
@@ -361,18 +84,8 @@ void
 expectKernelMatchesBrute(const core::ErrorPlane &plane,
                          const std::vector<sim::LinePoint> &queries)
 {
-    std::vector<std::uint32_t> qs, qw;
-    for (const auto &q : queries) {
-        qs.push_back(q.set);
-        qw.push_back(q.way);
-    }
-    std::vector<std::uint32_t> out(queries.size());
     for (util::SimdLevel level : util::supportedSimdLevels()) {
-        std::fill(out.begin(), out.end(), 0xDEADBEEFu);
-        core::nearestDistancesSoA(
-            plane.errorSets().data(), plane.errorWays().data(),
-            plane.errorCount(), qs.data(), qw.data(), queries.size(),
-            out.data(), level);
+        const auto out = kernelDistances(plane, queries, level);
         for (std::size_t j = 0; j < queries.size(); ++j) {
             const auto brute = core::nearestErrorBrute(plane, queries[j]);
             const std::uint64_t want =
@@ -387,6 +100,158 @@ expectKernelMatchesBrute(const core::ErrorPlane &plane,
 }
 
 } // namespace
+
+TEST(NearestScan, EmptyPlane)
+{
+    core::ErrorPlane plane(kGeom);
+    auto r = core::nearestErrorBrute(plane, {5, 3});
+    EXPECT_FALSE(r.found);
+    EXPECT_EQ(r.cellsExamined, 0u);
+    Rng rng(0xE0);
+    expectKernelMatchesBrute(plane, randomQueries(kGeom, 5, rng));
+}
+
+TEST(NearestScan, SingleError)
+{
+    core::ErrorPlane plane(kGeom);
+    plane.add({100, 2});
+    expectKernelMatchesBrute(plane, {{100, 2}, {0, 0}, {127, 7},
+                                     {100, 0}, {0, 2}});
+}
+
+TEST(NearestScan, ForcedEqualDistanceTies)
+{
+    // A diamond of errors all at distance 3 from (50, 4): the brute
+    // oracle's tie rule picks the lexicographically smallest, (47, 4);
+    // the kernel reports the distance alone at every width.
+    core::ErrorPlane plane(kGeom);
+    plane.add({47, 4});
+    plane.add({53, 4});
+    plane.add({50, 1});
+    plane.add({50, 7});
+    plane.add({48, 2});
+    plane.add({52, 6});
+    const sim::LinePoint q{50, 4};
+    auto r = core::nearestErrorBrute(plane, q);
+    ASSERT_TRUE(r.found);
+    EXPECT_EQ(r.distance, 3u);
+    EXPECT_EQ(r.at, (sim::LinePoint{47, 4}));
+    expectKernelMatchesBrute(plane, {q});
+}
+
+TEST(NearestScan, OneWayGeometry)
+{
+    // ways = 1: the kernels' way-delta arithmetic with all-equal ways.
+    const sim::CacheGeometry geom(8 * 1024, 64, 1);
+    Rng rng(0x1A1);
+    for (std::size_t errors : {1u, 2u, 9u, 40u}) {
+        auto plane = mc::randomPlane(geom, errors, rng);
+        expectKernelMatchesBrute(plane, randomQueries(geom, 60, rng));
+    }
+}
+
+TEST(NearestScan, SingleRowPlane)
+{
+    // Every error in one way row: all other rows are empty.
+    core::ErrorPlane plane(kGeom);
+    for (std::uint32_t set = 3; set < 120; set += 7)
+        plane.add({set, 5});
+    Rng rng(0x5107);
+    expectKernelMatchesBrute(plane, randomQueries(kGeom, 100, rng));
+}
+
+TEST(NearestScan, DifferentialFuzzRandomPlanes)
+{
+    Rng rng(0xF022);
+    // Error counts straddle the SIMD lane widths (1..8 cover every
+    // partial vector; the large counts exercise long streams).
+    for (std::size_t errors :
+         {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 60u, 333u,
+          1000u}) {
+        auto plane = mc::randomPlane(kGeom, errors, rng);
+        expectKernelMatchesBrute(plane, randomQueries(kGeom, 40, rng));
+    }
+}
+
+TEST(NearestScan, SpiralDistanceAgreesWithMapSearches)
+{
+    // The client-side spiral probes cells in exact distance order, so
+    // its distance always matches brute and the kernel on an equal
+    // error set; its coordinate follows the clockwise-first tie rule
+    // and is only pinned when the nearest error is unique
+    // (nearest.hpp).
+    Rng rng(0x5B1A);
+    const std::uint64_t max_r = core::maxSearchRadius(kGeom);
+    for (std::size_t errors : {1u, 5u, 80u}) {
+        auto plane = mc::randomPlane(kGeom, errors, rng);
+        std::vector<sim::LinePoint> queries;
+        for (int q = 0; q < 30; ++q)
+            queries.push_back(randomPoint(kGeom, rng));
+        std::vector<std::uint64_t> spiral_d;
+        for (const auto &from : queries) {
+            auto brute = core::nearestErrorBrute(plane, from);
+            auto spiral = core::spiralSearch(
+                kGeom, from, max_r,
+                [&](const sim::LinePoint &p) {
+                    return plane.contains(p);
+                });
+            ASSERT_EQ(spiral.found, brute.found);
+            ASSERT_TRUE(spiral.found);
+            EXPECT_EQ(spiral.distance, brute.distance);
+            spiral_d.push_back(spiral.distance);
+
+            // Unique nearest error => identical coordinate too.
+            std::size_t at_min = 0;
+            for (const auto &e : plane.errors()) {
+                if (sim::manhattan(e, from) == brute.distance)
+                    ++at_min;
+            }
+            if (at_min == 1) {
+                EXPECT_EQ(spiral.at, brute.at);
+            }
+        }
+        for (util::SimdLevel level : util::supportedSimdLevels()) {
+            const auto d = kernelDistances(plane, queries, level);
+            for (std::size_t j = 0; j < queries.size(); ++j) {
+                EXPECT_EQ(spiral_d[j], d[j])
+                    << "@" << util::simdLevelName(level);
+            }
+        }
+    }
+}
+
+TEST(NearestScan, CellsExaminedUnifiedAccounting)
+{
+    // nearest.hpp's unified definition: the brute scan examines every
+    // error point exactly once; the spiral examines every cell of the
+    // rings inside the hit's distance, then the hit's ring up to and
+    // including the hit.
+    Rng rng(0xCE11);
+    auto plane = mc::randomPlane(kGeom, 300, rng);
+    const std::uint64_t max_r = core::maxSearchRadius(kGeom);
+    for (int q = 0; q < 50; ++q) {
+        auto from = randomPoint(kGeom, rng);
+        auto brute = core::nearestErrorBrute(plane, from);
+        EXPECT_EQ(brute.cellsExamined, plane.errorCount());
+
+        auto spiral = core::spiralSearch(
+            kGeom, from, max_r,
+            [&](const sim::LinePoint &p) { return plane.contains(p); });
+        ASSERT_TRUE(spiral.found);
+        std::uint64_t want = 0;
+        for (std::uint64_t r = 0; r < spiral.distance; ++r)
+            want += core::ringCells(kGeom, from, r).size();
+        const auto ring = core::ringCells(kGeom, from, spiral.distance);
+        want += std::find(ring.begin(), ring.end(), spiral.at) -
+                ring.begin() + 1;
+        EXPECT_EQ(spiral.cellsExamined, want);
+    }
+}
+
+// ---------------------------------------------------------------
+// Kernel edge cases: every query tail, ties, corners, an empty
+// plane, and the coordinate-range fallback.
+// ---------------------------------------------------------------
 
 TEST(NearestScan, DistancesKernelEveryTailLength)
 {

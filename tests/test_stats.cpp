@@ -6,6 +6,8 @@
  */
 
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -155,6 +157,27 @@ TEST(Binomial, SymmetryAtHalf)
     double lhs = u::binomialCdf(64, 20, 0.5);
     double rhs = u::binomialSf(64, 43, 0.5);
     EXPECT_NEAR(lhs, rhs, 1e-12);
+}
+
+TEST(Binomial, ConcurrentCallersAgree)
+{
+    // Pool threads verify concurrently, and the verifier's threshold
+    // search runs the binomial CDF. It must not share state between
+    // callers (std::lgamma writes the global signgam; the ThreadSanitizer
+    // CI job runs this case).
+    const double want = u::binomialCdf(512, 200, 0.4);
+    std::vector<double> got(4, 0.0);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < got.size(); ++t) {
+        threads.emplace_back([&got, t] {
+            for (int i = 0; i < 50; ++i)
+                got[t] = u::binomialCdf(512, 200, 0.4);
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    for (double g : got)
+        EXPECT_EQ(g, want);
 }
 
 TEST(NormalCdf, ReferencePoints)

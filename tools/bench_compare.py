@@ -21,8 +21,8 @@ Two modes:
       is the mode CI uses on anonymous runners.
 
 In both modes the "floors" object in the *baseline* file is enforced
-against the *current* derived ratios (e.g. the nearest-error SIMD
-scan must stay >= 2x over scalar) -- unless the current run detected
+against the *current* derived ratios (e.g. the SIMD challenge
+evaluation must stay >= 2x over scalar) -- unless the current run detected
 a CPU without the wide instruction set (floors assume the baseline's
 detected_simd is available).
 
