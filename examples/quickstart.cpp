@@ -71,7 +71,14 @@ main()
                      server_cfg.challengeBits)
               << ")\n";
 
-    std::cout << "\nremaining authentications at one level: "
+    // Each level's pairs come from a counter-indexed stream: the
+    // count is exact, and no pair is ever issued twice.
+    std::uint64_t issued = 0;
+    for (auto level : levels)
+        issued += record.consumedCount(level);
+    std::cout << "\npairs issued: " << issued << " of "
+              << levels.size() * record.streamDomain(levels[0], levels[0])
+              << "\nremaining authentications at one level: "
               << record.remainingPairs(levels[0]) /
                      server_cfg.challengeBits
               << "\n";

@@ -60,6 +60,12 @@ class ByteReader
     std::size_t remaining() const { return data.size() - offset; }
     bool exhausted() const { return remaining() == 0; }
 
+    /** The @p count bytes read last (at most all read so far). */
+    std::span<const std::uint8_t> lastRead(std::size_t count) const
+    {
+        return data.subspan(offset - count, count);
+    }
+
     /** Throw unless every byte has been consumed. */
     void expectEnd() const;
 

@@ -75,13 +75,13 @@ AuthFlow::onRequest(SessionShard &sh, const protocol::AuthRequest &msg)
         return out;
     }
 
-    // Retire-before-reply: the consumed pairs are journaled (and
-    // synced at the batch boundary) before the challenge that
-    // discloses them leaves the server. A crash in between only
-    // over-retires -- the safe direction for no-reuse.
+    // Retire-before-reply: the advanced stream counters are journaled
+    // (and synced at the batch boundary) before the challenge that
+    // discloses their pairs leaves the server. A crash in between
+    // only over-retires -- the safe direction for no-reuse.
     if (sessions.journalingEnabled())
         sh.wal.push_back(journal::PairsRetired{
-            msg.deviceId, std::move(gen.retired)});
+            msg.deviceId, std::move(gen.retired), {}});
 
     std::uint64_t nonce = sessions.makeNonce(sh, rng);
     std::uint64_t deadline = sessions.sessionDeadline();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <tuple>
 
 namespace authenticache::server {
 
@@ -9,11 +10,58 @@ ChallengeGenerator::ChallengeGenerator(util::Rng rng_) : ownRng(rng_)
 {
 }
 
+namespace {
+
+/**
+ * One stream's draws within a challenge. The counter advances on a
+ * copy and reaches the record only through commit(), so a challenge
+ * that runs out of pairs retires nothing.
+ */
+struct StreamDraw
+{
+    StreamDraw(const DeviceRecord &record, PairStream &s)
+        : stream(s),
+          perm(record.streamDomain(s.levelA, s.levelB),
+               record.pairSeed(), s.levelA, s.levelB),
+          next(s.counter)
+    {
+    }
+
+    /** The next fresh rank; throws once the domain is spent. */
+    std::uint64_t
+    draw()
+    {
+        for (;;) {
+            if (next >= perm.domain())
+                throw std::runtime_error(
+                    "ChallengeGenerator: fresh pair supply exhausted");
+            const std::uint64_t rank = perm.map(next++);
+            if (!std::binary_search(stream.frozen.begin(),
+                                    stream.frozen.end(), rank))
+                return rank;
+        }
+    }
+
+    /** Store the advanced counter and note it for the journal. */
+    void
+    commit(std::vector<journal::StreamCounter> &retired)
+    {
+        if (next != stream.counter)
+            retired.push_back(
+                {stream.levelA, stream.levelB, stream.counter = next});
+    }
+
+    PairStream &stream;
+    PairPermutation perm;
+    std::uint64_t next;
+};
+
+} // namespace
+
 GeneratedChallenge
-ChallengeGenerator::drawWithRemap(DeviceRecord &record,
-                                  core::VddMv level, std::size_t bits,
-                                  const core::LogicalRemap &remap,
-                                  util::Rng &rng)
+ChallengeGenerator::draw(DeviceRecord &record, core::VddMv level,
+                         std::size_t bits,
+                         const crypto::FeistelPermutation *perm)
 {
     const auto &geom = record.physicalMap().geometry();
     if (!record.physicalMap().hasPlane(level))
@@ -22,52 +70,35 @@ ChallengeGenerator::drawWithRemap(DeviceRecord &record,
 
     GeneratedChallenge out;
     out.level = level;
-    out.challenge.bits.reserve(bits);
-    out.retired.reserve(bits);
+    out.challenge.bits.resize(bits);
 
-    // Resolved once per challenge; pairs are unmapped in line-index
-    // space (identity key: logical line == physical line).
-    const crypto::FeistelPermutation *perm = remap.permutation(level);
-
-    // Retire-before-use: each drawn pair is checked against the
-    // consumed set by its physical identity.
-    std::size_t attempts = 0;
-    const std::size_t max_attempts = bits * 64 + 1024;
-    while (out.challenge.bits.size() < bits) {
-        if (++attempts > max_attempts) {
-            throw std::runtime_error(
-                "ChallengeGenerator: fresh pair supply exhausted");
+    StreamDraw stream(record, record.pairStream(level, level));
+    for (auto &bit : out.challenge.bits) {
+        const std::uint64_t rank = stream.draw();
+        auto [a, b] = unrankPair(rank);
+        if (stream.perm.swapEnds(rank))
+            std::swap(a, b);
+        if (perm != nullptr) {
+            a = perm->map(a);
+            b = perm->map(b);
         }
-        std::uint64_t la = rng.nextBelow(geom.lines());
-        std::uint64_t lb = rng.nextBelow(geom.lines());
-        if (la == lb)
-            continue;
-
-        std::uint64_t phys_a = perm ? perm->unmap(la) : la;
-        std::uint64_t phys_b = perm ? perm->unmap(lb) : lb;
-        if (!record.consumePair(level, phys_a, phys_b))
-            continue; // Already used (in either order); redraw.
-        out.retired.push_back(
-            journal::RetiredPair{level, level, phys_a, phys_b});
-
-        core::ChallengeBit bit;
-        bit.a = core::ChallengePoint{geom.pointOf(la), level};
-        bit.b = core::ChallengePoint{geom.pointOf(lb), level};
-        out.challenge.bits.push_back(bit);
+        bit.a = core::ChallengePoint{geom.pointOf(a), level};
+        bit.b = core::ChallengePoint{geom.pointOf(b), level};
     }
+    stream.commit(out.retired);
     return out;
 }
 
 GeneratedChallenge
 ChallengeGenerator::generate(DeviceRecord &record, core::VddMv level,
-                             std::size_t bits, util::Rng &rng)
+                             std::size_t bits, util::Rng &)
 {
     const auto &levels = record.challengeLevels();
     if (std::find(levels.begin(), levels.end(), level) == levels.end())
         throw std::invalid_argument(
             "ChallengeGenerator: not a challenge level");
-    GeneratedChallenge out = drawWithRemap(
-        record, level, bits, record.logicalRemap(), rng);
+    GeneratedChallenge out = draw(
+        record, level, bits, record.logicalRemap().permutation(level));
     out.expected = core::evaluate(record.logicalMap(), out.challenge);
     return out;
 }
@@ -103,47 +134,56 @@ ChallengeGenerator::generateMultiLevel(DeviceRecord &record,
                 "generateMultiLevel: missing error map plane");
     }
 
-    // One permutation per level, resolved once (null: identity key).
+    // One permutation per level (null: identity key) and one draw
+    // per level pair i <= j, resolved once. Every stream exists before
+    // any is referenced, so creating one cannot move another.
     const core::LogicalRemap &remap = record.logicalRemap();
+    const std::size_t nl = levels.size();
     std::vector<const crypto::FeistelPermutation *> perms;
-    perms.reserve(levels.size());
-    for (auto level : levels)
+    perms.reserve(nl);
+    for (auto level : levels) {
         perms.push_back(remap.permutation(level));
+        for (auto other : levels)
+            record.pairStream(level, other);
+    }
+    std::vector<StreamDraw> draws;
+    draws.reserve(nl * (nl + 1) / 2);
+    for (std::size_t i = 0; i < nl; ++i)
+        for (std::size_t j = i; j < nl; ++j)
+            draws.emplace_back(record,
+                               record.pairStream(levels[i], levels[j]));
 
     GeneratedChallenge out;
     out.level = 0; // Mixed levels; no single value applies.
-    out.challenge.bits.reserve(bits);
-    out.retired.reserve(bits);
+    out.challenge.bits.resize(bits);
+    const std::uint64_t lines = geom.lines();
+    for (auto &bit : out.challenge.bits) {
+        const std::size_t ia = rng.nextBelow(nl);
+        const std::size_t ib = rng.nextBelow(nl);
+        const std::size_t i = std::min(ia, ib), j = std::max(ia, ib);
+        StreamDraw &stream = draws[i * (2 * nl - i + 1) / 2 + (j - i)];
+        const std::uint64_t rank = stream.draw();
 
-    std::size_t attempts = 0;
-    const std::size_t max_attempts = bits * 64 + 1024;
-    while (out.challenge.bits.size() < bits) {
-        if (++attempts > max_attempts) {
-            throw std::runtime_error(
-                "generateMultiLevel: fresh pair supply exhausted");
+        // End a sits at the lower level of a mixed stream.
+        std::size_t la = i, lb = j;
+        if (levels[la] > levels[lb])
+            std::swap(la, lb);
+        std::uint64_t a, b;
+        if (la == lb)
+            std::tie(a, b) = unrankPair(rank);
+        else
+            std::tie(a, b) = std::pair(rank / lines, rank % lines);
+        if (stream.perm.swapEnds(rank)) {
+            std::swap(la, lb);
+            std::swap(a, b);
         }
-        const std::size_t ia = rng.nextBelow(levels.size());
-        const std::size_t ib = rng.nextBelow(levels.size());
-        const core::VddMv level_a = levels[ia];
-        const core::VddMv level_b = levels[ib];
-        std::uint64_t la = rng.nextBelow(geom.lines());
-        std::uint64_t lb = rng.nextBelow(geom.lines());
-        if (la == lb && level_a == level_b)
-            continue;
-
-        std::uint64_t phys_a = perms[ia] ? perms[ia]->unmap(la) : la;
-        std::uint64_t phys_b = perms[ib] ? perms[ib]->unmap(lb) : lb;
-        if (!record.consumeMixedPair(level_a, phys_a, level_b,
-                                     phys_b))
-            continue;
-        out.retired.push_back(journal::RetiredPair{level_a, level_b,
-                                                   phys_a, phys_b});
-
-        core::ChallengeBit bit;
-        bit.a = core::ChallengePoint{geom.pointOf(la), level_a};
-        bit.b = core::ChallengePoint{geom.pointOf(lb), level_b};
-        out.challenge.bits.push_back(bit);
+        bit.a = core::ChallengePoint{
+            geom.pointOf(perms[la] ? perms[la]->map(a) : a), levels[la]};
+        bit.b = core::ChallengePoint{
+            geom.pointOf(perms[lb] ? perms[lb]->map(b) : b), levels[lb]};
     }
+    for (auto &stream : draws)
+        stream.commit(out.retired);
 
     out.expected = core::evaluate(record.logicalMap(), out.challenge);
     return out;
@@ -168,19 +208,15 @@ ChallengeGenerator::generateMultiLevel(DeviceRecord &record,
 GeneratedChallenge
 ChallengeGenerator::generateReserved(DeviceRecord &record,
                                      core::VddMv level,
-                                     std::size_t bits, util::Rng &rng)
+                                     std::size_t bits, util::Rng &)
 {
     const auto &levels = record.reservedLevels();
     if (std::find(levels.begin(), levels.end(), level) == levels.end())
         throw std::invalid_argument(
             "ChallengeGenerator: not a reserved level");
     // Reserved-level challenges use the identity mapping, so the
-    // expected response is evaluated directly on the physical map
-    // (no logical copy was ever needed here).
-    core::LogicalRemap identity(crypto::Key256::zero(),
-                                record.physicalMap().geometry());
-    GeneratedChallenge out =
-        drawWithRemap(record, level, bits, identity, rng);
+    // expected response is evaluated directly on the physical map.
+    GeneratedChallenge out = draw(record, level, bits, nullptr);
     out.expected =
         core::evaluate(record.physicalMap(), out.challenge);
     return out;

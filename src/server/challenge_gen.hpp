@@ -1,9 +1,10 @@
 /**
  * @file
  * On-demand challenge generation from stored error maps (paper
- * Sec 4.2-4.3). Challenges are drawn in *logical* coordinates under
- * the device's current map key; consumed pairs are retired by their
- * *physical* identity so a key rotation cannot resurrect a pair.
+ * Sec 4.2-4.3). Pairs come from the record's counter-indexed pair
+ * streams in *physical* identity (pair_stream.hpp) and are mapped to
+ * *logical* coordinates under the device's current map key, so a key
+ * rotation cannot resurrect a pair.
  */
 
 #ifndef AUTH_SERVER_CHALLENGE_GEN_HPP
@@ -29,21 +30,22 @@ struct GeneratedChallenge
     core::VddMv level = 0;
 
     /**
-     * The pairs this generation consumed, in *physical* identity --
-     * exactly what the durability journal must persist before the
-     * challenge is disclosed (retire-before-reply).
+     * The streams this generation advanced, with their counters after
+     * it -- exactly what the durability journal must persist before
+     * the challenge is disclosed (retire-before-reply).
      */
-    std::vector<journal::RetiredPair> retired;
+    std::vector<journal::StreamCounter> retired;
 };
 
 /**
  * Draws challenges from stored error maps. The generator itself holds
- * no per-device state: every overload taking an explicit util::Rng
- * draws all randomness from it, so callers that keep one RNG stream
- * per device (the sharded session layer) can generate challenges for
- * distinct devices concurrently and deterministically. The overloads
- * without an Rng use the generator's own member stream (the original
- * single-threaded API, kept for tools and tests).
+ * no per-device state: single-level pairs are a function of the
+ * record's pair seed and stream counter alone, and the multi-level
+ * level picks draw from the explicit util::Rng, so callers that keep
+ * one RNG stream per device (the sharded session layer) can generate
+ * challenges for distinct devices concurrently and deterministically.
+ * The overloads without an Rng use the generator's own member stream
+ * (the original single-threaded API, kept for tools and tests).
  */
 class ChallengeGenerator
 {
@@ -52,8 +54,9 @@ class ChallengeGenerator
 
     /**
      * Generate an n-bit single-voltage challenge for a device,
-     * retiring the consumed pairs. Throws std::runtime_error when the
-     * device's fresh-pair supply at the chosen level is exhausted.
+     * retiring the issued pairs. Throws std::runtime_error when the
+     * level's stream cannot supply all n pairs; the record is then
+     * left unchanged.
      *
      * @param record Device state (mutated: pairs consumed).
      * @param level Challenge voltage; must be a challenge level.
@@ -94,8 +97,9 @@ class ChallengeGenerator
      * transitions by sorting endpoints in descending Vdd (Sec 5.4);
      * see bench_ablation_multivdd for the residual cost.
      *
-     * Pair retirement is per unordered physical line pair *per level
-     * pair*, consistent with the single-level rule.
+     * Each bit picks its two levels from @p rng; a same-level pick
+     * takes that level's next pair, a pick of two levels takes the
+     * next pair of that level pair's own stream.
      */
     GeneratedChallenge generateMultiLevel(DeviceRecord &record,
                                           std::size_t bits);
@@ -110,14 +114,14 @@ class ChallengeGenerator
 
   private:
     /**
-     * Draw the challenge and retire its pairs; expected response is
-     * NOT filled in (each public overload evaluates through the view
-     * appropriate to its remap).
+     * Draw the challenge from the level's stream and retire its
+     * pairs, mapped to logical lines by @p perm (null: identity);
+     * expected response is NOT filled in (each public overload
+     * evaluates through the view appropriate to its mapping).
      */
-    static GeneratedChallenge
-    drawWithRemap(DeviceRecord &record, core::VddMv level,
-                  std::size_t bits, const core::LogicalRemap &remap,
-                  util::Rng &rng);
+    static GeneratedChallenge draw(DeviceRecord &record,
+                                   core::VddMv level, std::size_t bits,
+                                   const crypto::FeistelPermutation *perm);
 
     util::Rng ownRng; ///< Backs the legacy no-Rng overloads only.
 };

@@ -23,6 +23,13 @@ DeviceRecord::DeviceRecord(std::uint64_t device_id,
                 "DeviceRecord: level both challenge and reserved");
         }
     }
+    // Nor appear twice: each level pair must map to one pair stream.
+    for (const auto *levels : {&authLevels, &remapLevels}) {
+        for (auto it = levels->begin(); it != levels->end(); ++it) {
+            if (std::find(it + 1, levels->end(), *it) != levels->end())
+                throw std::invalid_argument("DeviceRecord: duplicate level");
+        }
+    }
 }
 
 const core::LogicalRemap &
@@ -47,59 +54,65 @@ DeviceRecord::logicalMap() const
 }
 
 std::uint64_t
-DeviceRecord::pairKey(std::uint64_t a, std::uint64_t b)
+DeviceRecord::streamDomain(core::VddMv level_a,
+                           core::VddMv level_b) const
 {
-    std::uint64_t lo = std::min(a, b);
-    std::uint64_t hi = std::max(a, b);
-    // Exact encoding: line indices are < 2^32 for any realistic cache.
-    return (lo << 32) | hi;
-}
-
-bool
-DeviceRecord::consumePair(core::VddMv level, std::uint64_t line_a,
-                          std::uint64_t line_b)
-{
-    return consumed[level].insert(pairKey(line_a, line_b));
-}
-
-bool
-DeviceRecord::pairAvailable(core::VddMv level, std::uint64_t line_a,
-                            std::uint64_t line_b) const
-{
-    auto it = consumed.find(level);
-    if (it == consumed.end())
-        return true;
-    return !it->second.contains(pairKey(line_a, line_b));
-}
-
-bool
-DeviceRecord::consumeMixedPair(core::VddMv level_a,
-                               std::uint64_t line_a,
-                               core::VddMv level_b,
-                               std::uint64_t line_b)
-{
+    auto has = [](const std::vector<core::VddMv> &v, core::VddMv l) {
+        return std::find(v.begin(), v.end(), l) != v.end();
+    };
+    const std::uint64_t n = map.geometry().lines();
     if (level_a == level_b)
-        return consumePair(level_a, line_a, line_b);
-    std::array<std::uint64_t, 4> key_a{level_a, line_a, level_b,
-                                       line_b};
-    std::array<std::uint64_t, 4> key_b{level_b, line_b, level_a,
-                                       line_a};
-    const auto &canonical = key_a < key_b ? key_a : key_b;
-    return mixed.insert(canonical).second;
+        return has(authLevels, level_a) || has(remapLevels, level_a)
+                   ? core::possibleCrps(n)
+                   : 0;
+    return has(authLevels, level_a) && has(authLevels, level_b) ? n * n
+                                                                 : 0;
 }
 
-std::size_t
-DeviceRecord::consumedCount(core::VddMv level) const
+std::vector<PairStream>::const_iterator
+DeviceRecord::findStream(core::VddMv level_a,
+                         core::VddMv level_b) const
 {
-    auto it = consumed.find(level);
-    return it == consumed.end() ? 0 : it->second.size();
+    return std::find_if(streams.begin(), streams.end(),
+                        [&](const PairStream &s) {
+                            return s.levelA == std::min(level_a, level_b) &&
+                                   s.levelB == std::max(level_a, level_b);
+                        });
+}
+
+PairStream &
+DeviceRecord::pairStream(core::VddMv level_a, core::VddMv level_b)
+{
+    const std::pair levels(std::min(level_a, level_b),
+                           std::max(level_a, level_b));
+    // Kept sorted by level pair: the snapshot's canonical order.
+    auto at = std::find_if(streams.begin(), streams.end(),
+                           [&](const PairStream &s) {
+                               return std::pair(s.levelA, s.levelB) >=
+                                      levels;
+                           });
+    if (at != streams.end() && std::pair(at->levelA, at->levelB) == levels)
+        return *at;
+    if (streamDomain(level_a, level_b) == 0)
+        throw std::invalid_argument("DeviceRecord: no such pair stream");
+    return *streams.insert(at,
+                           PairStream{levels.first, levels.second, 0, {}});
 }
 
 std::uint64_t
-DeviceRecord::remainingPairs(core::VddMv level) const
+DeviceRecord::remainingPairs(core::VddMv level_a,
+                             core::VddMv level_b) const
 {
-    return core::possibleCrps(map.geometry().lines()) -
-           consumedCount(level);
+    const std::uint64_t domain = streamDomain(level_a, level_b);
+    auto s = findStream(level_a, level_b);
+    if (s == streams.end())
+        return domain;
+    // A frozen rank counts as retired until the counter skips it.
+    const PairPermutation perm(domain, seed, s->levelA, s->levelB);
+    std::uint64_t ahead = 0;
+    for (std::uint64_t rank : s->frozen)
+        ahead += perm.unmap(rank) >= s->counter;
+    return domain - s->counter - ahead;
 }
 
 DeviceRecord &

@@ -4,19 +4,17 @@
  *
  * The Authenticache server does not store CRPs: it stores each
  * client's *error maps* (a compact representation) and generates
- * challenges on demand. It additionally tracks consumed challenge
- * pairs -- both orderings of a pair retire together (Sec 4.4) -- and
- * the device's current logical-map key.
+ * challenges on demand. It additionally keeps the device's current
+ * logical-map key and its pair streams: a 128-bit pair seed plus one
+ * counter per stream, which retire every issued pair -- both orderings
+ * together (Sec 4.4) -- without storing any pair (pair_stream.hpp).
  */
 
 #ifndef AUTH_SERVER_DATABASE_HPP
 #define AUTH_SERVER_DATABASE_HPP
 
-#include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -24,7 +22,7 @@
 #include "core/error_map.hpp"
 #include "core/remap.hpp"
 #include "crypto/key.hpp"
-#include "server/pair_set.hpp"
+#include "server/pair_stream.hpp"
 
 namespace authenticache::server {
 
@@ -82,35 +80,39 @@ class DeviceRecord
      */
     const core::ErrorMap &logicalMap() const;
 
-    /**
-     * Consume a challenge pair at a level. Pairs are canonicalized
-     * (unordered), so C(A,B) and C(B,A) retire together.
-     * @return false when the pair was already consumed.
-     */
-    bool consumePair(core::VddMv level, std::uint64_t line_a,
-                     std::uint64_t line_b);
+    /** Key of every pair stream (drawn at enrollment). */
+    const PairSeed &pairSeed() const { return seed; }
+    void setPairSeed(const PairSeed &s) { seed = s; }
 
-    /** True when the pair is still fresh. */
-    bool pairAvailable(core::VddMv level, std::uint64_t line_a,
-                       std::uint64_t line_b) const;
+    /** True once any pair stream exists (re-keying could reissue). */
+    bool pairsIssued() const { return !streams.empty(); }
 
     /**
-     * Consume a mixed-voltage pair {(level_a, line_a), (level_b,
-     * line_b)}; canonicalized so both orderings retire together.
-     * Same-level pairs share the single-level consumed set.
-     * @return false when already consumed.
+     * The stream for a level pair (levels in either order; equal for
+     * a single-level stream), created on first use. Throws
+     * std::invalid_argument when the record has no such stream: a
+     * single-level stream needs a challenge or reserved level, a
+     * mixed one two distinct challenge levels.
      */
-    bool consumeMixedPair(core::VddMv level_a, std::uint64_t line_a,
-                          core::VddMv level_b, std::uint64_t line_b);
+    PairStream &pairStream(core::VddMv level_a, core::VddMv level_b);
 
-    /** Consumed pairs at a level (storage grows with usage only). */
-    std::size_t consumedCount(core::VddMv level) const;
+    /** Size of that stream's pair domain (0 when there is none). */
+    std::uint64_t streamDomain(core::VddMv level_a,
+                               core::VddMv level_b) const;
 
-    /** Consumed mixed-voltage pairs. */
-    std::size_t consumedMixedCount() const { return mixed.size(); }
+    /** Fresh pairs left in a stream: N - counter - unskipped frozen. */
+    std::uint64_t remainingPairs(core::VddMv level_a,
+                                 core::VddMv level_b) const;
+    std::uint64_t remainingPairs(core::VddMv level) const
+    {
+        return remainingPairs(level, level);
+    }
 
-    /** Pairs remaining at a level given the cache's line count. */
-    std::uint64_t remainingPairs(core::VddMv level) const;
+    /** Pairs retired at a single level. */
+    std::uint64_t consumedCount(core::VddMv level) const
+    {
+        return streamDomain(level, level) - remainingPairs(level);
+    }
 
     // Authentication outcome counters.
     void recordAccept()
@@ -158,11 +160,12 @@ class DeviceRecord
     void setReenrollRequired(bool v) { reenrollNeeded = v; }
 
   private:
-    static std::uint64_t pairKey(std::uint64_t a, std::uint64_t b);
+    std::vector<PairStream>::const_iterator
+    findStream(core::VddMv level_a, core::VddMv level_b) const;
 
-    // Persistence (server/storage.cpp) snapshots/restores the
-    // consumed-pair state, which has no other public surface; journal
-    // replay (server/journal.cpp) restores absolute counter
+    // Persistence (server/storage.cpp) snapshots/restores the streams
+    // and the counters below, which have no other public setters;
+    // journal replay (server/journal.cpp) restores absolute counter
     // checkpoints the same way.
     friend struct RecordStorageAccess;
     friend struct JournalApplyAccess;
@@ -177,8 +180,8 @@ class DeviceRecord
     // which swaps the pointer rather than mutating through it).
     mutable std::shared_ptr<core::LogicalRemap> remapCache;
     mutable std::shared_ptr<core::ErrorMap> logicalCache;
-    std::map<core::VddMv, PairSet> consumed;
-    std::set<std::array<std::uint64_t, 4>> mixed;
+    PairSeed seed;
+    std::vector<PairStream> streams; ///< Sorted by level pair.
     std::uint64_t nAccepted = 0;
     std::uint64_t nRejected = 0;
     std::uint64_t consecutiveFails = 0;

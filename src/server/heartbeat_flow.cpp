@@ -94,7 +94,7 @@ HeartbeatFlow::issueRound(SessionShard &sh, HeartbeatSession &session,
     // Retire-before-reply, same as AuthFlow.
     if (sessions.journalingEnabled())
         sh.wal.push_back(
-            journal::PairsRetired{device, std::move(gen.retired)});
+            journal::PairsRetired{device, std::move(gen.retired), {}});
 
     const std::uint64_t nonce =
         sessions.makeNonce(sh, sessions.deviceRng(sh, device));

@@ -28,6 +28,24 @@ struct JournalApplyAccess
         record.consecutiveFails = fails;
     }
 
+    /**
+     * Counters only rise (a replay over a snapshot that already holds
+     * them is a no-op); v1 pair lists are frozen in their streams.
+     */
+    static void
+    retire(DeviceRecord &record, const journal::PairsRetired &e)
+    {
+        for (const auto &c : e.streams) {
+            const std::uint64_t domain =
+                record.streamDomain(c.levelA, c.levelB);
+            if (domain == 0 || c.counter > domain)
+                throw protocol::DecodeError("journal: bad stream counter");
+            PairStream &s = record.pairStream(c.levelA, c.levelB);
+            s.counter = std::max(s.counter, c.counter);
+        }
+        freezeRetiredPairs(record, e.legacyPairs);
+    }
+
     static void
     setTrustState(DeviceRecord &record, std::uint32_t trust,
                   std::uint32_t remaps_used, bool reenroll)
@@ -43,7 +61,7 @@ namespace journal {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4C4A4341; // "ACJL".
-constexpr std::uint16_t kVersion = 1;
+constexpr std::uint16_t kVersionLegacy = 1; // Pair lists, v2 records.
 constexpr std::size_t kHeaderBytes = 4 + 2 + 8;
 constexpr std::size_t kMaxRecordBytes = 1u << 24;
 
@@ -81,12 +99,11 @@ encodeEvent(protocol::ByteWriter &w, const Event &event)
             if constexpr (std::is_same_v<T, PairsRetired>) {
                 w.putU8(kPairsRetired);
                 w.putU64(e.deviceId);
-                w.putU32(static_cast<std::uint32_t>(e.pairs.size()));
-                for (const auto &p : e.pairs) {
-                    w.putU32(p.levelA);
-                    w.putU32(p.levelB);
-                    w.putU64(p.lineA);
-                    w.putU64(p.lineB);
+                w.putU32(static_cast<std::uint32_t>(e.streams.size()));
+                for (const auto &c : e.streams) {
+                    w.putU32(c.levelA);
+                    w.putU32(c.levelB);
+                    w.putU64(c.counter);
                 }
             } else if constexpr (std::is_same_v<T, AuthOutcome>) {
                 w.putU8(kAuthOutcome);
@@ -139,23 +156,25 @@ encodeEvent(protocol::ByteWriter &w, const Event &event)
 }
 
 Event
-decodeEvent(protocol::ByteReader &r)
+decodeEvent(protocol::ByteReader &r, std::uint16_t version)
 {
+    const bool legacy = version == kVersionLegacy;
     switch (r.getU8()) {
     case kPairsRetired: {
         PairsRetired e;
         e.deviceId = r.getU64();
         std::uint32_t count = r.getU32();
-        if (count > kMaxRecordBytes / 24)
+        if (count > r.remaining() / (legacy ? 24 : 16))
             throw protocol::DecodeError("journal: pair count");
-        e.pairs.reserve(count);
         for (std::uint32_t i = 0; i < count; ++i) {
-            RetiredPair p;
-            p.levelA = r.getU32();
-            p.levelB = r.getU32();
-            p.lineA = r.getU64();
-            p.lineB = r.getU64();
-            e.pairs.push_back(p);
+            std::uint32_t level_a = r.getU32();
+            std::uint32_t level_b = r.getU32();
+            if (!legacy) {
+                e.streams.push_back({level_a, level_b, r.getU64()});
+                continue;
+            }
+            e.legacyPairs.push_back(
+                {level_a, r.getU64(), level_b, r.getU64()});
         }
         return e;
     }
@@ -197,6 +216,7 @@ decodeEvent(protocol::ByteReader &r)
         if (size > kMaxRecordBytes)
             throw protocol::DecodeError("journal: record size");
         e.record = r.getBytes(size);
+        e.legacyRecord = legacy;
         return e;
     }
     case kCounterCheckpoint: {
@@ -230,17 +250,7 @@ applyEvent(EnrollmentDatabase &db, const Event &event)
             using T = std::decay_t<decltype(e)>;
             if constexpr (std::is_same_v<T, PairsRetired>) {
                 requireDevice(db, e.deviceId);
-                DeviceRecord &record = db.at(e.deviceId);
-                for (const auto &p : e.pairs) {
-                    // Already-consumed is fine: replay after a
-                    // snapshot that includes the pair is idempotent.
-                    if (p.levelA == p.levelB)
-                        record.consumePair(p.levelA, p.lineA,
-                                           p.lineB);
-                    else
-                        record.consumeMixedPair(p.levelA, p.lineA,
-                                                p.levelB, p.lineB);
-                }
+                JournalApplyAccess::retire(db.at(e.deviceId), e);
             } else if constexpr (std::is_same_v<T, AuthOutcome>) {
                 requireDevice(db, e.deviceId);
                 DeviceRecord &record = db.at(e.deviceId);
@@ -271,7 +281,9 @@ applyEvent(EnrollmentDatabase &db, const Event &event)
                 db.remove(e.deviceId);
             } else if constexpr (std::is_same_v<T, Enrolled>) {
                 protocol::ByteReader r(e.record);
-                DeviceRecord record = decodeDeviceRecord(r);
+                DeviceRecord record = decodeDeviceRecord(
+                    r, e.legacyRecord ? RecordFormat::ConsumedSets
+                                      : RecordFormat::PairStreams);
                 r.expectEnd();
                 db.enroll(std::move(record));
             } else if constexpr (std::is_same_v<T,
@@ -335,7 +347,7 @@ Journal::create(const std::string &path, std::uint64_t generation,
 
     protocol::ByteWriter w;
     w.putU32(kMagic);
-    w.putU16(kVersion);
+    w.putU16(kJournalVersion);
     w.putU64(generation);
     auto header = w.take();
     writeAllOrCrash(fd.get(), header, inj, "journal.header");
@@ -420,10 +432,16 @@ Journal::replay(
         out.tornTail = true;
         return out;
     }
+    std::uint16_t version = 0;
     {
         protocol::ByteReader r(
             std::span<const std::uint8_t>(blob.data(), kHeaderBytes));
-        if (r.getU32() != kMagic || r.getU16() != kVersion) {
+        if (r.getU32() != kMagic) {
+            out.tornTail = true;
+            return out;
+        }
+        version = r.getU16();
+        if (version < kVersionLegacy || version > kJournalVersion) {
             out.tornTail = true;
             return out;
         }
@@ -463,7 +481,7 @@ Journal::replay(
         try {
             protocol::ByteReader r(payload);
             seq = r.getU64();
-            event = decodeEvent(r);
+            event = decodeEvent(r, version);
             r.expectEnd();
         } catch (const protocol::DecodeError &) {
             // CRC-valid but undecodable: corruption, not a torn

@@ -16,6 +16,13 @@
  *   records: [u32 payload length][u32 crc32(payload)][payload]
  *   payload: [u64 sequence][u8 event type][event fields]
  *
+ * Version 2 journals PairsRetired as [u64 device][u32 n] then n x
+ * [u32 levelA][u32 levelB][u64 counter after], and Enrolled carries a
+ * v3 snapshot record. Version 1 files still replay: their
+ * PairsRetired lists n x [u32 levelA][u32 levelB][u64 lineA][u64
+ * lineB], each pair frozen in its stream, and their Enrolled records
+ * migrate like a v2 snapshot's.
+ *
  * A torn final record (short frame or CRC mismatch) marks the crash
  * point: replay stops there and reports the byte offset of the last
  * valid record so recovery can truncate the tail instead of rejecting
@@ -34,6 +41,7 @@
 #ifndef AUTH_SERVER_JOURNAL_HPP
 #define AUTH_SERVER_JOURNAL_HPP
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -48,23 +56,30 @@
 namespace authenticache::server::journal {
 
 /**
- * One retired challenge pair in *physical* identity (level per
- * endpoint; same level twice = a single-voltage pair). Physical
- * identity survives key rotations, matching the consumed-set rule.
+ * A pair stream's counter after a challenge advanced it (levels as in
+ * PairStream; equal levels = a single-level stream).
  */
-struct RetiredPair
+struct StreamCounter
 {
     std::uint32_t levelA = 0;
     std::uint32_t levelB = 0;
-    std::uint64_t lineA = 0;
-    std::uint64_t lineB = 0;
+    std::uint64_t counter = 0;
 };
 
-/** Pairs one generated challenge consumed (retire-before-reply). */
+/**
+ * Pairs one generated challenge retired (retire-before-reply): one
+ * counter per stream it touched. Replay raises each counter to the
+ * journaled value, so applying the event twice is harmless.
+ */
 struct PairsRetired
 {
     std::uint64_t deviceId = 0;
-    std::vector<RetiredPair> pairs;
+    std::vector<StreamCounter> streams;
+    /**
+     * v1 journals only: the pairs themselves, each {levelA, lineA,
+     * levelB, lineB} in physical identity. Replay freezes them.
+     */
+    std::vector<std::array<std::uint64_t, 4>> legacyPairs;
 };
 
 /** A completed authentication: counters plus any lockout decision. */
@@ -113,6 +128,7 @@ struct DeviceRemoved
 struct Enrolled
 {
     std::vector<std::uint8_t> record; ///< encodeDeviceRecord bytes.
+    bool legacyRecord = false; ///< v1 journal: consumed-set bytes.
 };
 
 /** Absolute counter checkpoint (bounds replay divergence windows). */
@@ -153,8 +169,15 @@ using Event =
 /** Serialize one event (type byte + fields). */
 void encodeEvent(protocol::ByteWriter &w, const Event &event);
 
-/** Deserialize one event; throws protocol::DecodeError. */
-Event decodeEvent(protocol::ByteReader &r);
+/** Current journal file version (see the file comment). */
+constexpr std::uint16_t kJournalVersion = 2;
+
+/**
+ * Deserialize one event of a journal file at @p version; throws
+ * protocol::DecodeError.
+ */
+Event decodeEvent(protocol::ByteReader &r,
+                  std::uint16_t version = kJournalVersion);
 
 /**
  * Apply one event to a database (replay). Throws

@@ -50,7 +50,7 @@ RemapFlow::start(SessionShard &sh, std::uint64_t device_id)
     std::uint64_t nonce = sessions.makeNonce(sh, rng);
     if (sessions.journalingEnabled()) {
         sh.wal.push_back(journal::PairsRetired{
-            device_id, std::move(gen.retired)});
+            device_id, std::move(gen.retired), {}});
         sh.wal.push_back(journal::RemapPrepared{device_id, nonce});
     }
     std::uint64_t deadline = sessions.sessionDeadline();

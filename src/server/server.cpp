@@ -10,6 +10,9 @@ namespace authenticache::server {
 
 namespace {
 
+/** util::Rng::forStream index of the pair-seed stream. */
+constexpr std::uint64_t kPairSeedStream = 0x9A12'5EED;
+
 /** Journal an enrollment (full record encoding) and make it durable. */
 void
 journalEnrollment(DurabilityManager *dur, const DeviceRecord &record)
@@ -28,6 +31,7 @@ AuthenticationServer::AuthenticationServer(const ServerConfig &config,
                                            std::uint64_t seed)
     : cfg(config),
       rng(seed),
+      pairSeeds(util::Rng::forStream(seed, kPairSeedStream)),
       generator(rng.fork()),
       verify(config.verifier),
       sessionsMgr(cfg, seed),
@@ -56,14 +60,18 @@ AuthenticationServer::enrollWithMap(
     AUTH_LOG_INFO("server")
         << "enrolled device " << device_id << " with "
         << record.physicalMap().totalErrors() << " errors";
-    DeviceRecord &stored = devices.enroll(std::move(record));
-    journalEnrollment(durability(), stored);
-    return stored;
+    return enrollRecord(std::move(record));
 }
 
 DeviceRecord &
 AuthenticationServer::enrollRecord(DeviceRecord record)
 {
+    // A fresh record gets its own pair seed, so a chip re-enrolled
+    // with the same map never replays its old pair sequence; a record
+    // that has already retired pairs keeps its seed, or it could
+    // reissue them.
+    if (!record.pairsIssued())
+        record.setPairSeed(PairSeed{pairSeeds.next(), pairSeeds.next()});
     DeviceRecord &stored = devices.enroll(std::move(record));
     journalEnrollment(durability(), stored);
     return stored;

@@ -77,17 +77,19 @@ class AuthenticationServer
 
     /**
      * Enroll a fully prepared record (key already set) -- the path
-     * used by synthetic fixtures and by restores. Journaled like any
-     * other enrollment when a durability layer is attached.
+     * used by synthetic fixtures and by restores. A record that has
+     * retired no pair gets a fresh pair seed from the server's seed
+     * stream (two draws). Journaled like any other enrollment when a
+     * durability layer is attached.
      */
     DeviceRecord &enrollRecord(DeviceRecord record);
 
     /**
      * Re-enroll a device whose silicon has drifted (trusted, like
      * first enrollment): recapture the error maps and issue a fresh
-     * key. The old record -- including its consumed-pair history --
-     * is discarded, since the old fingerprint's CRPs no longer
-     * describe the device.
+     * key. The old record -- including its pair streams -- is
+     * discarded, since the old fingerprint's CRPs no longer describe
+     * the device; the new record draws a fresh pair seed.
      */
     DeviceRecord &
     reenroll(std::uint64_t device_id,
@@ -317,6 +319,7 @@ class AuthenticationServer
   private:
     ServerConfig cfg;
     util::Rng rng; ///< Master stream: enrollment keys only.
+    util::Rng pairSeeds; ///< Enrolled records' pair seeds.
     DeviceDirectory devices;
     ChallengeGenerator generator;
     Verifier verify;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 
+#include "crypto/sha256.hpp"
 #include "util/crc32.hpp"
 
 namespace authenticache::server {
@@ -11,11 +12,12 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x42444341; // "ACDB".
 constexpr std::uint16_t kVersionLegacy = 1;
-constexpr std::uint16_t kVersion = 2; // Adds durability metadata.
+constexpr std::uint16_t kVersionMeta = 2; // Adds durability metadata.
+constexpr std::uint16_t kVersion = 3;     // Pair streams.
 
 } // namespace
 
-/** Befriended accessor for DeviceRecord's private consumed state. */
+/** Befriended accessor for DeviceRecord's private state. */
 struct RecordStorageAccess
 {
     static void
@@ -35,21 +37,25 @@ struct RecordStorageAccess
         for (auto level : record.remapLevels)
             w.putU32(level);
 
-        // Canonical order: the consumed sets are unordered in memory,
-        // so sort before dumping -- equal logical states must produce
-        // byte-identical snapshots (recovery sweeps compare them).
-        w.putU32(static_cast<std::uint32_t>(record.consumed.size()));
-        for (const auto &[level, pairs] : record.consumed) {
-            w.putU32(level);
-            w.putU64(pairs.size());
-            for (auto pair_key : pairs.sortedKeys())
-                w.putU64(pair_key);
-        }
-
-        w.putU64(record.mixed.size());
-        for (const auto &entry : record.mixed) {
-            for (auto v : entry)
-                w.putU64(v);
+        // Canonical: streams are kept sorted by level pair and frozen
+        // ranks sorted; a stream that has retired nothing is left out,
+        // so equal logical states produce byte-identical snapshots.
+        w.putU64(record.seed.lo);
+        w.putU64(record.seed.hi);
+        auto live = [](const PairStream &s) {
+            return s.counter > 0 || !s.frozen.empty();
+        };
+        w.putU32(static_cast<std::uint32_t>(std::count_if(
+            record.streams.begin(), record.streams.end(), live)));
+        for (const auto &s : record.streams) {
+            if (!live(s))
+                continue;
+            w.putU32(s.levelA);
+            w.putU32(s.levelB);
+            w.putU64(s.counter);
+            w.putU64(s.frozen.size());
+            for (auto rank : s.frozen)
+                w.putU64(rank);
         }
 
         w.putU64(record.nAccepted);
@@ -65,8 +71,9 @@ struct RecordStorageAccess
     }
 
     static DeviceRecord
-    decode(protocol::ByteReader &r)
+    decode(protocol::ByteReader &r, RecordFormat format)
     {
+        const std::size_t start = r.remaining();
         std::uint64_t id = r.getU64();
         core::ErrorMap map = decodeErrorMap(r);
 
@@ -91,29 +98,10 @@ struct RecordStorageAccess
         DeviceRecord record(id, std::move(map), auth_levels,
                             remap_levels);
         record.setMapKey(key);
-
-        std::uint32_t consumed_levels = r.getU32();
-        for (std::uint32_t i = 0; i < consumed_levels; ++i) {
-            core::VddMv level = r.getU32();
-            std::uint64_t count = r.getU64();
-            // The count is untrusted: size the table only for keys
-            // the remaining bytes can actually hold.
-            if (count > r.remaining() / sizeof(std::uint64_t))
-                throw protocol::DecodeError(
-                    "consumed-pair count exceeds snapshot");
-            auto &set = record.consumed[level];
-            set.reserve(static_cast<std::size_t>(count));
-            for (std::uint64_t k = 0; k < count; ++k)
-                set.insert(r.getU64());
-        }
-
-        std::uint64_t mixed_count = r.getU64();
-        for (std::uint64_t i = 0; i < mixed_count; ++i) {
-            std::array<std::uint64_t, 4> entry;
-            for (auto &v : entry)
-                v = r.getU64();
-            record.mixed.insert(entry);
-        }
+        if (format == RecordFormat::PairStreams)
+            decodeStreams(r, record);
+        else
+            decodeConsumedSets(r, record);
 
         record.nAccepted = r.getU64();
         record.nRejected = r.getU64();
@@ -123,9 +111,110 @@ struct RecordStorageAccess
         record.remapsUsed = r.getU32();
         record.isRevoked = r.getU8() != 0;
         record.reenrollNeeded = r.getU8() != 0;
+
+        if (format == RecordFormat::ConsumedSets) {
+            // The pair seed follows the record's own bytes: repeated
+            // migrations agree, and it follows neither the map key
+            // (which rotates) nor the map alone.
+            auto digest =
+                crypto::Sha256::hash(r.lastRead(start - r.remaining()));
+            protocol::ByteReader d(digest);
+            record.seed = {d.getU64(), d.getU64()};
+        }
         return record;
     }
+
+    /** v3: the pair seed and one entry per live stream, in order. */
+    static void
+    decodeStreams(protocol::ByteReader &r, DeviceRecord &record)
+    {
+        record.seed = {r.getU64(), r.getU64()};
+        // Counts are untrusted: checked against the bytes left and the
+        // stream's domain before anything is allocated. Streams must
+        // be live and in order, ranks ascending: canonical bytes.
+        std::uint32_t count = r.getU32();
+        if (count > r.remaining() / 24)
+            throw protocol::DecodeError("pair stream count exceeds snapshot");
+        for (std::uint32_t i = 0; i < count; ++i) {
+            PairStream s{r.getU32(), r.getU32(), r.getU64(), {}};
+            const std::uint64_t frozen = r.getU64();
+            const std::uint64_t domain =
+                record.streamDomain(s.levelA, s.levelB);
+            if (s.levelA > s.levelB || domain == 0 || s.counter > domain ||
+                frozen > domain || frozen > r.remaining() / 8 ||
+                (s.counter == 0 && frozen == 0) ||
+                (!record.streams.empty() &&
+                 std::pair(record.streams.back().levelA,
+                           record.streams.back().levelB) >=
+                     std::pair(s.levelA, s.levelB)))
+                throw protocol::DecodeError("bad pair stream");
+            s.frozen.reserve(static_cast<std::size_t>(frozen));
+            for (std::uint64_t k = 0; k < frozen; ++k) {
+                s.frozen.push_back(r.getU64());
+                if (s.frozen.back() >= domain ||
+                    (k > 0 && s.frozen[k - 1] >= s.frozen[k]))
+                    throw protocol::DecodeError("bad frozen pair");
+            }
+            record.streams.push_back(std::move(s));
+        }
+    }
+
+    /** v1/v2: consumed sets and mixed pairs become frozen ranks. */
+    static void
+    decodeConsumedSets(protocol::ByteReader &r, DeviceRecord &record)
+    {
+        std::vector<std::array<std::uint64_t, 4>> pairs;
+        std::uint32_t consumed_levels = r.getU32();
+        for (std::uint32_t i = 0; i < consumed_levels; ++i) {
+            core::VddMv level = r.getU32();
+            std::uint64_t count = r.getU64();
+            if (count > r.remaining() / 8)
+                throw protocol::DecodeError(
+                    "consumed-pair count exceeds snapshot");
+            for (std::uint64_t k = 0; k < count; ++k) {
+                std::uint64_t key = r.getU64(); // lo << 32 | hi
+                pairs.push_back({level, key >> 32, level, key & 0xffffffff});
+            }
+        }
+        std::uint64_t mixed = r.getU64();
+        if (mixed > r.remaining() / 32)
+            throw protocol::DecodeError("mixed-pair count exceeds snapshot");
+        for (std::uint64_t i = 0; i < mixed; ++i)
+            pairs.push_back({r.getU64(), r.getU64(), r.getU64(), r.getU64()});
+        freeze(record, pairs);
+    }
+
+    static void
+    freeze(DeviceRecord &record,
+           std::span<const std::array<std::uint64_t, 4>> pairs)
+    {
+        const std::uint64_t n = record.map.geometry().lines();
+        for (const auto &[level_a, a, level_b, b] : pairs) {
+            const auto la = static_cast<core::VddMv>(level_a);
+            const auto lb = static_cast<core::VddMv>(level_b);
+            if (a >= n || b >= n || (la == lb && a == b) ||
+                std::max(level_a, level_b) > UINT32_MAX ||
+                record.streamDomain(la, lb) == 0)
+                throw protocol::DecodeError("retired pair outside the record");
+            record.pairStream(la, lb).frozen.push_back(
+                la == lb  ? rankPair(std::min(a, b), std::max(a, b))
+                : la < lb ? a * n + b
+                          : b * n + a);
+        }
+        for (auto &s : record.streams) {
+            std::sort(s.frozen.begin(), s.frozen.end());
+            s.frozen.erase(std::unique(s.frozen.begin(), s.frozen.end()),
+                           s.frozen.end());
+        }
+    }
 };
+
+void
+freezeRetiredPairs(DeviceRecord &record,
+                   std::span<const std::array<std::uint64_t, 4>> pairs)
+{
+    RecordStorageAccess::freeze(record, pairs);
+}
 
 void
 encodeErrorMap(protocol::ByteWriter &w, const core::ErrorMap &map)
@@ -194,24 +283,19 @@ encodeDeviceRecord(protocol::ByteWriter &w, const DeviceRecord &record)
 }
 
 DeviceRecord
-decodeDeviceRecord(protocol::ByteReader &r)
+decodeDeviceRecord(protocol::ByteReader &r, RecordFormat format)
 {
-    return RecordStorageAccess::decode(r);
+    return RecordStorageAccess::decode(r, format);
 }
 
-namespace {
-
 std::vector<std::uint8_t>
-saveDatabaseVersioned(const EnrollmentDatabase &db,
-                      std::uint16_t version, const SnapshotMeta &meta)
+saveDatabase(const EnrollmentDatabase &db, const SnapshotMeta &meta)
 {
     protocol::ByteWriter w;
     w.putU32(kMagic);
-    w.putU16(version);
-    if (version >= 2) {
-        w.putU64(meta.generation);
-        w.putU64(meta.journalWatermark);
-    }
+    w.putU16(kVersion);
+    w.putU64(meta.generation);
+    w.putU64(meta.journalWatermark);
     w.putU32(static_cast<std::uint32_t>(db.size()));
 
     // Deterministic order: ids are sorted below before any byte is
@@ -228,20 +312,6 @@ saveDatabaseVersioned(const EnrollmentDatabase &db,
     std::uint32_t crc = util::crc32(w.bytes());
     w.putU32(crc);
     return w.take();
-}
-
-} // namespace
-
-std::vector<std::uint8_t>
-saveDatabase(const EnrollmentDatabase &db, const SnapshotMeta &meta)
-{
-    return saveDatabaseVersioned(db, kVersion, meta);
-}
-
-std::vector<std::uint8_t>
-saveDatabaseV1(const EnrollmentDatabase &db)
-{
-    return saveDatabaseVersioned(db, kVersionLegacy, {});
 }
 
 EnrollmentDatabase
@@ -267,7 +337,7 @@ loadDatabase(std::span<const std::uint8_t> blob, SnapshotMeta *meta)
     std::uint16_t version = r.getU16();
     if (version < kVersionLegacy || version > kVersion)
         throw protocol::DecodeError("unsupported snapshot version");
-    if (version >= 2) {
+    if (version >= kVersionMeta) {
         SnapshotMeta m;
         m.generation = r.getU64();
         m.journalWatermark = r.getU64();
@@ -277,8 +347,11 @@ loadDatabase(std::span<const std::uint8_t> blob, SnapshotMeta *meta)
 
     EnrollmentDatabase db;
     std::uint32_t count = r.getU32();
+    const RecordFormat format = version == kVersion
+                                    ? RecordFormat::PairStreams
+                                    : RecordFormat::ConsumedSets;
     for (std::uint32_t i = 0; i < count; ++i)
-        db.enroll(decodeDeviceRecord(r));
+        db.enroll(decodeDeviceRecord(r, format));
     r.expectEnd();
     return db;
 }

@@ -76,15 +76,29 @@ TEST(MultiLevel, ExpectedMatchesIdealEvaluation)
 
 TEST(MultiLevel, RetiresMixedPairsBothOrders)
 {
+    // Identity key: logical lines are physical lines. No endpoint
+    // pair is issued twice, in either order.
     auto record = twoLevelRecord(1, 9);
-    EXPECT_TRUE(record.consumeMixedPair(700, 10, 690, 20));
-    EXPECT_FALSE(record.consumeMixedPair(700, 10, 690, 20));
-    EXPECT_FALSE(record.consumeMixedPair(690, 20, 700, 10));
-    EXPECT_EQ(record.consumedMixedCount(), 1u);
-
-    // Same line at the same level collapses to the single-level rule.
-    EXPECT_TRUE(record.consumeMixedPair(700, 1, 700, 2));
-    EXPECT_FALSE(record.pairAvailable(700, 2, 1));
+    srv::ChallengeGenerator gen(Rng(10));
+    using End = std::pair<core::VddMv, std::uint64_t>;
+    std::set<std::pair<End, End>> seen;
+    std::uint64_t mixed = 0, same = 0;
+    for (int round = 0; round < 32; ++round) {
+        for (const auto &bit :
+             gen.generateMultiLevel(record, 64).challenge.bits) {
+            End a{bit.a.vddMv, kGeom.lineIndex(bit.a.line)};
+            End b{bit.b.vddMv, kGeom.lineIndex(bit.b.line)};
+            ASSERT_NE(a, b);
+            EXPECT_TRUE(seen.emplace(std::min(a, b), std::max(a, b)).second);
+            (a.first == b.first ? same : mixed) += 1;
+        }
+    }
+    const std::uint64_t n = kGeom.lines();
+    EXPECT_GT(mixed, 0u);
+    EXPECT_EQ(record.remainingPairs(700, 690), n * n - mixed);
+    EXPECT_EQ(record.remainingPairs(690, 700), n * n - mixed);
+    // Same-level picks share the single-level streams.
+    EXPECT_EQ(record.consumedCount(700) + record.consumedCount(690), same);
 }
 
 TEST(MultiLevel, RequiresTwoLevels)
@@ -142,7 +156,11 @@ TEST_F(MultiLevelIntegration, EndToEndAuthentication)
         << (agent.errors().empty() ? "no decision"
                                    : agent.errors().front());
     EXPECT_TRUE(agent.lastDecision()->accepted);
-    EXPECT_GT(server.database().at(5).consumedMixedCount(), 0u);
+    const auto &record = server.database().at(5);
+    EXPECT_LT(record.remainingPairs(levels[0], levels[1]) +
+                  record.remainingPairs(levels[0], levels[2]) +
+                  record.remainingPairs(levels[1], levels[2]),
+              3 * record.streamDomain(levels[0], levels[1]));
 }
 
 class KeygenTest : public MultiLevelIntegration

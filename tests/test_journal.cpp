@@ -6,6 +6,7 @@
  * the manager's rotation / retention / fallback / recovery behavior.
  */
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -95,15 +96,33 @@ writeFile(const std::string &path,
 
 TEST(JournalEvents, PairsRetiredRoundTrip)
 {
-    jnl::PairsRetired e{42,
-                        {{700, 700, 3, 99}, {700, 690, 5, 7}}};
+    jnl::PairsRetired e{42, {{700, 700, 64}, {690, 700, 7}}, {}};
     auto decoded = std::get<jnl::PairsRetired>(roundTrip(e));
     EXPECT_EQ(decoded.deviceId, 42u);
-    ASSERT_EQ(decoded.pairs.size(), 2u);
-    EXPECT_EQ(decoded.pairs[0].levelA, 700u);
-    EXPECT_EQ(decoded.pairs[0].lineB, 99u);
-    EXPECT_EQ(decoded.pairs[1].levelB, 690u);
-    EXPECT_EQ(decoded.pairs[1].lineA, 5u);
+    ASSERT_EQ(decoded.streams.size(), 2u);
+    EXPECT_EQ(decoded.streams[0].levelA, 700u);
+    EXPECT_EQ(decoded.streams[0].counter, 64u);
+    EXPECT_EQ(decoded.streams[1].levelA, 690u);
+    EXPECT_EQ(decoded.streams[1].levelB, 700u);
+    EXPECT_EQ(decoded.streams[1].counter, 7u);
+    EXPECT_TRUE(decoded.legacyPairs.empty());
+
+    // A v1 journal lists the pairs themselves.
+    proto::ByteWriter w;
+    w.putU8(0); // PairsRetired.
+    w.putU64(42);
+    w.putU32(1);
+    w.putU32(700);
+    w.putU32(690);
+    w.putU64(5);
+    w.putU64(7);
+    proto::ByteReader r(w.bytes());
+    auto legacy = std::get<jnl::PairsRetired>(jnl::decodeEvent(r, 1));
+    EXPECT_TRUE(r.exhausted());
+    EXPECT_TRUE(legacy.streams.empty());
+    ASSERT_EQ(legacy.legacyPairs.size(), 1u);
+    EXPECT_EQ(legacy.legacyPairs[0],
+              (std::array<std::uint64_t, 4>{700, 5, 690, 7}));
 }
 
 TEST(JournalEvents, AllTypesRoundTrip)
@@ -175,14 +194,33 @@ TEST(JournalEvents, ApplyRebuildsState)
     jnl::applyEvent(db, jnl::Enrolled{w.take()});
     ASSERT_TRUE(db.contains(1));
 
-    // Retirement consumes both single-level and mixed pairs, and is
-    // idempotent (replay after a partial flush re-delivers events).
-    jnl::PairsRetired retired{1, {{700, 700, 3, 99}, {700, 690, 5, 7}}};
+    // Retirement raises stream counters and is idempotent (replay
+    // after a partial flush re-delivers events); a lower counter never
+    // lowers one.
+    jnl::PairsRetired retired{1, {{690, 690, 5}, {700, 700, 3}}, {}};
     jnl::applyEvent(db, retired);
     jnl::applyEvent(db, retired);
-    EXPECT_FALSE(db.at(1).pairAvailable(700, 99, 3));
-    EXPECT_EQ(db.at(1).consumedCount(700), 1u);
-    EXPECT_EQ(db.at(1).consumedMixedCount(), 1u);
+    jnl::applyEvent(db, jnl::PairsRetired{1, {{700, 700, 2}}, {}});
+    EXPECT_EQ(db.at(1).consumedCount(700), 3u);
+    EXPECT_EQ(db.at(1).consumedCount(690), 5u);
+
+    // A v1 pair list freezes its pairs, once.
+    jnl::PairsRetired legacy{1, {}, {{700, 99, 700, 3}}};
+    jnl::applyEvent(db, legacy);
+    jnl::applyEvent(db, legacy);
+    EXPECT_EQ(db.at(1).consumedCount(700), 4u);
+
+    // A stream the record cannot have, or a counter past its domain,
+    // is corruption.
+    EXPECT_THROW(
+        jnl::applyEvent(db, jnl::PairsRetired{1, {{690, 700, 1}}, {}}),
+        proto::DecodeError);
+    EXPECT_THROW(jnl::applyEvent(
+                     db, jnl::PairsRetired{
+                             1,
+                             {{700, 700, db.at(1).streamDomain(700, 700) + 1}},
+                             {}}),
+                 proto::DecodeError);
 
     jnl::applyEvent(db, jnl::AuthOutcome{1, true, false});
     jnl::applyEvent(db, jnl::AuthOutcome{1, false, true});

@@ -7,6 +7,7 @@
  */
 
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -52,16 +53,26 @@ makeRecord(std::uint64_t id, std::size_t errors, std::uint64_t seed)
 
 TEST(DeviceRecord, PairRetirementBothOrders)
 {
+    // Identity key: logical lines are physical lines. No unordered
+    // pair is issued twice, in either order.
     auto record = makeRecord(1, 20, 1);
-    EXPECT_TRUE(record.pairAvailable(700, 5, 9));
-    EXPECT_TRUE(record.consumePair(700, 5, 9));
-    EXPECT_FALSE(record.pairAvailable(700, 5, 9));
-    EXPECT_FALSE(record.pairAvailable(700, 9, 5)); // Both orderings.
-    EXPECT_FALSE(record.consumePair(700, 9, 5));
-    EXPECT_EQ(record.consumedCount(700), 1u);
+    srv::ChallengeGenerator gen(Rng(1));
+    std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
+    for (int round = 0; round < 64; ++round) {
+        for (const auto &bit : gen.generate(record, 700, 64).challenge.bits) {
+            auto a = kGeom.lineIndex(bit.a.line);
+            auto b = kGeom.lineIndex(bit.b.line);
+            ASSERT_NE(a, b);
+            EXPECT_TRUE(seen.emplace(std::min(a, b), std::max(a, b)).second);
+        }
+    }
+    EXPECT_EQ(record.consumedCount(700), 64u * 64u);
 
     // A different level is independent.
-    EXPECT_TRUE(record.pairAvailable(690, 5, 9));
+    EXPECT_EQ(record.consumedCount(690), 0u);
+    gen.generateReserved(record, 690, 16);
+    EXPECT_EQ(record.consumedCount(690), 16u);
+    EXPECT_EQ(record.consumedCount(700), 64u * 64u);
 }
 
 TEST(DeviceRecord, RemainingPairsAccounting)
@@ -69,7 +80,8 @@ TEST(DeviceRecord, RemainingPairsAccounting)
     auto record = makeRecord(1, 20, 2);
     auto total = core::possibleCrps(kGeom.lines());
     EXPECT_EQ(record.remainingPairs(700), total);
-    record.consumePair(700, 1, 2);
+    srv::ChallengeGenerator gen(Rng(2));
+    gen.generate(record, 700, 1);
     EXPECT_EQ(record.remainingPairs(700), total - 1);
 }
 
@@ -77,9 +89,13 @@ TEST(DeviceRecord, RejectsOverlappingLevelRoles)
 {
     Rng rng(3);
     auto map = authenticache::mc::randomErrorMap(kGeom, 700, 10, rng);
-    EXPECT_THROW(
-        srv::DeviceRecord(1, std::move(map), {700}, {700, 690}),
-        std::invalid_argument);
+    EXPECT_THROW(srv::DeviceRecord(1, map, {700}, {700, 690}),
+                 std::invalid_argument);
+    // A level listed twice would give one level pair two streams.
+    EXPECT_THROW(srv::DeviceRecord(1, map, {700, 690, 700}, {}),
+                 std::invalid_argument);
+    EXPECT_THROW(srv::DeviceRecord(1, map, {700}, {690, 690}),
+                 std::invalid_argument);
 }
 
 TEST(Database, EnrollAndLookup)

@@ -1,16 +1,26 @@
 /**
  * @file
  * Tests for enrollment-database persistence: error-map and record
- * round trips, whole-database snapshots (including consumed-pair
+ * round trips, whole-database snapshots (including pair-stream
  * state, so no-reuse survives a server restart), corruption
- * detection, and file I/O.
+ * detection, file I/O, and migration of v1/v2 snapshots and v1
+ * journals recorded before pair streams existed (format_fixtures/).
  */
 
 #include <algorithm>
+#include <array>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "mc/mapgen.hpp"
+#include "server/challenge_gen.hpp"
+#include "server/durability.hpp"
+#include "server/journal.hpp"
 #include "server/storage.hpp"
 #include "temp_dir.hpp"
 #include "util/crc32.hpp"
@@ -20,6 +30,7 @@ namespace core = authenticache::core;
 namespace sim = authenticache::sim;
 namespace proto = authenticache::protocol;
 namespace crypto = authenticache::crypto;
+namespace jnl = authenticache::server::journal;
 using authenticache::test::TempDir;
 using authenticache::util::Rng;
 
@@ -44,13 +55,25 @@ sampleRecord(std::uint64_t id, std::uint64_t seed)
     srv::DeviceRecord record(id, sampleMap(seed), {700}, {690});
     record.setMapKey(crypto::Key256::fromDigest(crypto::Sha256::hash(
         std::string("key") + std::to_string(seed))));
-    record.consumePair(700, 3, 99);
-    record.consumePair(700, 8, 12);
-    record.consumeMixedPair(700, 5, 690, 7);
+    record.setPairSeed(srv::PairSeed{seed, ~seed});
+    srv::ChallengeGenerator gen{Rng(seed)};
+    gen.generate(record, 700, 2);
+    gen.generateReserved(record, 690, 3);
     record.recordAccept();
     record.recordAccept();
     record.recordReject();
     return record;
+}
+
+/** A file under format_fixtures/ (recorded before pair streams). */
+std::vector<std::uint8_t>
+readFixture(const std::string &name)
+{
+    std::ifstream in(std::string(AUTH_FORMAT_FIXTURE_DIR) + "/" + name,
+                     std::ios::binary);
+    EXPECT_TRUE(in.good()) << name;
+    return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
+                                     std::istreambuf_iterator<char>());
 }
 
 } // namespace
@@ -109,14 +132,16 @@ TEST(Storage, DeviceRecordRoundTrip)
     EXPECT_EQ(decoded.accepted(), 2u);
     EXPECT_EQ(decoded.rejected(), 1u);
 
-    // Consumed-pair state survives: the same pairs are still retired.
-    EXPECT_FALSE(decoded.pairAvailable(700, 3, 99));
-    EXPECT_FALSE(decoded.pairAvailable(700, 99, 3));
-    EXPECT_FALSE(decoded.pairAvailable(700, 12, 8));
-    EXPECT_TRUE(decoded.pairAvailable(700, 1, 2));
-    EXPECT_FALSE(decoded.consumeMixedPair(690, 7, 700, 5));
+    // Pair-stream state survives: both streams continue where the
+    // original's do.
+    EXPECT_EQ(decoded.pairSeed(), record.pairSeed());
     EXPECT_EQ(decoded.consumedCount(700), 2u);
-    EXPECT_EQ(decoded.consumedMixedCount(), 1u);
+    EXPECT_EQ(decoded.consumedCount(690), 3u);
+    srv::ChallengeGenerator gen(Rng(1));
+    EXPECT_EQ(gen.generate(decoded, 700, 16).challenge.bits,
+              gen.generate(record, 700, 16).challenge.bits);
+    EXPECT_EQ(gen.generateReserved(decoded, 690, 16).challenge.bits,
+              gen.generateReserved(record, 690, 16).challenge.bits);
 }
 
 TEST(Storage, DatabaseSnapshotRoundTrip)
@@ -195,35 +220,35 @@ TEST(Storage, FileRoundTrip)
 
 TEST(Storage, V1MigrationRoundTrip)
 {
-    srv::EnrollmentDatabase db;
-    db.enroll(sampleRecord(1, 10));
-    db.enroll(sampleRecord(2, 20));
-
-    // A v1 snapshot (no durability metadata) still loads, reporting
-    // zero metadata...
-    auto v1 = srv::saveDatabaseV1(db);
+    // A v1 snapshot (no durability metadata, consumed sets) recorded
+    // before pair streams existed still loads, reporting zero
+    // metadata...
+    auto v1 = readFixture("v1_snapshot.acdb");
     srv::SnapshotMeta meta{99, 99};
     auto migrated = srv::loadDatabase(v1, &meta);
     EXPECT_EQ(meta.generation, 0u);
     EXPECT_EQ(meta.journalWatermark, 0u);
     EXPECT_EQ(migrated.size(), 2u);
 
-    // ...and re-saving produces a v2 snapshot that round-trips with
-    // the metadata intact and identical record state.
-    auto v2 = srv::saveDatabase(migrated, srv::SnapshotMeta{3, 77});
-    ASSERT_NE(v1, v2);
+    // ...and re-saving produces a current snapshot that round-trips
+    // with the metadata intact and identical record state.
+    auto v3 = srv::saveDatabase(migrated, srv::SnapshotMeta{3, 77});
     srv::SnapshotMeta meta2;
-    auto restored = srv::loadDatabase(v2, &meta2);
+    auto restored = srv::loadDatabase(v3, &meta2);
     EXPECT_EQ(meta2.generation, 3u);
     EXPECT_EQ(meta2.journalWatermark, 77u);
-    EXPECT_EQ(srv::saveDatabase(restored), srv::saveDatabase(db));
+    EXPECT_EQ(srv::saveDatabase(restored), srv::saveDatabase(migrated));
+
+    // The v2 snapshot of the same state migrates to the same records.
+    auto v2 = srv::loadDatabase(readFixture("snapshot-1.acdb"));
+    EXPECT_EQ(srv::saveDatabase(v2), srv::saveDatabase(migrated));
 }
 
 TEST(Storage, UnknownVersionRejected)
 {
     proto::ByteWriter w;
     w.putU32(0x42444341); // "ACDB".
-    w.putU16(3);          // One past the current version.
+    w.putU16(4);          // One past the current version.
     w.putU32(0);
     std::uint32_t crc = authenticache::util::crc32(w.bytes());
     w.putU32(crc);
@@ -232,29 +257,35 @@ TEST(Storage, UnknownVersionRejected)
 
 TEST(Storage, CanonicalSnapshotBytes)
 {
-    // Equal logical states must serialize identically even when the
-    // consumed sets were populated in different orders (slot order in
-    // memory follows insertion history; recovery compares states by
-    // snapshot bytes). Enough pairs to grow the set through several
-    // resizes, retired in opposite orders and line orderings; key 0
-    // (the pair {0, 0}) rides along.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
+    // Equal logical states must serialize identically whatever order
+    // their streams were created and their frozen pairs replayed in
+    // (recovery compares states by snapshot bytes). A stream that
+    // has retired nothing is left out.
+    std::vector<std::array<std::uint64_t, 4>> pairs;
     Rng rng(17);
-    for (int i = 0; i < 3000; ++i)
-        pairs.emplace_back(rng.nextBelow(kGeom.lines()),
-                           rng.nextBelow(kGeom.lines()));
-    pairs.emplace_back(0, 0);
-
-    srv::DeviceRecord a(1, sampleMap(5), {700}, {690});
-    srv::DeviceRecord b(1, sampleMap(5), {700}, {690});
-    for (const auto &[x, y] : pairs)
-        a.consumePair(700, x, y);
+    while (pairs.size() < 3000) {
+        auto x = rng.nextBelow(kGeom.lines());
+        auto y = rng.nextBelow(kGeom.lines());
+        if (x != y)
+            pairs.push_back({700, x, 700, y});
+    }
+    jnl::PairsRetired forward{1, {}, pairs}, backward{1, {}, {}};
     for (auto it = pairs.rbegin(); it != pairs.rend(); ++it)
-        b.consumePair(700, it->second, it->first);
+        backward.legacyPairs.push_back({700, (*it)[3], 700, (*it)[1]});
 
     srv::EnrollmentDatabase da, dbb;
-    da.enroll(std::move(a));
-    dbb.enroll(std::move(b));
+    da.enroll(srv::DeviceRecord(1, sampleMap(5), {700}, {690}));
+    dbb.enroll(srv::DeviceRecord(1, sampleMap(5), {700}, {690}));
+    srv::ChallengeGenerator gen(Rng(3));
+    jnl::applyEvent(da, forward);
+    gen.generate(da.at(1), 700, 64);
+    gen.generateReserved(da.at(1), 690, 8);
+    gen.generateReserved(dbb.at(1), 690, 8);
+    jnl::applyEvent(dbb, backward);
+    gen.generate(dbb.at(1), 700, 64);
+    EXPECT_THROW(gen.generate(dbb.at(1), 700,
+                              dbb.at(1).remainingPairs(700) + 1),
+                 std::runtime_error);
     const auto bytes = srv::saveDatabase(da);
     EXPECT_EQ(bytes, srv::saveDatabase(dbb));
 
@@ -262,43 +293,103 @@ TEST(Storage, CanonicalSnapshotBytes)
     auto restored = srv::loadDatabase(bytes);
     EXPECT_EQ(restored.at(1).consumedCount(700),
               da.at(1).consumedCount(700));
-    for (const auto &[x, y] : pairs)
-        EXPECT_FALSE(restored.at(1).pairAvailable(700, y, x));
     EXPECT_EQ(srv::saveDatabase(restored), bytes);
 }
 
+namespace {
+
+/** A record with one live 700 mV stream holding one frozen rank. */
+std::vector<std::uint8_t>
+frozenRecordBytes(std::size_t &stream_off)
+{
+    srv::EnrollmentDatabase db;
+    srv::DeviceRecord record(1, sampleMap(5), {700}, {690});
+    record.setPairSeed(srv::PairSeed{0x5EED5EED5EED5EEDull, 1});
+    db.enroll(std::move(record));
+    jnl::applyEvent(db, jnl::PairsRetired{1, {{700, 700, 9}},
+                                          {{700, 0x5A5, 700, 0x7B7}}});
+    proto::ByteWriter w;
+    srv::encodeDeviceRecord(w, db.at(1));
+    auto bytes = w.take();
+
+    // The stream count follows the seed; the one stream follows it.
+    std::vector<std::uint8_t> seed_le(8, 0xED);
+    for (int i = 1; i < 8; i += 2)
+        seed_le[i] = 0x5E;
+    auto at = std::search(bytes.begin(), bytes.end(), seed_le.begin(),
+                          seed_le.end());
+    EXPECT_NE(at, bytes.end());
+    stream_off = static_cast<std::size_t>(at - bytes.begin()) + 16 + 4;
+    return bytes;
+}
+
+void
+patchU(std::vector<std::uint8_t> &bytes, std::size_t off, int width,
+       std::uint64_t v)
+{
+    for (int i = 0; i < width; ++i)
+        bytes[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+} // namespace
+
 TEST(Storage, OversizedPairCountRejectedBeforeAllocating)
 {
-    srv::DeviceRecord record(1, sampleMap(5), {700}, {690});
-    record.consumePair(700, 0x5A5A5, 0x7B7B7);
-    proto::ByteWriter w;
-    srv::encodeDeviceRecord(w, record);
-    auto bytes = w.bytes();
+    std::size_t off = 0;
+    const auto bytes = frozenRecordBytes(off);
+    ASSERT_EQ(bytes[off - 4], 1u); // One stream...
+    ASSERT_EQ(bytes[off + 16], 1u); // ...holding one frozen rank.
 
-    // The level's pair count is the u64 just before its one key,
-    // little endian.
-    const std::uint64_t key = (std::uint64_t{0x5A5A5} << 32) | 0x7B7B7;
-    std::vector<std::uint8_t> key_le(8);
-    for (int i = 0; i < 8; ++i)
-        key_le[i] = static_cast<std::uint8_t>(key >> (8 * i));
-    auto at = std::search(bytes.begin(), bytes.end(), key_le.begin(),
-                          key_le.end());
-    ASSERT_NE(at, bytes.end());
-    const std::size_t count_off = (at - bytes.begin()) - 8;
-    ASSERT_EQ(bytes[count_off], 1u);
-
-    // 2^40 pairs would need terabytes if the decoder trusted the
-    // count; one past what the remaining bytes hold must fail too.
-    const std::uint64_t remaining_keys = (bytes.size() - count_off - 8) / 8;
+    // 2^40 ranks would need terabytes if the decoder trusted the
+    // count; one past what the remaining bytes hold must fail too,
+    // and so must an oversized stream count.
+    const std::uint64_t remaining = (bytes.size() - off - 24) / 8;
     for (std::uint64_t count :
-         {std::uint64_t{1} << 40, remaining_keys + 1}) {
+         {std::uint64_t{1} << 40, remaining + 1}) {
         auto patched = bytes;
-        for (int i = 0; i < 8; ++i)
-            patched[count_off + i] =
-                static_cast<std::uint8_t>(count >> (8 * i));
+        patchU(patched, off + 16, 8, count);
         proto::ByteReader r(patched);
         EXPECT_THROW(srv::decodeDeviceRecord(r), proto::DecodeError)
             << "count " << count;
+    }
+    auto patched = bytes;
+    patchU(patched, off - 4, 4, 0xFFFFFFFFu);
+    proto::ByteReader r(patched);
+    EXPECT_THROW(srv::decodeDeviceRecord(r), proto::DecodeError);
+}
+
+TEST(Storage, BadPairStreamRejected)
+{
+    std::size_t off = 0;
+    const auto bytes = frozenRecordBytes(off);
+    {
+        proto::ByteReader r(bytes);
+        auto record = srv::decodeDeviceRecord(r);
+        EXPECT_TRUE(r.exhausted());
+        EXPECT_EQ(record.pairSeed().lo, 0x5EED5EED5EED5EEDull);
+    }
+    const std::uint64_t domain = kGeom.lines() * (kGeom.lines() - 1) / 2;
+    struct Patch
+    {
+        std::size_t at;
+        int width;
+        std::uint64_t value;
+        const char *what;
+    };
+    for (const Patch &p : {
+             Patch{off, 4, 123, "unknown stream level"},
+             Patch{off + 4, 4, 690, "mixed with a reserved level"},
+             Patch{off + 8, 8, domain + 1, "counter above N"},
+             Patch{off + 24, 8, domain, "frozen rank outside N"},
+             Patch{off + 8, 8, 0, "empty stream"},
+         }) {
+        auto patched = bytes;
+        patchU(patched, p.at, p.width, p.value);
+        if (std::string(p.what) == "empty stream")
+            patchU(patched, off + 16, 8, 0); // With no frozen rank.
+        proto::ByteReader r(patched);
+        EXPECT_THROW(srv::decodeDeviceRecord(r), proto::DecodeError)
+            << p.what;
     }
 }
 
@@ -338,5 +429,145 @@ TEST(Storage, AtomicSaveSurvivesCrashMidWrite)
         EXPECT_TRUE(loaded == old_bytes ||
                     loaded == srv::saveDatabase(new_db))
             << "torn snapshot at opportunity " << t;
+    }
+}
+
+// ---------------------------------------------------------------
+// Migration of state recorded before pair streams existed:
+// format_fixtures/ holds a v2 snapshot (generation 1, watermark 20)
+// and the v1 journal after it (an enrollment, pair lists, a key
+// rotation), at a 64-line cache, plus retired_pairs.txt: every pair
+// that state retired, one "device levelA levelB lineA lineB" line in
+// physical identity. The generator never reissues any of them.
+// ---------------------------------------------------------------
+
+namespace {
+
+const sim::CacheGeometry kFixtureGeom(4 * 1024);
+
+using Pair = std::array<std::uint64_t, 4>; // level, line, level, line
+
+Pair
+canonical(std::uint64_t level_a, std::uint64_t line_a,
+          std::uint64_t level_b, std::uint64_t line_b)
+{
+    std::pair a{level_a, line_a}, b{level_b, line_b};
+    if (b < a)
+        std::swap(a, b);
+    return {a.first, a.second, b.first, b.second};
+}
+
+srv::RecoveryResult
+recoverFixture()
+{
+    TempDir dir("auth_fixture_recover");
+    for (const char *name : {"snapshot-1.acdb", "journal-1.acjl"}) {
+        auto bytes = readFixture(name);
+        std::ofstream out(dir.path / name, std::ios::binary);
+        out.write(reinterpret_cast<const char *>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
+    srv::DurabilityConfig cfg;
+    cfg.dir = dir.str();
+    return srv::DurabilityManager::recover(cfg);
+}
+
+/** Draw every remaining pair of every stream, in physical identity. */
+std::vector<Pair>
+drainAllStreams(srv::DeviceRecord &record)
+{
+    std::vector<Pair> out;
+    auto physical = [&](const core::ChallengeBit &bit, bool reserved) {
+        auto line = [&](const core::ChallengePoint &p) {
+            std::uint64_t l = kFixtureGeom.lineIndex(p.line);
+            const auto *perm =
+                reserved ? nullptr
+                         : record.logicalRemap().permutation(p.vddMv);
+            return perm != nullptr ? perm->unmap(l) : l;
+        };
+        out.push_back(canonical(bit.a.vddMv, line(bit.a), bit.b.vddMv,
+                                line(bit.b)));
+    };
+    srv::ChallengeGenerator gen(Rng(5));
+    for (auto level : record.reservedLevels())
+        for (const auto &bit :
+             gen.generateReserved(record, level,
+                                  record.remainingPairs(level))
+                 .challenge.bits)
+            physical(bit, true);
+    const auto &levels = record.challengeLevels();
+    for (auto level : levels)
+        for (const auto &bit :
+             gen.generate(record, level, record.remainingPairs(level))
+                 .challenge.bits)
+            physical(bit, false);
+    auto mixed_left = [&] {
+        std::uint64_t left = 0;
+        for (auto a : levels)
+            for (auto b : levels)
+                left += a < b ? record.remainingPairs(a, b) : 0;
+        return left;
+    };
+    // Mixed streams through 1-bit multi-level challenges; a pick of a
+    // spent single-level stream throws and retires nothing.
+    while (mixed_left() > 0) {
+        try {
+            physical(gen.generateMultiLevel(record, 1).challenge.bits[0],
+                     false);
+        } catch (const std::runtime_error &) {
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(Storage, V2SnapshotAndV1JournalRecover)
+{
+    auto rec = recoverFixture();
+    EXPECT_EQ(rec.generation, 1u);
+    EXPECT_EQ(rec.replayedRecords, 7u);
+    EXPECT_FALSE(rec.tornTailTruncated);
+    ASSERT_EQ(rec.db.size(), 3u);
+
+    // Recovery is byte-identical across loads.
+    const auto bytes = srv::saveDatabase(rec.db);
+    EXPECT_EQ(srv::saveDatabase(recoverFixture().db), bytes);
+    EXPECT_EQ(srv::saveDatabase(srv::loadDatabase(bytes)), bytes);
+
+    std::map<std::uint64_t, std::set<Pair>> retired;
+    std::istringstream list([] {
+        auto raw = readFixture("retired_pairs.txt");
+        return std::string(raw.begin(), raw.end());
+    }());
+    std::uint64_t id, la, lb, a, b;
+    while (list >> id >> la >> lb >> a >> b)
+        ASSERT_TRUE(retired[id].insert(canonical(la, a, lb, b)).second);
+    ASSERT_EQ(retired.size(), 3u);
+
+    for (auto &[device, frozen] : retired) {
+        srv::DeviceRecord &record = rec.db.at(device);
+        std::uint64_t issued_before = 0, domain = 0;
+        std::set<std::pair<core::VddMv, core::VddMv>> streams;
+        for (auto l : record.reservedLevels())
+            streams.emplace(l, l);
+        for (auto x : record.challengeLevels())
+            for (auto y : record.challengeLevels())
+                streams.emplace(std::min(x, y), std::max(x, y));
+        for (const auto &[x, y] : streams) {
+            domain += record.streamDomain(x, y);
+            issued_before +=
+                record.streamDomain(x, y) - record.remainingPairs(x, y);
+        }
+        EXPECT_EQ(issued_before, frozen.size()) << "device " << device;
+
+        // The whole domain, minus the frozen pairs, exactly once.
+        std::set<Pair> drawn;
+        for (const Pair &p : drainAllStreams(record)) {
+            EXPECT_EQ(frozen.count(p), 0u) << "device " << device;
+            EXPECT_TRUE(drawn.insert(p).second) << "device " << device;
+        }
+        EXPECT_EQ(drawn.size() + frozen.size(), domain)
+            << "device " << device;
     }
 }

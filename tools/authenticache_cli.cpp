@@ -310,7 +310,7 @@ cmdAuth(const Args &args)
         durability->rotate(server.database());
     }
     server::saveDatabaseFile(server.database(), path);
-    std::cout << "database updated (consumed pairs persisted)\n";
+    std::cout << "database updated (pair-stream counters persisted)\n";
     return 0;
 }
 
