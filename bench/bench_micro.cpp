@@ -3,8 +3,9 @@
  * Google-benchmark microbenchmarks for the performance-critical
  * primitives: SECDED encode/decode, SipHash, SHA-256, the Feistel
  * coordinate permutation, nearest-error search (brute vs spiral),
- * challenge evaluation, cache line self-tests, and protocol
- * serialization.
+ * challenge evaluation, and cache line self-tests. The frame codec
+ * (wire encode/decode of a challenge, CRC-32) is timed by
+ * bench_runner instead.
  */
 
 #include <benchmark/benchmark.h>
@@ -18,7 +19,6 @@
 #include "ecc/bch.hpp"
 #include "ecc/secded.hpp"
 #include "mc/mapgen.hpp"
-#include "protocol/messages.hpp"
 #include "sim/chip.hpp"
 #include "util/rng.hpp"
 
@@ -198,21 +198,6 @@ BM_CacheLineSelfTest(benchmark::State &state)
         benchmark::DoNotOptimize(chip.selfTest().testLine(p, 1));
 }
 BENCHMARK(BM_CacheLineSelfTest);
-
-void
-BM_MessageRoundTrip(benchmark::State &state)
-{
-    util::Rng rng(9);
-    const sim::CacheGeometry geom(4ull * 1024 * 1024);
-    protocol::ChallengeMsg msg;
-    msg.nonce = 1;
-    msg.challenge = core::randomChallenge(geom, 700, 128, rng);
-    for (auto _ : state) {
-        auto frame = protocol::encodeMessage(msg);
-        benchmark::DoNotOptimize(protocol::decodeMessage(frame));
-    }
-}
-BENCHMARK(BM_MessageRoundTrip);
 
 void
 BM_BitVecHamming512(benchmark::State &state)

@@ -10,7 +10,9 @@
  *    challenge evaluation through the server's query-major plane scan
  *    (core::evaluate). Per-op p50/p99 latency plus ops/s, and derived
  *    hardware-independent ratios (SIMD speedup over scalar, the
- *    median over interleaved passes).
+ *    median over interleaved passes). Also the scalar frame codec:
+ *    wire encode and decode of a 128-bit challenge, and CRC-32 over
+ *    4 KiB.
  *
  *  - BENCH_server.json -- end-to-end batch front-end throughput
  *    (frames/s, per-batch p50/p99) at several thread counts, with
@@ -42,8 +44,10 @@
 #include "core/remap.hpp"
 #include "ecc/secded.hpp"
 #include "mc/mapgen.hpp"
+#include "net/wire.hpp"
 #include "server/durability.hpp"
 #include "server/server.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
@@ -236,6 +240,73 @@ median(std::vector<double> v)
     return v.empty() ? 0.0 : v[v.size() / 2];
 }
 
+/**
+ * The frame codec, which is scalar code at every dispatch width: the
+ * wire encode and the client-side decode (WireDecoder + decodeMessage)
+ * of the 128-bit ChallengeMsg the server sends per auth, and CRC-32
+ * over 4 KiB. Each sample times a batch of ops.
+ */
+void
+runFrameCodec(bool quick, const core::CacheGeometry &geom,
+              core::VddMv level_mv, util::Rng &rng,
+              std::vector<Series> &series)
+{
+    const protocol::ChallengeMsg msg{
+        rng.next(), core::randomChallenge(geom, level_mv, 128, rng)};
+    const auto frame = net::encodeWireMessage(1, msg);
+    std::vector<std::uint8_t> block(4096);
+    for (auto &b : block)
+        b = static_cast<std::uint8_t>(rng.next());
+    const std::uint32_t block_crc = util::crc32(block);
+
+    auto decode = [&frame] {
+        net::WireDecoder dec;
+        dec.feed(frame);
+        return protocol::decodeMessage(dec.next()->payload);
+    };
+    const protocol::Message first = decode();
+    const auto *back = std::get_if<protocol::ChallengeMsg>(&first);
+    if (back == nullptr || back->challenge.bits != msg.challenge.bits) {
+        std::cerr << "FAIL: challenge frame did not round-trip\n";
+        std::exit(1);
+    }
+
+    constexpr std::size_t kBatch = 64;
+    const std::size_t samples = quick ? 40 : 400;
+    // Every timed result is checked, which also keeps it live.
+    std::vector<double> enc_ns, dec_ns, crc_ns;
+    std::size_t wrong = 0;
+    for (std::size_t s = 0; s < samples; ++s) {
+        auto t0 = Clock::now();
+        for (std::size_t i = 0; i < kBatch; ++i)
+            wrong += net::encodeWireMessage(1, msg) != frame;
+        enc_ns.push_back(nsSince(t0));
+        t0 = Clock::now();
+        for (std::size_t i = 0; i < kBatch; ++i)
+            wrong += std::get<protocol::ChallengeMsg>(decode()).nonce !=
+                     msg.nonce;
+        dec_ns.push_back(nsSince(t0));
+        t0 = Clock::now();
+        for (std::size_t i = 0; i < kBatch; ++i)
+            wrong += util::crc32(block) != block_crc;
+        crc_ns.push_back(nsSince(t0));
+    }
+    if (wrong != 0) {
+        std::cerr << "FAIL: frame codec diverged " << wrong
+                  << " times\n";
+        std::exit(1);
+    }
+
+    const std::string scalar =
+        util::simdLevelName(util::SimdLevel::Scalar);
+    series.push_back(makeSeries("challenge_wire_encode_128bit", scalar,
+                                kBatch, std::move(enc_ns)));
+    series.push_back(makeSeries("challenge_wire_decode_128bit", scalar,
+                                kBatch, std::move(dec_ns)));
+    series.push_back(
+        makeSeries("crc32_4kib", scalar, kBatch, std::move(crc_ns)));
+}
+
 HotpathResult
 runHotpath(bool quick)
 {
@@ -339,6 +410,7 @@ runHotpath(bool quick)
                 k->name, util::simdLevelName(level), k->opsPerSample,
                 std::move(k->samples[level])));
     }
+    runFrameCodec(quick, geom, level_mv, rng, out.series);
     out.derived["secded_encode_simd_speedup"] = median(encode.passRatios);
     out.derived["secded_decode_simd_speedup"] = median(decode.passRatios);
     out.derived["evaluate_simd_speedup"] = median(evaluate.passRatios);

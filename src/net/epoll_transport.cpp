@@ -33,7 +33,7 @@ struct ConnTag
 EpollTransport::EpollTransport(server::ServerFrontEnd &front,
                                const TransportConfig &config,
                                std::uint16_t port)
-    : core(front, config)
+    : core(front, config), readBuf(config.readChunkBytes)
 {
     listenFd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK |
                                      SOCK_CLOEXEC,
@@ -122,12 +122,11 @@ EpollTransport::acceptPending()
 void
 EpollTransport::readReady(TransportCore::Conn &conn)
 {
-    std::vector<std::uint8_t> chunk(core.config().readChunkBytes);
     while (core.wantsRead(conn)) {
-        ssize_t n = ::read(conn.fd, chunk.data(), chunk.size());
+        ssize_t n = ::read(conn.fd, readBuf.data(), readBuf.size());
         if (n > 0) {
             core.ingest(conn, std::span<const std::uint8_t>(
-                                  chunk.data(),
+                                  readBuf.data(),
                                   static_cast<std::size_t>(n)));
             continue;
         }

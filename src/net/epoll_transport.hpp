@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "net/transport.hpp"
 
@@ -87,6 +88,11 @@ class EpollTransport : public Transport
     bool accepting = true;
     /** Current epoll interest mask per connection fd. */
     std::map<int, std::uint32_t> interest;
+    /**
+     * Scratch for read(2), readChunkBytes long, reused by every
+     * readable event; ingest copies out of it before the next read.
+     */
+    std::vector<std::uint8_t> readBuf;
 };
 
 } // namespace authenticache::net

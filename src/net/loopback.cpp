@@ -16,8 +16,9 @@ void
 LoopbackTransport::Client::sendMessage(std::uint64_t stream,
                                        const protocol::Message &m)
 {
-    std::vector<std::uint8_t> bytes = encodeWireMessage(stream, m);
-    write(bytes);
+    if (writeClosed || aborted)
+        return;
+    appendWireMessage(outbox, stream, m);
 }
 
 void

@@ -68,10 +68,9 @@ TransportCore::StreamSink::send(const protocol::Message &m)
         isRetired = true;
     if (conn.closed)
         return; // The peer is gone; nowhere to deliver.
-    std::vector<std::uint8_t> bytes = encodeWireMessage(stream, m);
-    conn.out.insert(conn.out.end(), bytes.begin(), bytes.end());
+    const std::size_t bytes = appendWireMessage(conn.out, stream, m);
     ++core.tally.framesOut;
-    core.tally.bytesOut += bytes.size();
+    core.tally.bytesOut += bytes;
     if (core.cfg.maxWriteBuffered != 0 &&
         conn.pendingOut() > core.cfg.maxWriteBuffered) {
         ++core.tally.slowReaderDrops;

@@ -2,6 +2,7 @@
 
 #include "protocol/serialize.hpp"
 #include "util/crc32.hpp"
+#include "util/endian.hpp"
 
 namespace authenticache::net {
 
@@ -18,45 +19,46 @@ wireErrorName(WireError e)
     return "?";
 }
 
-std::vector<std::uint8_t>
-encodeWireFrame(std::uint64_t stream,
-                std::span<const std::uint8_t> payload)
+std::size_t
+appendWireMessage(std::vector<std::uint8_t> &out, std::uint64_t stream,
+                  const protocol::Message &m)
 {
-    protocol::ByteWriter w;
+    protocol::ByteWriter w(std::move(out));
+    const std::size_t at = w.size();
+    w.reserve(kWireHeaderBytes + protocol::encodedSizeBound(m) +
+              kWireTrailerBytes);
     w.putU32(kWireMagic);
     w.putU64(stream);
-    w.putU32(static_cast<std::uint32_t>(payload.size()));
-    w.putBytes(payload);
+    w.putU32(0); // Payload length, patched below.
+    protocol::appendMessage(w, m);
+    const std::size_t len = w.size() - at - kWireHeaderBytes;
+    w.patchU32(at + 12, static_cast<std::uint32_t>(len));
     // The CRC covers everything after the magic: streamId, length,
-    // payload. Recompute over the written bytes so encoder and
-    // decoder agree byte-for-byte on the covered range.
-    std::span<const std::uint8_t> covered(w.bytes().data() + 4,
-                                          w.bytes().size() - 4);
-    w.putU32(util::crc32(covered));
-    return w.take();
+    // payload -- the same range the decoder checks.
+    w.putU32(util::crc32(
+        std::span<const std::uint8_t>(w.bytes()).subspan(at + 4)));
+    out = w.take();
+    return out.size() - at;
 }
 
 std::vector<std::uint8_t>
 encodeWireMessage(std::uint64_t stream, const protocol::Message &m)
 {
-    return encodeWireFrame(stream, protocol::encodeMessage(m));
+    std::vector<std::uint8_t> out;
+    appendWireMessage(out, stream, m);
+    return out;
 }
 
 std::uint32_t
 WireDecoder::peekU32(std::size_t off) const
 {
-    const std::uint8_t *p = buf.data() + head + off;
-    return static_cast<std::uint32_t>(p[0]) |
-           static_cast<std::uint32_t>(p[1]) << 8 |
-           static_cast<std::uint32_t>(p[2]) << 16 |
-           static_cast<std::uint32_t>(p[3]) << 24;
+    return util::loadLe32(buf.data() + head + off);
 }
 
 std::uint64_t
 WireDecoder::peekU64(std::size_t off) const
 {
-    return static_cast<std::uint64_t>(peekU32(off)) |
-           static_cast<std::uint64_t>(peekU32(off + 4)) << 32;
+    return util::loadLe64(buf.data() + head + off);
 }
 
 void

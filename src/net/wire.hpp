@@ -79,12 +79,18 @@ enum class WireError : std::uint8_t
 
 const char *wireErrorName(WireError e);
 
-/** Frame @p payload for @p stream (payload copied, CRC appended). */
-std::vector<std::uint8_t>
-encodeWireFrame(std::uint64_t stream,
-                std::span<const std::uint8_t> payload);
+/**
+ * Append the wire frame of @p m on @p stream to @p out, in one pass:
+ * the inner message is written in place as the payload (no temporary
+ * vectors), both length fields are patched afterwards, and each CRC
+ * runs once over the bytes just written. Returns the bytes appended.
+ * The payload is byte-for-byte protocol::encodeMessage(m).
+ */
+std::size_t appendWireMessage(std::vector<std::uint8_t> &out,
+                              std::uint64_t stream,
+                              const protocol::Message &m);
 
-/** Convenience: encode @p m with protocol::encodeMessage and frame it. */
+/** appendWireMessage into a fresh vector. */
 std::vector<std::uint8_t> encodeWireMessage(std::uint64_t stream,
                                             const protocol::Message &m);
 

@@ -3,40 +3,56 @@
 #include <algorithm>
 
 #include "util/crc32.hpp"
+#include "util/endian.hpp"
 
 namespace authenticache::protocol {
+
+namespace {
+
+/** Wire bytes per challenge bit: two points of three u32 each. */
+constexpr std::size_t kChallengeBitBytes = 24;
+
+/** Bound on the fixed fields of any type plus the frame overhead. */
+constexpr std::size_t kFixedBytesBound = 64;
+
+} // namespace
 
 void
 encodeChallenge(ByteWriter &w, const core::Challenge &c)
 {
-    w.putU32(static_cast<std::uint32_t>(c.size()));
+    std::uint8_t *p = w.grow(4 + kChallengeBitBytes * c.size());
+    util::storeLe32(p, static_cast<std::uint32_t>(c.size()));
+    p += 4;
     for (const auto &bit : c.bits) {
-        w.putU32(bit.a.line.set);
-        w.putU32(bit.a.line.way);
-        w.putU32(bit.a.vddMv);
-        w.putU32(bit.b.line.set);
-        w.putU32(bit.b.line.way);
-        w.putU32(bit.b.vddMv);
+        util::storeLe32(p, bit.a.line.set);
+        util::storeLe32(p + 4, bit.a.line.way);
+        util::storeLe32(p + 8, bit.a.vddMv);
+        util::storeLe32(p + 12, bit.b.line.set);
+        util::storeLe32(p + 16, bit.b.line.way);
+        util::storeLe32(p + 20, bit.b.vddMv);
+        p += kChallengeBitBytes;
     }
 }
 
 core::Challenge
 decodeChallenge(ByteReader &r)
 {
-    core::Challenge c;
-    std::uint32_t n = r.getU32();
+    const std::uint32_t n = r.getU32();
     if (n > 1u << 20)
         throw DecodeError("challenge unreasonably large");
-    c.bits.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        core::ChallengeBit bit;
-        bit.a.line.set = r.getU32();
-        bit.a.line.way = r.getU32();
-        bit.a.vddMv = r.getU32();
-        bit.b.line.set = r.getU32();
-        bit.b.line.way = r.getU32();
-        bit.b.vddMv = r.getU32();
-        c.bits.push_back(bit);
+    // Bounds-check the whole block before sizing bits: a hostile count
+    // costs a throw, not an allocation.
+    const std::uint8_t *p = r.take(kChallengeBitBytes * n);
+    core::Challenge c;
+    c.bits.resize(n);
+    for (auto &bit : c.bits) {
+        bit.a.line.set = util::loadLe32(p);
+        bit.a.line.way = util::loadLe32(p + 4);
+        bit.a.vddMv = util::loadLe32(p + 8);
+        bit.b.line.set = util::loadLe32(p + 12);
+        bit.b.line.way = util::loadLe32(p + 16);
+        bit.b.vddMv = util::loadLe32(p + 20);
+        p += kChallengeBitBytes;
     }
     return c;
 }
@@ -44,22 +60,26 @@ decodeChallenge(ByteReader &r)
 void
 encodeBitVec(ByteWriter &w, const util::BitVec &v)
 {
-    w.putU64(v.size());
-    for (auto word : v.words())
-        w.putU64(word);
+    const auto &words = v.words();
+    std::uint8_t *p = w.grow(8 + 8 * words.size());
+    util::storeLe64(p, v.size());
+    for (std::size_t i = 0; i < words.size(); ++i)
+        util::storeLe64(p + 8 + 8 * i, words[i]);
 }
 
 util::BitVec
 decodeBitVec(ByteReader &r)
 {
-    std::uint64_t nbits = r.getU64();
+    const std::uint64_t nbits = r.getU64();
     if (nbits > 1u << 24)
         throw DecodeError("bit vector unreasonably large");
-    std::size_t nwords = (nbits + 63) / 64;
-    std::vector<std::uint64_t> words;
-    words.reserve(nwords);
-    for (std::size_t i = 0; i < nwords; ++i)
-        words.push_back(r.getU64());
+    const std::size_t nwords = (nbits + 63) / 64;
+    const std::uint8_t *p = r.take(8 * nwords);
+    std::vector<std::uint64_t> words(nwords);
+    for (auto &word : words) {
+        word = util::loadLe64(p);
+        p += 8;
+    }
     return util::BitVec::fromWords(std::move(words), nbits);
 }
 
@@ -204,9 +224,8 @@ decodePayload(MessageType type, ByteReader &r)
         RemapAck m;
         m.nonce = r.getU64();
         m.success = r.getU8() != 0;
-        auto bytes = r.getBytes(m.confirmation.size());
-        std::copy(bytes.begin(), bytes.end(),
-                  m.confirmation.begin());
+        const std::uint8_t *p = r.take(m.confirmation.size());
+        std::copy_n(p, m.confirmation.size(), m.confirmation.begin());
         return m;
       }
       case MessageType::ErrorMsg: {
@@ -254,27 +273,54 @@ decodePayload(MessageType type, ByteReader &r)
 
 } // namespace
 
+std::size_t
+encodedSizeBound(const Message &m)
+{
+    return std::visit(
+        [](const auto &v) {
+            std::size_t n = kFixedBytesBound;
+            if constexpr (requires { v.challenge; })
+                n += 4 + kChallengeBitBytes * v.challenge.size();
+            if constexpr (requires { v.response; })
+                n += 8 + 8 * v.response.words().size();
+            if constexpr (requires { v.helper; })
+                n += 8 + 8 * v.helper.words().size();
+            if constexpr (requires { v.reason; })
+                n += 4 + v.reason.size();
+            return n;
+        },
+        m);
+}
+
+void
+appendMessage(ByteWriter &w, const Message &m)
+{
+    const std::size_t at = w.size();
+    w.putU32(0); // Payload length, patched below.
+    w.putU8(static_cast<std::uint8_t>(messageType(m)));
+    encodePayload(w, m);
+    const std::size_t len = w.size() - at - 4;
+    w.patchU32(at, static_cast<std::uint32_t>(len));
+    w.putU32(util::crc32(
+        std::span<const std::uint8_t>(w.bytes()).subspan(at + 4, len)));
+}
+
 std::vector<std::uint8_t>
 encodeMessage(const Message &m)
 {
-    ByteWriter payload;
-    payload.putU8(static_cast<std::uint8_t>(messageType(m)));
-    encodePayload(payload, m);
-
-    ByteWriter frame;
-    frame.putU32(static_cast<std::uint32_t>(payload.size()));
-    frame.putBytes(payload.bytes());
-    frame.putU32(util::crc32(payload.bytes()));
-    return frame.take();
+    ByteWriter w;
+    w.reserve(encodedSizeBound(m));
+    appendMessage(w, m);
+    return w.take();
 }
 
 Message
 decodeMessage(std::span<const std::uint8_t> frame)
 {
     ByteReader r(frame);
-    std::uint32_t len = r.getU32();
-    auto payload = r.getBytes(len);
-    std::uint32_t crc = r.getU32();
+    const std::uint32_t len = r.getU32();
+    const std::span<const std::uint8_t> payload(r.take(len), len);
+    const std::uint32_t crc = r.getU32();
     r.expectEnd();
     if (util::crc32(payload) != crc)
         throw DecodeError("CRC mismatch");

@@ -189,18 +189,38 @@ MessageType messageType(const Message &m);
 std::optional<MessageType>
 peekMessageType(std::span<const std::uint8_t> frame);
 
+/**
+ * Frame layout: [u32 payloadLen][u8 type][fields][u32 crc32], where
+ * payloadLen and the CRC both cover type + fields.
+ *
+ * An upper bound on the framed size of @p m, so an encoder can
+ * reserve once: fixed fields plus 24 bytes per challenge bit, the
+ * words of each bit vector and the bytes of each string.
+ */
+std::size_t encodedSizeBound(const Message &m);
+
+/**
+ * Append the framed @p m to @p w in one pass: the length goes out as
+ * a placeholder and is patched once the fields are written, then the
+ * CRC is computed over the bytes just written.
+ */
+void appendMessage(ByteWriter &w, const Message &m);
+
 /** Encode a message into a framed byte vector (with CRC). */
 std::vector<std::uint8_t> encodeMessage(const Message &m);
 
 /**
  * Decode a framed byte vector; throws DecodeError on truncation, bad
  * type tags, CRC mismatch, or trailing bytes.
- *
- * Challenge geometry is validated against @p geom when provided.
  */
 Message decodeMessage(std::span<const std::uint8_t> frame);
 
-/** Serialization helpers shared with storage code. */
+/**
+ * Serialization helpers shared with storage code. A challenge is a
+ * u32 bit count followed by 24 bytes per bit (a.set, a.way, a.vddMv,
+ * b.set, b.way, b.vddMv, each u32); decodeChallenge checks that the
+ * whole block is present before it sizes anything.
+ */
 void encodeChallenge(ByteWriter &w, const core::Challenge &c);
 core::Challenge decodeChallenge(ByteReader &r);
 void encodeBitVec(ByteWriter &w, const util::BitVec &v);

@@ -3,39 +3,6 @@
 namespace authenticache::protocol {
 
 void
-ByteWriter::putU8(std::uint8_t v)
-{
-    buffer.push_back(v);
-}
-
-void
-ByteWriter::putU16(std::uint16_t v)
-{
-    for (int i = 0; i < 2; ++i)
-        buffer.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-ByteWriter::putU32(std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        buffer.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-ByteWriter::putU64(std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buffer.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-ByteWriter::putBytes(std::span<const std::uint8_t> bytes)
-{
-    buffer.insert(buffer.end(), bytes.begin(), bytes.end());
-}
-
-void
 ByteWriter::putString(const std::string &s)
 {
     putU32(static_cast<std::uint32_t>(s.size()));
@@ -43,70 +10,25 @@ ByteWriter::putString(const std::string &s)
         reinterpret_cast<const std::uint8_t *>(s.data()), s.size()));
 }
 
-ByteReader::ByteReader(std::span<const std::uint8_t> data_) : data(data_)
-{
-}
-
 void
-ByteReader::need(std::size_t count) const
+ByteReader::throwTruncated()
 {
-    if (remaining() < count)
-        throw DecodeError("truncated message");
-}
-
-std::uint8_t
-ByteReader::getU8()
-{
-    need(1);
-    return data[offset++];
-}
-
-std::uint16_t
-ByteReader::getU16()
-{
-    need(2);
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i)
-        v |= static_cast<std::uint16_t>(data[offset++]) << (8 * i);
-    return v;
-}
-
-std::uint32_t
-ByteReader::getU32()
-{
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(data[offset++]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-ByteReader::getU64()
-{
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(data[offset++]) << (8 * i);
-    return v;
+    throw DecodeError("truncated message");
 }
 
 std::vector<std::uint8_t>
 ByteReader::getBytes(std::size_t count)
 {
-    need(count);
-    std::vector<std::uint8_t> out(data.begin() + offset,
-                                  data.begin() + offset + count);
-    offset += count;
-    return out;
+    const std::uint8_t *p = take(count);
+    return std::vector<std::uint8_t>(p, p + count);
 }
 
 std::string
 ByteReader::getString()
 {
-    std::uint32_t len = getU32();
-    auto bytes = getBytes(len);
-    return std::string(bytes.begin(), bytes.end());
+    const std::uint32_t len = getU32();
+    const std::uint8_t *p = take(len);
+    return std::string(p, p + len);
 }
 
 void

@@ -2,16 +2,26 @@
  * @file
  * Bounds-checked little-endian binary serialization for protocol
  * frames.
+ *
+ * The fixed-width puts and gets are inline, since a 128-bit challenge
+ * alone is 768 u32 fields. Bulk encoders reserve once and write
+ * through grow(); bulk decoders bounds-check a whole block with take()
+ * and parse it in place.
  */
 
 #ifndef AUTH_PROTOCOL_SERIALIZE_HPP
 #define AUTH_PROTOCOL_SERIALIZE_HPP
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "util/endian.hpp"
 
 namespace authenticache::protocol {
 
@@ -29,12 +39,58 @@ class DecodeError : public std::runtime_error
 class ByteWriter
 {
   public:
-    void putU8(std::uint8_t v);
-    void putU16(std::uint16_t v);
-    void putU32(std::uint32_t v);
-    void putU64(std::uint64_t v);
-    void putBytes(std::span<const std::uint8_t> bytes);
+    ByteWriter() = default;
+
+    /** Append after the bytes already in @p initial; take() returns it. */
+    explicit ByteWriter(std::vector<std::uint8_t> initial)
+        : buffer(std::move(initial))
+    {
+    }
+
+    /**
+     * Make room for @p extra more bytes. Capacity still grows
+     * geometrically, so reserving before every append into a
+     * long-lived buffer stays amortized O(1).
+     */
+    void
+    reserve(std::size_t extra)
+    {
+        const std::size_t want = buffer.size() + extra;
+        if (want > buffer.capacity())
+            buffer.reserve(std::max(want, 2 * buffer.capacity()));
+    }
+
+    /**
+     * Append @p count zero bytes and return a pointer to the first, for
+     * a bulk encoder to fill. Valid until the next write.
+     */
+    std::uint8_t *
+    grow(std::size_t count)
+    {
+        const std::size_t at = buffer.size();
+        buffer.resize(at + count);
+        return buffer.data() + at;
+    }
+
+    void putU8(std::uint8_t v) { buffer.push_back(v); }
+    void putU16(std::uint16_t v) { util::storeLe16(grow(2), v); }
+    void putU32(std::uint32_t v) { util::storeLe32(grow(4), v); }
+    void putU64(std::uint64_t v) { util::storeLe64(grow(8), v); }
+
+    void
+    putBytes(std::span<const std::uint8_t> bytes)
+    {
+        buffer.insert(buffer.end(), bytes.begin(), bytes.end());
+    }
+
     void putString(const std::string &s); // u32 length prefix.
+
+    /** Overwrite the u32 at @p offset (a length written as 0 first). */
+    void
+    patchU32(std::size_t offset, std::uint32_t v)
+    {
+        util::storeLe32(buffer.data() + offset, v);
+    }
 
     const std::vector<std::uint8_t> &bytes() const { return buffer; }
     std::vector<std::uint8_t> take() { return std::move(buffer); }
@@ -48,12 +104,29 @@ class ByteWriter
 class ByteReader
 {
   public:
-    explicit ByteReader(std::span<const std::uint8_t> data);
+    explicit ByteReader(std::span<const std::uint8_t> data_)
+        : data(data_)
+    {
+    }
 
-    std::uint8_t getU8();
-    std::uint16_t getU16();
-    std::uint32_t getU32();
-    std::uint64_t getU64();
+    /**
+     * Consume @p count bytes and return a pointer to the first. Throws
+     * DecodeError, consuming nothing, unless @p count bytes remain.
+     */
+    const std::uint8_t *
+    take(std::size_t count)
+    {
+        if (remaining() < count)
+            throwTruncated();
+        const std::uint8_t *p = data.data() + offset;
+        offset += count;
+        return p;
+    }
+
+    std::uint8_t getU8() { return *take(1); }
+    std::uint16_t getU16() { return util::loadLe16(take(2)); }
+    std::uint32_t getU32() { return util::loadLe32(take(4)); }
+    std::uint64_t getU64() { return util::loadLe64(take(8)); }
     std::vector<std::uint8_t> getBytes(std::size_t count);
     std::string getString();
 
@@ -70,7 +143,7 @@ class ByteReader
     void expectEnd() const;
 
   private:
-    void need(std::size_t count) const;
+    [[noreturn]] static void throwTruncated();
 
     std::span<const std::uint8_t> data;
     std::size_t offset = 0;

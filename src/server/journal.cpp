@@ -10,6 +10,7 @@
 
 #include "server/storage.hpp"
 #include "util/crc32.hpp"
+#include "util/endian.hpp"
 
 namespace authenticache::server {
 
@@ -367,14 +368,17 @@ Journal::append(std::uint64_t seq, const Event &event)
     if (fd < 0)
         throw std::logic_error("journal: append on closed file");
 
-    protocol::ByteWriter payload;
-    payload.putU64(seq);
-    encodeEvent(payload, event);
-
+    // [u32 len][u32 crc][payload]: both header fields are written as
+    // placeholders and patched once the payload is in place.
     protocol::ByteWriter frame;
-    frame.putU32(static_cast<std::uint32_t>(payload.bytes().size()));
-    frame.putU32(util::crc32(payload.bytes()));
-    frame.putBytes(payload.bytes());
+    frame.putU32(0);
+    frame.putU32(0);
+    frame.putU64(seq);
+    encodeEvent(frame, event);
+    const auto payload =
+        std::span<const std::uint8_t>(frame.bytes()).subspan(8);
+    frame.patchU32(0, static_cast<std::uint32_t>(payload.size()));
+    frame.patchU32(4, util::crc32(payload));
     auto bytes = frame.take();
 
     // Mark dirty before the write: a crash *during* the write still
@@ -456,15 +460,8 @@ Journal::replay(
             out.tornTail = true;
             break;
         }
-        auto readU32 = [&blob](std::size_t at) {
-            std::uint32_t v = 0;
-            for (int i = 0; i < 4; ++i)
-                v |= static_cast<std::uint32_t>(blob[at + i])
-                     << (8 * i);
-            return v;
-        };
-        std::uint32_t len = readU32(off);
-        std::uint32_t crc = readU32(off + 4);
+        std::uint32_t len = util::loadLe32(blob.data() + off);
+        std::uint32_t crc = util::loadLe32(blob.data() + off + 4);
         if (len > kMaxRecordBytes || blob.size() - off - 8 < len) {
             out.tornTail = true;
             break;

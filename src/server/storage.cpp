@@ -5,6 +5,7 @@
 
 #include "crypto/sha256.hpp"
 #include "util/crc32.hpp"
+#include "util/endian.hpp"
 
 namespace authenticache::server {
 
@@ -321,12 +322,8 @@ loadDatabase(std::span<const std::uint8_t> blob, SnapshotMeta *meta)
         *meta = {};
     if (blob.size() < 4)
         throw protocol::DecodeError("snapshot truncated");
-    std::uint32_t stored_crc = 0;
-    for (int i = 0; i < 4; ++i) {
-        stored_crc |= static_cast<std::uint32_t>(
-                          blob[blob.size() - 4 + i])
-                      << (8 * i);
-    }
+    const std::uint32_t stored_crc =
+        util::loadLe32(blob.data() + blob.size() - 4);
     auto body = blob.first(blob.size() - 4);
     if (util::crc32(body) != stored_crc)
         throw protocol::DecodeError("snapshot CRC mismatch");

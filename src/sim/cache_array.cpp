@@ -184,11 +184,11 @@ EccCacheArray::readLine(const LinePoint &p)
 
 SramCacheArray::SramCacheArray(const VminField &field,
                                const EnvironmentModel &env,
-                               EccErrorLog &log,
+                               EccErrorLog &log_,
                                std::uint64_t access_seed,
                                std::shared_ptr<ecc::EccScheme> scheme)
     : SramModelHolder(field, env),
-      EccCacheArray(SramModelHolder::model, log,
+      EccCacheArray(SramModelHolder::model, log_,
                     scheme ? std::move(scheme)
                            : ecc::makeEccScheme("secded_72_64"),
                     access_seed)

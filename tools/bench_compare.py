@@ -20,6 +20,11 @@ Two modes:
       enforced. Ratios divide out the host's absolute speed, so this
       is the mode CI uses on anonymous runners.
 
+Each derived ratio has a direction (_DIRECTION below; higher is
+better unless listed). A higher-is-better ratio must stay
+>= baseline x (1 - threshold); a lower-is-better one must stay
+<= baseline x (1 + threshold), so making it smaller never fails.
+
 In both modes the "floors" object in the *baseline* file is enforced
 against the *current* derived ratios (e.g. the SIMD challenge
 evaluation must stay >= 2x over scalar) -- unless the current run detected
@@ -39,6 +44,14 @@ import sys
 # host" rather than a regression (a scalar-only CI runner can't hold
 # a SIMD speedup floor).
 _SAME_WIDTH = 1.001
+
+# Derived ratios where smaller is the improvement. Every other ratio
+# is higher-is-better.
+_DIRECTION = {
+    # Plain / durable batch frames/s: 1.0 means journaling is free, so
+    # a faster journal lowers it.
+    "durable_overhead_ratio": "lower",
+}
 
 
 def load(path):
@@ -113,6 +126,14 @@ def compare_pair(baseline_path, current_path, threshold,
         cval = cder.get(name)
         if cval is None:
             failures.append(f"derived {name}: missing from current")
+            continue
+        if _DIRECTION.get(name, "higher") == "lower":
+            bound = bval * (1.0 + threshold)
+            if cval > bound:
+                failures.append(
+                    f"derived {name}: {cval:.3f} > {bound:.3f} "
+                    f"(baseline {bval:.3f}, lower is better, "
+                    f"threshold {threshold:.0%})")
             continue
         if bval <= _SAME_WIDTH:
             continue  # Baseline itself saw no headroom; nothing to hold.
