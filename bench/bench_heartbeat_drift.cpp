@@ -9,9 +9,8 @@
  * lockout) at an equal challenge-bit budget.
  *
  * Emits BENCH_heartbeat.json -- gated by tools/bench_compare.py (see
- * EXPERIMENTS.md "Heartbeat drift sweep"). Gates are booleans encoded
- * as 2.0 (pass) / 0.0 (fail) with floors at 1.9, so they are
- * hardware-independent:
+ * EXPERIMENTS.md "Heartbeat drift sweep"). Gates are JSON bools under
+ * "gates", so they are hardware-independent:
  *
  *  - heartbeat_determinism -- the sweep's per-device wire transcripts
  *    and trust trajectories are byte-identical across a rerun, across
@@ -45,6 +44,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "bench_json.hpp"
 #include "protocol/channel.hpp"
 #include "server/server.hpp"
 #include "sim/drift.hpp"
@@ -352,96 +352,6 @@ runFixedDevice(std::size_t idx, const SweepParams &p,
     return out;
 }
 
-/** Minimal JSON writer (fixed field order, no external deps). */
-class Json
-{
-  public:
-    explicit Json(std::ostream &os_) : os(os_) { os.precision(12); }
-
-    void
-    open()
-    {
-        os << "{";
-        firsts.push_back(true);
-    }
-    void
-    close()
-    {
-        firsts.pop_back();
-        os << "\n}\n";
-    }
-    void
-    field(const std::string &key, const std::string &value)
-    {
-        pre();
-        os << '"' << key << "\": \"" << value << '"';
-    }
-    void
-    field(const std::string &key, double value)
-    {
-        pre();
-        os << '"' << key << "\": " << value;
-    }
-    void
-    field(const std::string &key, std::uint64_t value)
-    {
-        pre();
-        os << '"' << key << "\": " << value;
-    }
-    void
-    field(const std::string &key, bool value)
-    {
-        pre();
-        os << '"' << key << "\": " << (value ? "true" : "false");
-    }
-    void
-    openArray(const std::string &key)
-    {
-        pre();
-        os << '"' << key << "\": [";
-        firsts.push_back(true);
-    }
-    void
-    closeArray()
-    {
-        firsts.pop_back();
-        os << "\n" << indent() << "  ]";
-    }
-    void
-    openObject(const std::string &key = "")
-    {
-        pre();
-        if (!key.empty())
-            os << '"' << key << "\": ";
-        os << "{";
-        firsts.push_back(true);
-    }
-    void
-    closeObject()
-    {
-        firsts.pop_back();
-        os << "\n" << indent() << "  }";
-    }
-
-  private:
-    void
-    pre()
-    {
-        if (!firsts.back())
-            os << ",";
-        firsts.back() = false;
-        os << "\n" << indent() << "  ";
-    }
-    std::string
-    indent() const
-    {
-        return std::string(2 * (firsts.size() - 1), ' ');
-    }
-
-    std::ostream &os;
-    std::vector<bool> firsts;
-};
-
 } // namespace
 
 int
@@ -569,16 +479,19 @@ main(int argc, char **argv)
               << ", marginal rounds: " << hb_marginal << " ("
               << fixed_s << " s baseline arm)\n";
 
-    auto asGate = [](bool ok) { return ok ? 2.0 : 0.0; };
+    const authbench::Gates gates{
+        {"heartbeat_determinism", deterministic},
+        {"heartbeat_policy_gate", policy_wins},
+    };
     const std::string path = out_dir + "/BENCH_heartbeat.json";
     std::ofstream os(path);
     if (!os) {
         std::cerr << "FAIL: cannot write " << path << "\n";
         return 2;
     }
-    Json j(os);
+    authbench::Json j(os);
     j.open();
-    j.field("schema", std::string("heartbeat-drift-v1"));
+    j.field("schema", "heartbeat-drift-v2");
     j.field("quick", smoke);
     j.field("detected_simd",
             std::string(
@@ -595,15 +508,15 @@ main(int argc, char **argv)
     j.closeObject();
     j.openArray("benchmarks");
     j.openObject();
-    j.field("name", std::string("heartbeat_drift_sweep"));
-    j.field("simd", std::string("scalar"));
+    j.field("name", "heartbeat_drift_sweep");
+    j.field("simd", "scalar");
     j.field("ops", hb_rounds);
     j.field("ops_per_s",
             base_s > 0 ? double(hb_rounds) / base_s : 0.0);
     j.closeObject();
     j.openObject();
-    j.field("name", std::string("fixed_lockout_baseline"));
-    j.field("simd", std::string("scalar"));
+    j.field("name", "fixed_lockout_baseline");
+    j.field("simd", "scalar");
     j.field("ops", fx_attempts);
     j.field("ops_per_s",
             fixed_s > 0 ? double(fx_attempts) / fixed_s : 0.0);
@@ -626,21 +539,10 @@ main(int argc, char **argv)
     j.field("fixed_lockout_rate", lock_fixed);
     j.field("fixed_challenge_bits", fx_bits);
     j.closeObject();
-    j.openObject("derived");
-    j.field("heartbeat_determinism", asGate(deterministic));
-    j.field("heartbeat_policy_gate", asGate(policy_wins));
-    j.closeObject();
-    j.openObject("floors");
-    j.field("heartbeat_determinism", 1.9);
-    j.field("heartbeat_policy_gate", 1.9);
-    j.closeObject();
+    authbench::writeGates(j, gates);
     j.close();
     std::cout << "wrote " << path << "\n";
-    std::cout << "  heartbeat_determinism: " << asGate(deterministic)
-              << "\n"
-              << "  heartbeat_policy_gate: " << asGate(policy_wins)
-              << "\n";
-    if (!deterministic || !policy_wins) {
+    if (!authbench::reportGates(gates)) {
         std::cerr << "FAIL: heartbeat drift gate violated\n";
         return 1;
     }

@@ -10,9 +10,10 @@
  *    challenge evaluation through the server's query-major plane scan
  *    (core::evaluate). Per-op p50/p99 latency plus ops/s, and derived
  *    hardware-independent ratios (SIMD speedup over scalar, the
- *    median over interleaved passes). Also the scalar frame codec:
- *    wire encode and decode of a 128-bit challenge, and CRC-32 over
- *    4 KiB.
+ *    median over interleaved passes). Also scalar primitives: the
+ *    frame codec (wire encode and decode of a 128-bit challenge,
+ *    CRC-32 over 4 KiB), SipHash-2-4 of a u64, SHA-256 of 1 KiB and
+ *    the Feistel coordinate permutation.
  *
  *  - BENCH_server.json -- end-to-end batch front-end throughput
  *    (frames/s, per-batch p50/p99) at several thread counts, with
@@ -28,7 +29,6 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -40,8 +40,12 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "bench_json.hpp"
 #include "core/challenge.hpp"
 #include "core/remap.hpp"
+#include "crypto/feistel.hpp"
+#include "crypto/sha256.hpp"
+#include "crypto/siphash.hpp"
 #include "ecc/secded.hpp"
 #include "mc/mapgen.hpp"
 #include "net/wire.hpp"
@@ -55,14 +59,10 @@ using namespace authenticache;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double
-nsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double, std::nano>(Clock::now() - t0)
-        .count();
-}
+using authbench::Clock;
+using authbench::Json;
+using authbench::nsSince;
+using authbench::percentile;
 
 /** One benchmark row: throughput plus latency percentiles. */
 struct Series
@@ -74,17 +74,6 @@ struct Series
     double p99Ns = 0.0;
     std::uint64_t ops = 0;
 };
-
-double
-percentile(std::vector<double> &samples, double p)
-{
-    if (samples.empty())
-        return 0.0;
-    std::sort(samples.begin(), samples.end());
-    std::size_t i = static_cast<std::size_t>(
-        p * static_cast<double>(samples.size() - 1));
-    return samples[i];
-}
 
 Series
 makeSeries(const std::string &name, const std::string &simd,
@@ -108,106 +97,6 @@ makeSeries(const std::string &name, const std::string &simd,
               static_cast<double>(ops_per_sample);
     return s;
 }
-
-/** Minimal JSON writer (fixed field order, no external deps). */
-class Json
-{
-  public:
-    explicit Json(std::ostream &os_) : os(os_)
-    {
-        os.precision(12);
-    }
-
-    void
-    open()
-    {
-        os << "{";
-        firsts.push_back(true);
-    }
-    void
-    close()
-    {
-        firsts.pop_back();
-        os << "\n}\n";
-    }
-
-    void
-    field(const std::string &key, const std::string &value)
-    {
-        pre();
-        os << '"' << key << "\": \"" << value << '"';
-    }
-    void
-    field(const std::string &key, const char *value)
-    {
-        field(key, std::string(value));
-    }
-    void
-    field(const std::string &key, double value)
-    {
-        pre();
-        os << '"' << key << "\": " << value;
-    }
-    void
-    field(const std::string &key, std::uint64_t value)
-    {
-        pre();
-        os << '"' << key << "\": " << value;
-    }
-    void
-    field(const std::string &key, bool value)
-    {
-        pre();
-        os << '"' << key << "\": " << (value ? "true" : "false");
-    }
-
-    void
-    openArray(const std::string &key)
-    {
-        pre();
-        os << '"' << key << "\": [";
-        firsts.push_back(true);
-    }
-    void
-    closeArray()
-    {
-        firsts.pop_back();
-        os << "\n" << indent() << "  ]";
-    }
-    void
-    openObject(const std::string &key = "")
-    {
-        pre();
-        if (!key.empty())
-            os << '"' << key << "\": ";
-        os << "{";
-        firsts.push_back(true);
-    }
-    void
-    closeObject()
-    {
-        firsts.pop_back();
-        os << "\n" << indent() << "  }";
-    }
-
-  private:
-    void
-    pre()
-    {
-        if (!firsts.back())
-            os << ",";
-        firsts.back() = false;
-        os << "\n" << indent() << "  ";
-    }
-    std::string
-    indent() const
-    {
-        return std::string(2 * (firsts.size() - 1), ' ');
-    }
-
-    std::ostream &os;
-    std::vector<bool> firsts; ///< "next element is first" per depth.
-};
 
 void
 writeSeries(Json &j, const Series &s)
@@ -305,6 +194,72 @@ runFrameCodec(bool quick, const core::CacheGeometry &geom,
                                 kBatch, std::move(dec_ns)));
     series.push_back(
         makeSeries("crc32_4kib", scalar, kBatch, std::move(crc_ns)));
+}
+
+/**
+ * The hash and permutation primitives, scalar at every width:
+ * SipHash-2-4 of a u64 (the Feistel round function), SHA-256 of
+ * 1 KiB, and FeistelPermutation::map over a 2^19-entry domain. Each
+ * sample times a batch over the same inputs; every batch must fold
+ * to the untimed reference, which also keeps the results live.
+ */
+void
+runCrypto(bool quick, std::vector<Series> &series)
+{
+    const crypto::SipHashKey key{3, 4};
+    const crypto::FeistelPermutation perm(key, 65536ull * 8);
+    const std::vector<std::uint8_t> block(1024, 0xAB);
+
+    constexpr std::size_t kBatch = 64;
+    auto sip = [&key] {
+        std::uint64_t acc = 0;
+        for (std::uint64_t w = 0; w < kBatch; ++w)
+            acc ^= crypto::siphash24(key, w);
+        return acc;
+    };
+    auto sha = [&block] {
+        std::uint64_t acc = 0;
+        for (std::size_t i = 0; i < kBatch / 8; ++i)
+            acc += crypto::Sha256::hash(block)[i];
+        return acc;
+    };
+    auto feistel = [&perm] {
+        std::uint64_t acc = 0;
+        for (std::uint64_t x = 0; x < kBatch; ++x)
+            acc ^= perm.map(x);
+        return acc;
+    };
+    const std::uint64_t sip_ref = sip(), sha_ref = sha(),
+                        feistel_ref = feistel();
+
+    const std::size_t samples = quick ? 40 : 400;
+    std::vector<double> sip_ns, sha_ns, feistel_ns;
+    std::size_t wrong = 0;
+    for (std::size_t s = 0; s < samples; ++s) {
+        auto t0 = Clock::now();
+        wrong += sip() != sip_ref;
+        sip_ns.push_back(nsSince(t0));
+        t0 = Clock::now();
+        wrong += sha() != sha_ref;
+        sha_ns.push_back(nsSince(t0));
+        t0 = Clock::now();
+        wrong += feistel() != feistel_ref;
+        feistel_ns.push_back(nsSince(t0));
+    }
+    if (wrong != 0) {
+        std::cerr << "FAIL: crypto primitives diverged " << wrong
+                  << " times\n";
+        std::exit(1);
+    }
+
+    const std::string scalar =
+        util::simdLevelName(util::SimdLevel::Scalar);
+    series.push_back(makeSeries("siphash24_u64", scalar, kBatch,
+                                std::move(sip_ns)));
+    series.push_back(makeSeries("sha256_1kib", scalar, kBatch / 8,
+                                std::move(sha_ns)));
+    series.push_back(makeSeries("feistel_map", scalar, kBatch,
+                                std::move(feistel_ns)));
 }
 
 HotpathResult
@@ -411,6 +366,7 @@ runHotpath(bool quick)
                 std::move(k->samples[level])));
     }
     runFrameCodec(quick, geom, level_mv, rng, out.series);
+    runCrypto(quick, out.series);
     out.derived["secded_encode_simd_speedup"] = median(encode.passRatios);
     out.derived["secded_decode_simd_speedup"] = median(decode.passRatios);
     out.derived["evaluate_simd_speedup"] = median(evaluate.passRatios);
@@ -606,27 +562,13 @@ runServerSuite(bool quick)
 // ---------------------------------------------------------------
 
 void
-writeCommonHeader(Json &j, const std::string &schema, bool quick)
-{
-    j.field("schema", schema);
-    j.field("quick", quick);
-    j.field("detected_simd",
-            std::string(
-                util::simdLevelName(util::detectedSimdLevel())));
-    j.field("dispatch_simd",
-            std::string(util::simdLevelName(util::simdLevel())));
-    j.field("hardware_threads",
-            std::uint64_t(util::ThreadPool::defaultThreadCount()));
-}
-
-void
 writeHotpath(const std::string &path, const HotpathResult &r,
              bool quick)
 {
     std::ofstream f(path);
     Json j(f);
     j.open();
-    writeCommonHeader(j, "authenticache-bench-hotpath-v1", quick);
+    authbench::writeHeader(j, "authenticache-bench-hotpath-v1", quick);
     j.openArray("benchmarks");
     for (const auto &s : r.series)
         writeSeries(j, s);
@@ -650,7 +592,7 @@ writeServer(const std::string &path, const ServerResult &r,
     std::ofstream f(path);
     Json j(f);
     j.open();
-    writeCommonHeader(j, "authenticache-bench-server-v1", quick);
+    authbench::writeHeader(j, "authenticache-bench-server-v1", quick);
     j.openArray("thread_counts");
     for (std::uint64_t t : r.threadCounts) {
         j.openObject();

@@ -8,8 +8,8 @@
  *
  * Emits BENCH_transport.json -- the degradation curve the regression
  * gate enforces (tools/bench_compare.py, EXPERIMENTS.md "Transport
- * degradation curve"). The gated properties are booleans encoded as
- * 2.0 (pass) / 0.0 (fail) so the gate is hardware-independent:
+ * degradation curve"). The gated properties are JSON bools under
+ * "gates", so the gate is hardware-independent:
  *
  *  - transport_lowload_accept   -- >= 95% of attempts accepted when
  *                                  offered load is B/4.
@@ -42,7 +42,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -52,139 +51,22 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "bench_json.hpp"
 #include "core/remap.hpp"
 #include "mc/mapgen.hpp"
 #include "net/epoll_transport.hpp"
 #include "net/socket_client.hpp"
 #include "server/server.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 using namespace authenticache;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double
-nsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double, std::nano>(Clock::now() - t0)
-        .count();
-}
-
-double
-percentile(std::vector<double> &samples, double p)
-{
-    if (samples.empty())
-        return 0.0;
-    std::sort(samples.begin(), samples.end());
-    std::size_t i = static_cast<std::size_t>(
-        p * static_cast<double>(samples.size() - 1));
-    return samples[i];
-}
-
-/** Minimal JSON writer (fixed field order, no external deps). */
-class Json
-{
-  public:
-    explicit Json(std::ostream &os_) : os(os_)
-    {
-        os.precision(12);
-    }
-
-    void
-    open()
-    {
-        os << "{";
-        firsts.push_back(true);
-    }
-    void
-    close()
-    {
-        firsts.pop_back();
-        os << "\n}\n";
-    }
-
-    void
-    field(const std::string &key, const std::string &value)
-    {
-        pre();
-        os << '"' << key << "\": \"" << value << '"';
-    }
-    // Without this overload a string literal converts to bool, not
-    // std::string, and is written as `true`.
-    void
-    field(const std::string &key, const char *value)
-    {
-        field(key, std::string(value));
-    }
-    void
-    field(const std::string &key, double value)
-    {
-        pre();
-        os << '"' << key << "\": " << value;
-    }
-    void
-    field(const std::string &key, std::uint64_t value)
-    {
-        pre();
-        os << '"' << key << "\": " << value;
-    }
-    void
-    field(const std::string &key, bool value)
-    {
-        pre();
-        os << '"' << key << "\": " << (value ? "true" : "false");
-    }
-
-    void
-    openArray(const std::string &key)
-    {
-        pre();
-        os << '"' << key << "\": [";
-        firsts.push_back(true);
-    }
-    void
-    closeArray()
-    {
-        firsts.pop_back();
-        os << "\n" << indent() << "  ]";
-    }
-    void
-    openObject(const std::string &key = "")
-    {
-        pre();
-        if (!key.empty())
-            os << '"' << key << "\": ";
-        os << "{";
-        firsts.push_back(true);
-    }
-    void
-    closeObject()
-    {
-        firsts.pop_back();
-        os << "\n" << indent() << "  }";
-    }
-
-  private:
-    void
-    pre()
-    {
-        if (!firsts.back())
-            os << ",";
-        firsts.back() = false;
-        os << "\n" << indent() << "  ";
-    }
-    std::string
-    indent() const
-    {
-        return std::string(2 * (firsts.size() - 1), ' ');
-    }
-
-    std::ostream &os;
-    std::vector<bool> firsts; ///< "next element is first" per depth.
-};
+using authbench::Clock;
+using authbench::Json;
+using authbench::nsSince;
+using authbench::percentile;
 
 // ---------------------------------------------------------------
 // Load generator.
@@ -449,26 +331,17 @@ runSweep(server::AuthenticationServer &server,
 // ---------------------------------------------------------------
 
 /** Window labels, in sweep order: fractions of the budget B. */
-const char *const kWindowLabels[4] = {"w0.25x", "w1x", "w2x", "w4x"};
+const std::string kWindowLabels[4] = {"w0.25x", "w1x", "w2x", "w4x"};
 
 void
 writeTransport(const std::string &path, const LoadParams &p,
                const std::vector<SweepOutcome> &sweeps,
-               const std::map<std::string, double> &derived,
-               bool quick)
+               const authbench::Gates &gates, bool quick)
 {
     std::ofstream f(path);
     Json j(f);
     j.open();
-    j.field("schema", "authenticache-bench-transport-v1");
-    j.field("quick", quick);
-    j.field("detected_simd",
-            std::string(
-                util::simdLevelName(util::detectedSimdLevel())));
-    j.field("dispatch_simd",
-            std::string(util::simdLevelName(util::simdLevel())));
-    j.field("hardware_threads",
-            std::uint64_t(util::ThreadPool::defaultThreadCount()));
+    authbench::writeHeader(j, "authenticache-bench-transport-v2", quick);
     j.openObject("load");
     j.field("devices", std::uint64_t(p.devices));
     j.field("connections", std::uint64_t(p.conns));
@@ -515,28 +388,13 @@ writeTransport(const std::string &path, const LoadParams &p,
         j.closeObject();
     }
     j.closeArray();
-    j.openObject("derived");
-    for (const auto &[k, v] : derived)
-        j.field(k, v);
-    j.closeObject();
-    j.openObject("floors");
-    // Boolean gates (2.0 pass / 0.0 fail): enforced >= 1.9 on every
-    // run, independent of hardware.
-    j.field("transport_lowload_accept", 1.9);
-    j.field("transport_shed_monotone", 1.9);
-    j.field("transport_goodput_retention", 1.9);
-    j.field("transport_p99_bounded", 1.9);
-    j.closeObject();
+    authbench::writeGates(j, gates);
     j.close();
 }
 
-std::map<std::string, double>
+authbench::Gates
 deriveGates(const std::vector<SweepOutcome> &sweeps)
 {
-    // Encode each gate as 2.0/0.0 so the floor (1.9) and the 10%
-    // derived-ratio check in bench_compare both act as pass/fail.
-    auto asGate = [](bool ok) { return ok ? 2.0 : 0.0; };
-
     const bool lowload = sweeps[0].acceptFrac() >= 0.95;
     bool monotone = true;
     for (std::size_t i = 1; i < sweeps.size(); ++i)
@@ -549,10 +407,10 @@ deriveGates(const std::vector<SweepOutcome> &sweeps)
         sweeps[3].p99Ns <= 500.0 * sweeps[0].p99Ns;
 
     return {
-        {"transport_lowload_accept", asGate(lowload)},
-        {"transport_shed_monotone", asGate(monotone)},
-        {"transport_goodput_retention", asGate(retention)},
-        {"transport_p99_bounded", asGate(p99Bounded)},
+        {"transport_lowload_accept", lowload},
+        {"transport_shed_monotone", monotone},
+        {"transport_goodput_retention", retention},
+        {"transport_p99_bounded", p99Bounded},
     };
 }
 
@@ -644,17 +502,11 @@ main(int argc, char **argv)
                   << s.p99Ns / 1e6 << " ms)\n";
     }
 
-    const auto derived = deriveGates(sweeps);
+    const auto gates = deriveGates(sweeps);
     const std::string path = out_dir + "/BENCH_transport.json";
-    writeTransport(path, p, sweeps, derived, smoke);
+    writeTransport(path, p, sweeps, gates, smoke);
     std::cout << "wrote " << path << "\n";
-    bool ok = true;
-    for (const auto &[k, v] : derived) {
-        std::cout << "  " << k << ": " << v << "\n";
-        if (v < 1.9)
-            ok = false;
-    }
-    if (!ok) {
+    if (!authbench::reportGates(gates)) {
         std::cerr << "FAIL: degradation-curve gate violated\n";
         return 1;
     }

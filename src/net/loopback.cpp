@@ -63,8 +63,9 @@ LoopbackTransport::connect()
         return nullptr;
     auto client = std::make_unique<Client>();
     client->conn = &core.open();
+    client->connId = client->conn->id;
     Client &ref = *client;
-    clients.emplace(ref.conn->id, std::move(client));
+    clients.emplace(ref.connId, std::move(client));
     return &ref;
 }
 
@@ -102,6 +103,8 @@ std::size_t
 LoopbackTransport::pump(util::ThreadPool &pool)
 {
     for (auto &[id, client] : clients) {
+        if (client->conn == nullptr)
+            continue; // Reaped by drain().
         if (client->aborted && !client->conn->closed)
             core.close(*client->conn); // RST: drop everything now.
         else
@@ -114,6 +117,8 @@ LoopbackTransport::pump(util::ThreadPool &pool)
     // whose EOF may have become deliverable once the batch drained
     // their queue and replies flushed.
     for (auto &[id, client] : clients) {
+        if (client->conn == nullptr)
+            continue;
         TransportCore::Conn &conn = *client->conn;
         if (conn.pendingOut() > 0 && !client->aborted) {
             client->inbox.insert(client->inbox.end(),
@@ -145,9 +150,11 @@ LoopbackTransport::drain(util::ThreadPool &pool)
 {
     accepting = false;
     pumpUntilIdle(pool);
-    for (auto &[id, client] : clients)
-        if (!client->conn->closed)
+    for (auto &[id, client] : clients) {
+        if (client->conn != nullptr && !client->conn->closed)
             core.close(*client->conn);
+        client->conn = nullptr; // reap() frees every closed Conn.
+    }
     core.reap();
 }
 
@@ -157,9 +164,9 @@ LoopbackTransport::idle() const
     if (!core.idle())
         return false;
     for (const auto &[id, client] : clients) {
-        const TransportCore::Conn &conn = *client->conn;
-        if (conn.closed)
+        if (client->conn == nullptr || client->conn->closed)
             continue;
+        const TransportCore::Conn &conn = *client->conn;
         if (client->unsentBytes() > 0 && core.wantsRead(conn))
             return false;
         if (conn.pendingOut() > 0)

@@ -44,7 +44,7 @@ class LoopbackTransport : public Transport
     class Client
     {
       public:
-        std::uint64_t id() const { return conn->id; }
+        std::uint64_t id() const { return connId; }
 
         /** Queue raw bytes toward the server (a TCP send). */
         void write(std::span<const std::uint8_t> data);
@@ -76,11 +76,16 @@ class LoopbackTransport : public Transport
         }
 
         /** Server closed its side of this connection. */
-        bool serverClosed() const { return conn->closed; }
+        bool serverClosed() const
+        {
+            return conn == nullptr || conn->closed;
+        }
 
       private:
         friend class LoopbackTransport;
 
+        std::uint64_t connId = 0;
+        /** The server side; null once drain() has reaped it. */
         TransportCore::Conn *conn = nullptr;
         std::vector<std::uint8_t> outbox; ///< client -> server bytes
         std::size_t outHead = 0;
@@ -108,6 +113,11 @@ class LoopbackTransport : public Transport
     /** Pump until no admitted or deliverable work remains. */
     void pumpUntilIdle(util::ThreadPool &pool);
 
+    /**
+     * Service admitted work, close and reap every connection. Client
+     * handles stay valid: they read as server-closed, and a later
+     * pump() or idle() skips them.
+     */
     void drain(util::ThreadPool &pool) override;
 
     const TransportCounters &counters() const override

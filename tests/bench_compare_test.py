@@ -1,14 +1,21 @@
 #!/usr/bin/env python3
-"""Direction-aware ratio gate of tools/bench_compare.py --ratios-only.
+"""The perf-trajectory gate, tools/bench_compare.py.
 
 Runs the script on the two fixtures in bench_compare_fixtures/ and on
-variants of the current file with one derived ratio moved:
+variants of the current file with one value moved:
 
   - durable_overhead_ratio is lower-is-better: any drop passes, a
     rise within 10% passes, a rise beyond 10% fails;
   - evaluate_simd_speedup is higher-is-better, as every ratio is by
     default: a drop within 10% passes, beyond 10% fails, and its
-    2.0 floor still binds.
+    2.0 floor still binds;
+  - scaling_max_threads_vs_1 is gated even though its baseline is
+    below 1 (only *_simd_speedup ratios may read "width unavailable");
+  - a gate that is false, or missing from the current run, fails in
+    both modes (exit 1);
+  - a malformed file exits 2: a gate written as a number, a derived
+    value written as a bool, a missing header key, a series without
+    ops_per_s.
 
 Usage: bench_compare_test.py <path to bench_compare.py>
 """
@@ -31,7 +38,7 @@ def load(name):
         return json.load(f)
 
 
-class RatioDirections(unittest.TestCase):
+class FixtureCase(unittest.TestCase):
     def setUp(self):
         self.tmp = tempfile.TemporaryDirectory()
         self.baseline = os.path.join(FIXTURES, "baseline.json")
@@ -41,18 +48,24 @@ class RatioDirections(unittest.TestCase):
     def tearDown(self):
         self.tmp.cleanup()
 
-    def gate(self, **derived):
-        """Exit code and stderr for current.json with @derived set."""
-        doc = copy.deepcopy(self.current)
-        doc["derived"].update(derived)
+    def run_on(self, doc, *flags):
+        """Exit code and stderr of the script on @doc as current."""
         path = os.path.join(self.tmp.name, "current.json")
         with open(path, "w") as f:
             json.dump(doc, f)
         run = subprocess.run(
-            [sys.executable, SCRIPT, "--ratios-only", self.baseline,
-             path], capture_output=True, text=True)
+            [sys.executable, SCRIPT, *flags, self.baseline, path],
+            capture_output=True, text=True)
         return run.returncode, run.stderr
 
+    def gate(self, **derived):
+        """Exit code and stderr for current.json with @derived set."""
+        doc = copy.deepcopy(self.current)
+        doc["derived"].update(derived)
+        return self.run_on(doc, "--ratios-only")
+
+
+class RatioDirections(FixtureCase):
     def test_fixture_pair_passes(self):
         run = subprocess.run(
             [sys.executable, SCRIPT, "--ratios-only", self.baseline,
@@ -96,14 +109,61 @@ class RatioDirections(unittest.TestCase):
     def test_missing_ratio_fails(self):
         doc = copy.deepcopy(self.current)
         del doc["derived"]["durable_overhead_ratio"]
-        path = os.path.join(self.tmp.name, "current.json")
-        with open(path, "w") as f:
-            json.dump(doc, f)
-        run = subprocess.run(
-            [sys.executable, SCRIPT, "--ratios-only", self.baseline,
-             path], capture_output=True, text=True)
-        self.assertEqual(run.returncode, 1)
-        self.assertIn("missing from current", run.stderr)
+        code, err = self.run_on(doc, "--ratios-only")
+        self.assertEqual(code, 1)
+        self.assertIn("missing from current", err)
+
+    def test_sub_unity_scaling_ratio_is_gated(self):
+        self.assertEqual(
+            self.base_derived["scaling_max_threads_vs_1"], 0.958)
+        code, err = self.gate(scaling_max_threads_vs_1=0.68)
+        self.assertEqual(code, 1)
+        self.assertIn("derived scaling_max_threads_vs_1", err)
+
+
+class Gates(FixtureCase):
+    def test_false_gate_fails_in_both_modes(self):
+        doc = copy.deepcopy(self.current)
+        doc["gates"]["fixture_gate"] = False
+        for flags in (("--ratios-only",), ()):
+            code, err = self.run_on(doc, *flags)
+            self.assertEqual(code, 1, flags)
+            self.assertIn("gate fixture_gate: false", err)
+
+    def test_gate_missing_from_current_fails(self):
+        doc = copy.deepcopy(self.current)
+        del doc["gates"]["fixture_gate"]
+        for flags in (("--ratios-only",), ()):
+            code, err = self.run_on(doc, *flags)
+            self.assertEqual(code, 1, flags)
+            self.assertIn("gate fixture_gate: missing", err)
+
+
+class Schema(FixtureCase):
+    def assertMalformed(self, doc, what):
+        code, err = self.run_on(doc, "--ratios-only")
+        self.assertEqual(code, 2, err)
+        self.assertIn(what, err)
+
+    def test_gate_written_as_number_is_malformed(self):
+        doc = copy.deepcopy(self.current)
+        doc["gates"]["fixture_gate"] = 2.0
+        self.assertMalformed(doc, "gates fixture_gate")
+
+    def test_derived_written_as_bool_is_malformed(self):
+        doc = copy.deepcopy(self.current)
+        doc["derived"]["evaluate_simd_speedup"] = True
+        self.assertMalformed(doc, "derived evaluate_simd_speedup")
+
+    def test_missing_header_key_is_malformed(self):
+        doc = copy.deepcopy(self.current)
+        del doc["detected_simd"]
+        self.assertMalformed(doc, "header detected_simd")
+
+    def test_series_without_ops_per_s_is_malformed(self):
+        doc = copy.deepcopy(self.current)
+        del doc["benchmarks"][0]["ops_per_s"]
+        self.assertMalformed(doc, "benchmarks[0]")
 
 
 if __name__ == "__main__":

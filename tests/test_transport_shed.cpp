@@ -355,7 +355,15 @@ TEST(TransportShed, DrainClosesEverythingCleanly)
     EXPECT_EQ(b->readMessages().size(), 1u);
     EXPECT_TRUE(a->serverClosed());
     EXPECT_TRUE(b->serverClosed());
+    EXPECT_EQ(a->id() + 1, b->id());
     EXPECT_EQ(rig.transport.connect(), nullptr);
+    // drain() reaped the server side; the client handles outlive it,
+    // and a later pump only skips them.
+    a->sendMessage(kFirstId,
+                   proto::Message{proto::AuthRequest{kFirstId}});
+    EXPECT_EQ(rig.transport.pump(pool), 0u);
+    EXPECT_TRUE(rig.transport.idle());
+    EXPECT_TRUE(a->readMessages().empty());
     const auto &tally = rig.transport.counters();
     EXPECT_EQ(tally.connectionsClosed, tally.connectionsOpened);
     EXPECT_EQ(tally.droppedOnClose, 0u);

@@ -28,8 +28,21 @@ better unless listed). A higher-is-better ratio must stay
 In both modes the "floors" object in the *baseline* file is enforced
 against the *current* derived ratios (e.g. the SIMD challenge
 evaluation must stay >= 2x over scalar) -- unless the current run detected
-a CPU without the wide instruction set (floors assume the baseline's
-detected_simd is available).
+a CPU without the wide instruction set (SIMD speedup floors assume the
+baseline's detected_simd is available).
+
+Also in both modes, every pass/fail property in the "gates" object
+(JSON bools) must be true in the current run, and no gate of the
+baseline may be missing from it.
+
+Both files are validated first; a malformed file exits 2, before any
+comparison:
+  - the header keys schema (string), quick (bool) and detected_simd
+    (string) are present;
+  - each "benchmarks" series has a string name and simd and a numeric
+    ops_per_s;
+  - every "derived" and "floors" value is a number (not a bool);
+  - every "gates" value is a bool.
 
 Usage:
   tools/bench_compare.py BASELINE CURRENT [BASELINE2 CURRENT2 ...]
@@ -40,10 +53,14 @@ import argparse
 import json
 import sys
 
-# Derived ratios below this are treated as "width unavailable on this
-# host" rather than a regression (a scalar-only CI runner can't hold
-# a SIMD speedup floor).
+# SIMD speedups (ratios and floors named *_simd_speedup) at or below
+# this are treated as "width unavailable on this host" rather than a
+# regression (a scalar-only CI runner can't hold a SIMD speedup
+# floor). Every other ratio is always gated.
 _SAME_WIDTH = 1.001
+_SIMD_SUFFIX = "_simd_speedup"
+
+_HEADER = {"schema": str, "quick": bool, "detected_simd": str}
 
 # Derived ratios where smaller is the improvement. Every other ratio
 # is higher-is-better.
@@ -64,15 +81,50 @@ def load(path):
         sys.exit(2)
 
 
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def schema_errors(doc):
+    """Every way @doc breaks the BENCH_*.json schema (empty if none)."""
+    if not isinstance(doc, dict):
+        return ["top level is not an object"]
+    errors = []
+    for key, kind in _HEADER.items():
+        if not isinstance(doc.get(key), kind):
+            errors.append(f"header {key}: missing or not a "
+                          f"{kind.__name__}")
+    series = doc.get("benchmarks", [])
+    if not isinstance(series, list):
+        errors.append("benchmarks: not an array")
+        series = []
+    for i, s in enumerate(series):
+        if not (isinstance(s, dict) and isinstance(s.get("name"), str)
+                and isinstance(s.get("simd"), str)
+                and is_number(s.get("ops_per_s"))):
+            errors.append(f"benchmarks[{i}]: needs string name and "
+                          "simd and numeric ops_per_s")
+    for section, ok, what in (("derived", is_number, "number"),
+                              ("floors", is_number, "number"),
+                              ("gates", lambda v: isinstance(v, bool),
+                               "bool")):
+        values = doc.get(section, {})
+        if not isinstance(values, dict):
+            errors.append(f"{section}: not an object")
+            continue
+        for name, v in sorted(values.items()):
+            if not ok(v):
+                errors.append(f"{section} {name}: {v!r} is not a "
+                              f"{what}")
+    return errors
+
+
 def series_map(doc):
     return {(s["name"], s["simd"]): s
             for s in doc.get("benchmarks", [])}
 
 
-def compare_pair(baseline_path, current_path, threshold,
-                 ratios_only):
-    base = load(baseline_path)
-    cur = load(current_path)
+def compare_pair(base, cur, threshold, ratios_only):
     failures = []
     notes = []
 
@@ -135,9 +187,10 @@ def compare_pair(baseline_path, current_path, threshold,
                     f"(baseline {bval:.3f}, lower is better, "
                     f"threshold {threshold:.0%})")
             continue
-        if bval <= _SAME_WIDTH:
-            continue  # Baseline itself saw no headroom; nothing to hold.
-        if not same_width and cval <= _SAME_WIDTH:
+        width_bound = name.endswith(_SIMD_SUFFIX)
+        if width_bound and bval <= _SAME_WIDTH:
+            continue  # Baseline itself saw no SIMD headroom.
+        if width_bound and not same_width and cval <= _SAME_WIDTH:
             notes.append(
                 f"note: derived {name} skipped (current host lacks "
                 f"{base.get('detected_simd')})")
@@ -153,7 +206,8 @@ def compare_pair(baseline_path, current_path, threshold,
         if cval is None:
             failures.append(f"floor {name}: missing from current")
             continue
-        if not same_width and cval <= _SAME_WIDTH:
+        if (name.endswith(_SIMD_SUFFIX) and not same_width
+                and cval <= _SAME_WIDTH):
             notes.append(
                 f"note: floor {name} skipped (current host lacks "
                 f"{base.get('detected_simd')})")
@@ -161,6 +215,14 @@ def compare_pair(baseline_path, current_path, threshold,
         if cval < floor:
             failures.append(
                 f"floor {name}: {cval:.3f} < required {floor:.3f}")
+
+    bgates = base.get("gates", {})
+    cgates = cur.get("gates", {})
+    for name in sorted(set(bgates) - set(cgates)):
+        failures.append(f"gate {name}: missing from current")
+    for name, ok in sorted(cgates.items()):
+        if not ok:
+            failures.append(f"gate {name}: false")
 
     return failures, notes
 
@@ -181,11 +243,25 @@ def main():
     if len(args.files) % 2 != 0:
         ap.error("files must come in BASELINE CURRENT pairs")
 
+    docs = {}
+    malformed = False
+    for path in args.files:
+        if path in docs:
+            continue
+        docs[path] = load(path)
+        for e in schema_errors(docs[path]):
+            print(f"bench_compare: {path}: schema: {e}",
+                  file=sys.stderr)
+            malformed = True
+    if malformed:
+        return 2
+
     any_failures = False
     for i in range(0, len(args.files), 2):
         baseline, current = args.files[i], args.files[i + 1]
         failures, notes = compare_pair(
-            baseline, current, args.threshold, args.ratios_only)
+            docs[baseline], docs[current], args.threshold,
+            args.ratios_only)
         tag = f"[{baseline} vs {current}]"
         for n in notes:
             print(f"{tag} {n}")
