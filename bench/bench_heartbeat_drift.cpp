@@ -45,7 +45,7 @@
 
 #include "bench_common.hpp"
 #include "bench_json.hpp"
-#include "protocol/channel.hpp"
+#include "net/device_agent.hpp"
 #include "server/server.hpp"
 #include "sim/drift.hpp"
 #include "substrate/config.hpp"
@@ -56,6 +56,7 @@
 #include "util/thread_pool.hpp"
 
 namespace fw = authenticache::firmware;
+namespace net = authenticache::net;
 namespace sim = authenticache::sim;
 namespace proto = authenticache::protocol;
 namespace srv = authenticache::server;
@@ -180,41 +181,36 @@ runHeartbeatDevice(std::size_t idx, unsigned pool_width,
 
     util::SimClock clock;
     server.bindClock(&clock);
-    proto::InMemoryChannel channel;
+    util::ThreadPool pool(pool_width);
+    net::LoopbackTransport transport(server.frontEnd(),
+                                     net::TransportConfig{});
     proto::Transcript tap;
-    channel.attachTranscript(&tap);
-    proto::ServerEndpoint sep(channel);
-    srv::DeviceAgent agent(id, client, proto::ClientEndpoint(channel));
+    transport.attachTranscript(&tap);
+    auto *link = transport.connect();
+    net::DeviceAgent agent(id, client, *link);
     agent.bindClock(&clock);
     sim::DriftSchedule schedule(kDriftSeed, id, p.drift);
     sub::DriftInjector drift(*chip, schedule);
-    util::ThreadPool pool(pool_width);
 
-    // Server frames go through handleBatch so the batch pipeline (and
-    // its any-pool-width determinism contract) is on the gated path.
+    // Every frame the agent queued is serviced in one batch, so the
+    // batch pipeline (and its any-pool-width determinism contract) is
+    // on the gated path.
     auto pumpBoth = [&] {
         bool progress = true;
         while (progress) {
-            progress = false;
-            std::vector<srv::Frame> frames;
-            while (auto f = channel.receiveAtServer())
-                frames.push_back(srv::Frame{std::move(*f), &sep});
-            if (!frames.empty()) {
-                server.handleBatch(frames, pool);
-                progress = true;
-            }
+            progress = transport.pump(pool) > 0;
             while (agent.pumpOnce())
                 progress = true;
         }
     };
 
-    server.startHeartbeat(id, sep);
+    server.startHeartbeat(id, link->sink(id));
     HeartbeatOutcome out;
     for (std::size_t s = 0; s < p.steps; ++s) {
         pumpBoth();
         clock.advance(1);
         drift.apply(clock.now());
-        server.tickHeartbeats(sep);
+        server.tickHeartbeats(link->sink(id));
         server.tick();
         agent.tick();
         out.trust.push_back(server.database().at(id).trustScore());
@@ -315,11 +311,12 @@ runFixedDevice(std::size_t idx, const SweepParams &p,
 
     util::SimClock clock;
     server.bindClock(&clock);
-    proto::InMemoryChannel channel;
+    util::ThreadPool pool(1);
+    net::LoopbackTransport transport(server.frontEnd(),
+                                     net::TransportConfig{});
     proto::Transcript tap;
-    channel.attachTranscript(&tap);
-    proto::ServerEndpoint sep(channel);
-    srv::DeviceAgent agent(id, client, proto::ClientEndpoint(channel));
+    transport.attachTranscript(&tap);
+    net::DeviceAgent agent(id, client, *transport.connect());
     agent.bindClock(&clock);
     sim::DriftSchedule schedule(kDriftSeed, id, p.drift);
     sub::DriftInjector drift(*chip, schedule);
@@ -331,7 +328,7 @@ runFixedDevice(std::size_t idx, const SweepParams &p,
         if (s % period == 0 && !out.locked &&
             issuedChallengeBits(tap) < bit_budget) {
             agent.requestAuthentication();
-            srv::runExchange(server, sep, agent);
+            net::runExchange(transport, agent, pool);
             ++out.attempts;
             const auto &decision = agent.lastDecision();
             if (!decision || !decision->accepted) {

@@ -19,6 +19,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "net/device_agent.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 #include "util/stats.hpp"
@@ -65,10 +66,11 @@ main()
     };
     enroll_now(true);
 
-    protocol::InMemoryChannel channel;
-    protocol::ServerEndpoint server_end(channel);
-    srv::DeviceAgent agent(1, client,
-                           protocol::ClientEndpoint(channel));
+    util::ThreadPool pool(1);
+    net::LoopbackTransport transport(server.frontEnd(),
+                                     net::TransportConfig{});
+    auto *link = transport.connect();
+    net::DeviceAgent agent(1, client, *link);
 
     const int auths_per_quarter = authbench::scaled(10, 3);
     util::Table table({"year", "quarter", "tempC", "floor_mV",
@@ -103,14 +105,14 @@ main()
             // Quarterly key rotation.
             std::string events =
                 quarter == 0 ? year_events : std::string();
-            server.startRemap(1, server_end);
-            srv::runExchange(server, server_end, agent);
+            server.startRemap(1, link->sink(1));
+            net::runExchange(transport, agent, pool);
 
             int accepted = 0;
             util::RunningStats hd;
             for (int a = 0; a < auths_per_quarter; ++a) {
                 agent.requestAuthentication();
-                srv::runExchange(server, server_end, agent);
+                net::runExchange(transport, agent, pool);
                 if (!agent.lastDecision())
                     continue;
                 accepted += agent.lastDecision()->accepted;

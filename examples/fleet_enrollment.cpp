@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "metrics/quality.hpp"
+#include "net/device_agent.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 #include "util/stats.hpp"
@@ -70,13 +71,13 @@ main()
     // Authenticate every device through the protocol.
     std::cout << "\n";
     util::Table table({"device", "decision", "hamming_distance"});
-    protocol::InMemoryChannel channel;
-    protocol::ServerEndpoint server_end(channel);
+    util::ThreadPool pool(1);
+    net::LoopbackTransport transport(server.frontEnd(),
+                                     net::TransportConfig{});
     for (auto &dev : fleet) {
-        server::DeviceAgent agent(dev.id, *dev.client,
-                                  protocol::ClientEndpoint(channel));
+        net::DeviceAgent agent(dev.id, *dev.client, *transport.connect());
         agent.requestAuthentication();
-        server::runExchange(server, server_end, agent);
+        net::runExchange(transport, agent, pool);
         const auto &d = agent.lastDecision();
         table.row()
             .cell(dev.id)
@@ -112,13 +113,13 @@ main()
     // Stolen identity: device B claims to be device A.
     auto &victim = fleet[0];
     auto &thief = fleet[1];
-    server::DeviceAgent imposter(victim.id, *thief.client,
-                                 protocol::ClientEndpoint(channel));
+    net::DeviceAgent imposter(victim.id, *thief.client,
+                              *transport.connect());
     // The thief even knows the victim's logical-map key.
     thief.client->setMapKey(
         server.database().at(victim.id).mapKey());
     imposter.requestAuthentication();
-    server::runExchange(server, server_end, imposter);
+    net::runExchange(transport, imposter, pool);
     if (imposter.lastDecision()) {
         std::cout << "\nimposter presenting device " << victim.id
                   << ": "

@@ -1,7 +1,7 @@
 /**
  * @file
  * Eavesdropper study: a passive attacker wiretaps the client/server
- * channel, extracts challenge-response pairs from the transcript,
+ * wire, extracts challenge-response pairs from the transcript,
  * trains the model-building attacker of Sec 6.7, and is then defeated
  * by the adaptive remap countermeasure of Sec 4.5, which re-randomizes
  * the logical coordinate space.
@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "attack/model_attack.hpp"
+#include "net/device_agent.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 #include "util/table.hpp"
@@ -35,20 +36,21 @@ main()
     auto reserved = server::defaultReservedLevel(device);
     server.enroll(1, device, levels, {reserved});
 
-    // The attacker wiretaps the channel.
-    protocol::InMemoryChannel channel;
+    // The attacker wiretaps the wire the server reads.
+    util::ThreadPool pool(1);
+    net::LoopbackTransport transport(server.frontEnd(),
+                                     net::TransportConfig{});
     protocol::Transcript wiretap;
-    channel.attachTranscript(&wiretap);
-    protocol::ServerEndpoint server_end(channel);
-    server::DeviceAgent agent(1, device,
-                              protocol::ClientEndpoint(channel));
+    transport.attachTranscript(&wiretap);
+    auto *link = transport.connect();
+    net::DeviceAgent agent(1, device, *link);
 
     // Honest parties run a batch of authentications.
     const int sessions = 24;
     int accepted = 0;
     for (int s = 0; s < sessions; ++s) {
         agent.requestAuthentication();
-        server::runExchange(server, server_end, agent);
+        net::runExchange(transport, agent, pool);
         if (agent.lastDecision() && agent.lastDecision()->accepted)
             ++accepted;
     }
@@ -76,7 +78,7 @@ main()
         std::size_t before = wiretap.observedCrps().size();
         for (int s = 0; s < 6; ++s) {
             agent.requestAuthentication();
-            server::runExchange(server, server_end, agent);
+            net::runExchange(transport, agent, pool);
         }
         auto all = wiretap.observedCrps();
         for (std::size_t idx = before; idx < all.size(); ++idx) {
@@ -98,8 +100,8 @@ main()
 
     // Countermeasure: the server rotates the logical map. The
     // attacker's learned field describes the *old* coordinate space.
-    server.startRemap(1, server_end);
-    server::runExchange(server, server_end, agent);
+    server.startRemap(1, link->sink(1));
+    net::runExchange(transport, agent, pool);
     std::cout << "\nserver initiated remap; committed: "
               << server.remapsCommitted() << "\n";
 

@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "metrics/identifiability.hpp"
+#include "net/device_agent.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 #include "util/stats.hpp"
@@ -49,10 +50,10 @@ main()
     std::cout << "EER identification threshold: " << threshold
               << " of " << server_cfg.challengeBits << " bits\n\n";
 
-    protocol::InMemoryChannel channel;
-    protocol::ServerEndpoint server_end(channel);
-    server::DeviceAgent agent(1, device,
-                              protocol::ClientEndpoint(channel));
+    util::ThreadPool pool(1);
+    net::LoopbackTransport transport(server.frontEnd(),
+                                     net::TransportConfig{});
+    net::DeviceAgent agent(1, device, *transport.connect());
 
     // Sweep the environment: each row is a deployment scenario; run a
     // few authentications per scenario and report distances.
@@ -80,7 +81,7 @@ main()
         int completed = 0;
         for (int round = 0; round < rounds; ++round) {
             agent.requestAuthentication();
-            server::runExchange(server, server_end, agent);
+            net::runExchange(transport, agent, pool);
             if (!agent.lastDecision())
                 continue; // Aborted (e.g. emergency raise).
             ++completed;

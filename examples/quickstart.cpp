@@ -2,7 +2,7 @@
  * @file
  * Quickstart: manufacture a device, enroll it with an authentication
  * server, and run one challenge-response authentication over the
- * protocol channel.
+ * wire protocol.
  *
  * This is the complete Authenticache loop of the paper's Figure 6:
  *
@@ -11,6 +11,7 @@
 
 #include <iostream>
 
+#include "net/device_agent.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 
@@ -48,14 +49,15 @@ main()
               << " error lines across " << levels.size() + 1
               << " voltage levels\n";
 
-    // 4. Field authentication over the wire protocol.
-    protocol::InMemoryChannel channel;
-    protocol::ServerEndpoint server_end(channel);
-    server::DeviceAgent agent(1, device,
-                              protocol::ClientEndpoint(channel));
+    // 4. Field authentication over the wire protocol, through the
+    //    in-process loopback transport.
+    util::ThreadPool pool(1);
+    net::LoopbackTransport transport(server.frontEnd(),
+                                     net::TransportConfig{});
+    net::DeviceAgent agent(1, device, *transport.connect());
 
     agent.requestAuthentication();
-    server::runExchange(server, server_end, agent);
+    net::runExchange(transport, agent, pool);
 
     if (!agent.lastDecision()) {
         std::cout << "no decision reached\n";

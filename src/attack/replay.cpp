@@ -37,12 +37,4 @@ ReplayAttacker::lastRequestFrame() const
                            protocol::MessageType::AuthRequest);
 }
 
-void
-ReplayAttacker::replayToServer(
-    protocol::InMemoryChannel &channel,
-    const std::vector<std::uint8_t> &frame) const
-{
-    channel.sendToServer(frame);
-}
-
 } // namespace authenticache::attack

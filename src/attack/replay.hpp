@@ -1,8 +1,11 @@
 /**
  * @file
- * Replay attacker (paper Sec 4.4 threat model): records frames off the
- * wire and re-injects them later, attempting to reuse an old response
- * to win an authentication.
+ * Replay attacker (paper Sec 4.4 threat model): picks captured frames
+ * off a wiretap so they can be re-injected later (written on a
+ * loopback client, net::LoopbackTransport::Client::sendPayload),
+ * attempting to reuse an old response to win an authentication.
+ * Against Authenticache the response's nonce is spent, so the server
+ * rejects it.
  */
 
 #ifndef AUTH_ATTACK_REPLAY_HPP
@@ -28,14 +31,6 @@ class ReplayAttacker
 
     /** Most recent client auth request frame, if any. */
     std::optional<std::vector<std::uint8_t>> lastRequestFrame() const;
-
-    /**
-     * Replay a captured frame toward the server. The caller then pumps
-     * the server and inspects the outcome: against Authenticache the
-     * response's nonce is spent, so the server rejects it.
-     */
-    void replayToServer(protocol::InMemoryChannel &channel,
-                        const std::vector<std::uint8_t> &frame) const;
 
   private:
     const protocol::Transcript &transcript;

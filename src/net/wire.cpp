@@ -1,5 +1,7 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
+
 #include "protocol/serialize.hpp"
 #include "util/crc32.hpp"
 #include "util/endian.hpp"
@@ -35,6 +37,23 @@ appendWireMessage(std::vector<std::uint8_t> &out, std::uint64_t stream,
     w.patchU32(at + 12, static_cast<std::uint32_t>(len));
     // The CRC covers everything after the magic: streamId, length,
     // payload -- the same range the decoder checks.
+    w.putU32(util::crc32(
+        std::span<const std::uint8_t>(w.bytes()).subspan(at + 4)));
+    out = w.take();
+    return out.size() - at;
+}
+
+std::size_t
+appendWireFrame(std::vector<std::uint8_t> &out, std::uint64_t stream,
+                std::span<const std::uint8_t> payload)
+{
+    protocol::ByteWriter w(std::move(out));
+    const std::size_t at = w.size();
+    w.reserve(kWireHeaderBytes + payload.size() + kWireTrailerBytes);
+    w.putU32(kWireMagic);
+    w.putU64(stream);
+    w.putU32(static_cast<std::uint32_t>(payload.size()));
+    std::copy(payload.begin(), payload.end(), w.grow(payload.size()));
     w.putU32(util::crc32(
         std::span<const std::uint8_t>(w.bytes()).subspan(at + 4)));
     out = w.take();

@@ -90,6 +90,17 @@ std::size_t appendWireMessage(std::vector<std::uint8_t> &out,
                               std::uint64_t stream,
                               const protocol::Message &m);
 
+/**
+ * Append the wire frame of an already-encoded payload on @p stream
+ * to @p out. Framing the bytes of protocol::encodeMessage(m) gives
+ * exactly what appendWireMessage(out, stream, m) writes; any other
+ * payload is framed as given, so damaged payloads travel with a valid
+ * outer CRC. Returns the bytes appended.
+ */
+std::size_t appendWireFrame(std::vector<std::uint8_t> &out,
+                            std::uint64_t stream,
+                            std::span<const std::uint8_t> payload);
+
 /** appendWireMessage into a fresh vector. */
 std::vector<std::uint8_t> encodeWireMessage(std::uint64_t stream,
                                             const protocol::Message &m);

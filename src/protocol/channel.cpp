@@ -1,9 +1,5 @@
 #include "protocol/channel.hpp"
 
-#include <algorithm>
-
-#include "util/rng.hpp"
-
 namespace authenticache::protocol {
 
 void
@@ -54,192 +50,6 @@ FaultPlan::at(std::uint64_t frame_index) const
             return &spec;
     }
     return nullptr;
-}
-
-bool
-InMemoryChannel::maybeDrop()
-{
-    if (dropBudget > 0) {
-        --dropBudget;
-        return true;
-    }
-    return false;
-}
-
-void
-InMemoryChannel::maybeCorrupt(std::vector<std::uint8_t> &frame)
-{
-    if (corruptBudget > 0 && !frame.empty()) {
-        --corruptBudget;
-        frame[frame.size() / 2] ^= 0xFF;
-    }
-}
-
-void
-InMemoryChannel::corruptSeeded(std::vector<std::uint8_t> &frame,
-                               std::uint64_t ordinal)
-{
-    if (frame.empty())
-        return;
-    // Seed by (plan seed, ordinal): the damaged byte and mask depend
-    // only on the schedule, never on call order elsewhere.
-    util::Rng rng = util::Rng::forStream(plan.seed(), ordinal);
-    std::size_t pos = rng.nextBelow(frame.size());
-    auto mask = static_cast<std::uint8_t>(1 + rng.nextBelow(255));
-    frame[pos] ^= mask;
-}
-
-std::size_t
-InMemoryChannel::occupancy(Direction d) const
-{
-    std::size_t n = d == Direction::ClientToServer ? toServer.size()
-                                                   : toClient.size();
-    for (const auto &held : delayed)
-        if (held.direction == d)
-            ++n;
-    return n;
-}
-
-bool
-InMemoryChannel::enqueue(Direction d, std::vector<std::uint8_t> frame,
-                         bool front)
-{
-    // A delay-held frame already owns its queue slot, so the cap
-    // covers queued + held: releasing a delayed frame never drops it.
-    if (queueCap != 0 && occupancy(d) >= queueCap) {
-        ++counters.overflows;
-        return false;
-    }
-    auto &queue =
-        d == Direction::ClientToServer ? toServer : toClient;
-    if (front)
-        queue.push_front(std::move(frame));
-    else
-        queue.push_back(std::move(frame));
-    return true;
-}
-
-void
-InMemoryChannel::flushDelayed()
-{
-    if (delayed.empty())
-        return;
-    const std::uint64_t step = now();
-    // Release in (releaseStep, sequence) order so delivery is
-    // deterministic regardless of how far the clock jumped.
-    std::stable_sort(delayed.begin(), delayed.end(),
-                     [](const DelayedFrame &x, const DelayedFrame &y) {
-                         if (x.releaseStep != y.releaseStep)
-                             return x.releaseStep < y.releaseStep;
-                         return x.sequence < y.sequence;
-                     });
-    std::size_t released = 0;
-    for (auto &held : delayed) {
-        if (held.releaseStep > step)
-            break;
-        auto &queue = held.direction == Direction::ClientToServer
-                          ? toServer
-                          : toClient;
-        queue.push_back(std::move(held.frame));
-        ++released;
-    }
-    delayed.erase(delayed.begin(),
-                  delayed.begin() +
-                      static_cast<std::ptrdiff_t>(released));
-}
-
-void
-InMemoryChannel::dispatch(Direction d, std::vector<std::uint8_t> frame)
-{
-    const std::uint64_t ordinal = nFrames++;
-    if (transcript)
-        transcript->record(d, frame);
-
-    // Legacy one-shot budgets keep their original semantics.
-    if (maybeDrop())
-        return;
-    maybeCorrupt(frame);
-
-    const FaultSpec *spec = plan.at(ordinal);
-    if (!spec) {
-        enqueue(d, std::move(frame));
-        return;
-    }
-
-    switch (spec->type) {
-      case FaultType::Drop:
-        ++counters.drops;
-        return;
-      case FaultType::Duplicate:
-        ++counters.duplicates;
-        // Both copies cross the wire; the eavesdropper sees both.
-        if (transcript)
-            transcript->record(d, frame);
-        enqueue(d, frame);
-        enqueue(d, std::move(frame));
-        return;
-      case FaultType::Reorder:
-        ++counters.reorders;
-        enqueue(d, std::move(frame), /*front=*/true);
-        return;
-      case FaultType::Delay:
-        if (!simClock || spec->delaySteps == 0) {
-            enqueue(d, std::move(frame));
-            return;
-        }
-        // The held frame owns a queue slot (see enqueue); a full
-        // queue sheds the frame here, not at release time.
-        if (queueCap != 0 && occupancy(d) >= queueCap) {
-            ++counters.overflows;
-            return;
-        }
-        ++counters.delays;
-        delayed.push_back({now() + spec->delaySteps, nDelaySeq++, d,
-                           std::move(frame)});
-        return;
-      case FaultType::Corrupt:
-        ++counters.corruptions;
-        corruptSeeded(frame, ordinal);
-        enqueue(d, std::move(frame));
-        return;
-      case FaultType::None:
-        enqueue(d, std::move(frame));
-        return;
-    }
-}
-
-void
-InMemoryChannel::sendToServer(std::vector<std::uint8_t> frame)
-{
-    dispatch(Direction::ClientToServer, std::move(frame));
-}
-
-void
-InMemoryChannel::sendToClient(std::vector<std::uint8_t> frame)
-{
-    dispatch(Direction::ServerToClient, std::move(frame));
-}
-
-std::optional<std::vector<std::uint8_t>>
-InMemoryChannel::receiveAtServer()
-{
-    flushDelayed();
-    if (toServer.empty())
-        return std::nullopt;
-    auto frame = std::move(toServer.front());
-    toServer.pop_front();
-    return frame;
-}
-
-std::optional<std::vector<std::uint8_t>>
-InMemoryChannel::receiveAtClient()
-{
-    flushDelayed();
-    if (toClient.empty())
-        return std::nullopt;
-    auto frame = std::move(toClient.front());
-    toClient.pop_front();
-    return frame;
 }
 
 } // namespace authenticache::protocol

@@ -1,13 +1,15 @@
 /**
  * @file
- * In-memory duplex channel between a client and a server, with
- * deterministic fault injection (drop, duplicate, reorder, delay,
- * corrupt) for failure testing and a transcript tap modeling a passive
- * eavesdropper -- the observation surface of the paper's threat model
- * (Sec 4.4) and of the model-building attack study (Sec 6.7).
+ * The vocabulary of a simulated wire: the transcript tap modeling a
+ * passive eavesdropper -- the observation surface of the paper's
+ * threat model (Sec 4.4) and of the model-building attack study
+ * (Sec 6.7) -- the deterministic fault schedule (drop, duplicate,
+ * reorder, delay, corrupt), and ReplySink, where the server's batch
+ * front end sends each frame's replies.
  *
- * Faults are scheduled by a seeded FaultPlan keyed on the global send
- * ordinal, and delays run on a shared util::SimClock, so any fault
+ * net::LoopbackTransport applies both the tap and the faults to the
+ * message payloads it carries. Faults are keyed on the global send
+ * ordinal and delays run on a shared util::SimClock, so any fault
  * schedule is replayable bit-for-bit (no wall-clock anywhere).
  */
 
@@ -15,12 +17,9 @@
 #define AUTH_PROTOCOL_CHANNEL_HPP
 
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <vector>
 
 #include "protocol/messages.hpp"
-#include "util/sim_clock.hpp"
 
 namespace authenticache::protocol {
 
@@ -85,7 +84,7 @@ struct FaultSpec
 /**
  * A replayable fault schedule: a set of FaultSpecs plus the seed that
  * drives corruption byte/mask choices. The same plan against the same
- * exchange produces bit-identical channel behavior.
+ * exchange produces bit-identical delivery.
  */
 class FaultPlan
 {
@@ -114,7 +113,7 @@ class FaultPlan
     std::vector<FaultSpec> specs;
 };
 
-/** Tally of faults the channel actually applied. */
+/** Tally of faults the transport actually applied. */
 struct FaultCounters
 {
     std::uint64_t drops = 0;
@@ -122,16 +121,13 @@ struct FaultCounters
     std::uint64_t reorders = 0;
     std::uint64_t delays = 0;
     std::uint64_t corruptions = 0;
-    /** Frames discarded because a direction's queue was at its cap. */
-    std::uint64_t overflows = 0;
 };
 
 /**
  * Where replies go. The batch front end addresses each frame's
- * replies through this interface, so the same pipeline serves an
- * in-memory channel endpoint (ServerEndpoint) and a wire-transport
- * stream (net::TransportCore's per-stream sinks) without knowing
- * which is behind it.
+ * replies through this interface: a wire-transport stream
+ * (net::TransportCore's per-stream sinks, over a socket or the
+ * loopback), or a benchmark's capture buffer.
  */
 class ReplySink
 {
@@ -140,162 +136,6 @@ class ReplySink
 
     /** Deliver one protocol message to the peer. */
     virtual void send(const Message &m) = 0;
-};
-
-/**
- * The channel itself: two frame queues plus optional fault injection.
- * Endpoint objects (ClientEndpoint / ServerEndpoint) expose the
- * directional send/receive pairs.
- *
- * Both queues are bounded (setQueueCap), mirroring the bounded
- * per-connection request queues of the real socket transport: a frame
- * sent at a full queue is discarded and counted in
- * faultCounters().overflows, exactly as a saturated connection would
- * lose it, so loopback tests cannot mask unbounded-memory behavior.
- */
-class InMemoryChannel
-{
-  public:
-    /** Default per-direction queue cap (frames). */
-    static constexpr std::size_t kDefaultQueueCap = 4096;
-    /** Queue a frame toward the server. */
-    void sendToServer(std::vector<std::uint8_t> frame);
-
-    /** Queue a frame toward the client. */
-    void sendToClient(std::vector<std::uint8_t> frame);
-
-    /** Pop the next frame addressed to the server, if any. */
-    std::optional<std::vector<std::uint8_t>> receiveAtServer();
-
-    /** Pop the next frame addressed to the client, if any. */
-    std::optional<std::vector<std::uint8_t>> receiveAtClient();
-
-    /** Attach a wiretap (not owned). */
-    void attachTranscript(Transcript *tap) { transcript = tap; }
-
-    /**
-     * Bind the simulated clock driving Delay faults (not owned).
-     * Without a clock, delayed frames are delivered immediately.
-     */
-    void bindClock(const util::SimClock *clk) { simClock = clk; }
-
-    /** Install a deterministic fault schedule. */
-    void setFaultPlan(FaultPlan schedule) { plan = std::move(schedule); }
-
-    /**
-     * Cap each direction's queue at @p frames (0 = unbounded, for
-     * tests that deliberately model an infinite pipe). The cap counts
-     * queued plus delay-held frames per direction.
-     */
-    void setQueueCap(std::size_t frames) { queueCap = frames; }
-
-    std::size_t queueCapacity() const { return queueCap; }
-
-    /** Corrupt one byte of the next @p n frames sent (either way). */
-    void corruptNextFrames(std::size_t n) { corruptBudget = n; }
-
-    /** Silently drop the next @p n frames sent (either way). */
-    void dropNextFrames(std::size_t n) { dropBudget = n; }
-
-    std::uint64_t framesSent() const { return nFrames; }
-
-    /** Faults applied so far from the plan. */
-    const FaultCounters &faultCounters() const { return counters; }
-
-    /** True when no frame is queued or held in the delay buffer. */
-    bool idle() const
-    {
-        return toServer.empty() && toClient.empty() &&
-               delayed.empty();
-    }
-
-  private:
-    struct DelayedFrame
-    {
-        std::uint64_t releaseStep;
-        std::uint64_t sequence; // Tiebreak: preserve send order.
-        Direction direction;
-        std::vector<std::uint8_t> frame;
-    };
-
-    void dispatch(Direction d, std::vector<std::uint8_t> frame);
-
-    /** Enqueue respecting the per-direction cap; false on overflow. */
-    bool enqueue(Direction d, std::vector<std::uint8_t> frame,
-                 bool front = false);
-
-    /** Queued plus delay-held frames heading in direction @p d. */
-    std::size_t occupancy(Direction d) const;
-
-    bool maybeDrop();
-    void maybeCorrupt(std::vector<std::uint8_t> &frame);
-    void corruptSeeded(std::vector<std::uint8_t> &frame,
-                       std::uint64_t ordinal);
-
-    /** Move delay-buffer frames whose release step has passed. */
-    void flushDelayed();
-
-    std::uint64_t now() const { return simClock ? simClock->now() : 0; }
-
-    std::deque<std::vector<std::uint8_t>> toServer;
-    std::deque<std::vector<std::uint8_t>> toClient;
-    std::vector<DelayedFrame> delayed;
-    Transcript *transcript = nullptr;
-    const util::SimClock *simClock = nullptr;
-    FaultPlan plan;
-    FaultCounters counters;
-    std::size_t corruptBudget = 0;
-    std::size_t dropBudget = 0;
-    std::size_t queueCap = kDefaultQueueCap;
-    std::uint64_t nFrames = 0;
-    std::uint64_t nDelaySeq = 0;
-};
-
-/** Convenience wrappers giving each side a natural API. */
-class ClientEndpoint
-{
-  public:
-    explicit ClientEndpoint(InMemoryChannel &link) : channel(link) {}
-
-    void send(const Message &m)
-    {
-        channel.sendToServer(encodeMessage(m));
-    }
-
-    std::optional<Message>
-    receive()
-    {
-        auto frame = channel.receiveAtClient();
-        if (!frame)
-            return std::nullopt;
-        return decodeMessage(*frame);
-    }
-
-  private:
-    InMemoryChannel &channel;
-};
-
-class ServerEndpoint : public ReplySink
-{
-  public:
-    explicit ServerEndpoint(InMemoryChannel &link) : channel(link) {}
-
-    void send(const Message &m) override
-    {
-        channel.sendToClient(encodeMessage(m));
-    }
-
-    std::optional<Message>
-    receive()
-    {
-        auto frame = channel.receiveAtServer();
-        if (!frame)
-            return std::nullopt;
-        return decodeMessage(*frame);
-    }
-
-  private:
-    InMemoryChannel &channel;
 };
 
 } // namespace authenticache::protocol

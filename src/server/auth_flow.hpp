@@ -1,12 +1,12 @@
 /**
  * @file
  * Per-message state machines for the authentication exchange
- * (AuthRequest -> Challenge, Response -> Decision), extracted from the
- * old monolithic handleMessage. A flow never touches a channel: it is
- * handed a locked session shard plus the decoded message and returns a
- * FlowOutput -- the replies to emit, an optional completed-auth
- * report, and the nonce of any newly opened session (which the front
- * end ranks for cap eviction in deterministic batch order).
+ * (AuthRequest -> Challenge, Response -> Decision). A flow never
+ * touches a transport: it is handed a locked session shard plus the
+ * decoded message and returns a FlowOutput -- the replies to emit, an
+ * optional completed-auth report, and the nonce of any newly opened
+ * session (which the front end ranks for cap eviction in
+ * deterministic batch order).
  */
 
 #ifndef AUTH_SERVER_AUTH_FLOW_HPP

@@ -111,8 +111,8 @@ struct ServerConfig
      * AuthRequests from clients that never answer would otherwise
      * grow server state without bound; when full, the globally oldest
      * outstanding session is evicted (its nonce is dead, the consumed
-     * pairs stay retired). The cap is enforced at batch boundaries:
-     * after every handleMessage and after every handleBatch.
+     * pairs stay retired). The cap is enforced at batch boundaries,
+     * after every handleBatch.
      */
     std::size_t maxPendingSessions = 1024;
 

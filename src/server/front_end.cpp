@@ -157,48 +157,8 @@ ServerFrontEnd::handleBatch(std::span<Frame> frames,
 }
 
 void
-ServerFrontEnd::handleMessage(const protocol::Message &msg,
-                              protocol::ServerEndpoint &endpoint)
-{
-    // A one-frame batch: same GC / open-ordinal / cap timing the
-    // monolithic per-message server had.
-    sessions.expireAll();
-    const std::uint64_t base = sessions.reserveOrdinals(1);
-    std::vector<FlowOutput> outputs(1);
-    outputs[0] = dispatch(msg);
-    Frame frame;
-    frame.reply = &endpoint;
-    mergeOutputs(std::span<Frame>(&frame, 1), outputs, base);
-}
-
-bool
-ServerFrontEnd::pumpOnce(protocol::ServerEndpoint &endpoint)
-{
-    sessions.expireAll();
-    std::optional<protocol::Message> msg;
-    try {
-        msg = endpoint.receive();
-    } catch (const protocol::DecodeError &e) {
-        endpoint.send(protocol::ErrorMsg{std::string("decode: ") +
-                                         e.what()});
-        return true;
-    }
-    if (!msg)
-        return false;
-    handleMessage(*msg, endpoint);
-    return true;
-}
-
-void
-ServerFrontEnd::pumpAll(protocol::ServerEndpoint &endpoint)
-{
-    while (pumpOnce(endpoint)) {
-    }
-}
-
-void
 ServerFrontEnd::startRemap(std::uint64_t device_id,
-                           protocol::ServerEndpoint &endpoint)
+                           protocol::ReplySink &endpoint)
 {
     const std::uint64_t base = sessions.reserveOrdinals(1);
     std::vector<FlowOutput> outputs(1);

@@ -18,9 +18,12 @@
  *
  * Every source of randomness is a per-device Rng stream and every
  * cross-frame effect happens in the sequential stages, so outcomes
- * are bit-identical at any thread count. The single-frame pumpOnce
- * path is a one-frame batch, preserving the old per-message GC and
- * cap timing exactly.
+ * are bit-identical at any thread count. handleBatch is the only
+ * frame entry point: the socket transport and the in-process
+ * loopback (net::LoopbackTransport) both reach it through
+ * net::TransportCore::runBatch. Server-initiated messages (remap
+ * requests, heartbeat rounds) go out through the ReplySink of the
+ * device's stream, the same sink its replies use.
  *
  * Frame dispatch is exception-hardened: a malformed or out-of-phase
  * frame yields a protocol-level ErrorMsg reply, never an escaping
@@ -45,9 +48,8 @@ namespace authenticache::server {
 class DurabilityManager;
 
 /**
- * One received frame plus the sink its replies go to: an in-memory
- * ServerEndpoint in simulation, or a wire-transport stream sink when
- * the frame arrived over a socket (src/net).
+ * One received frame plus the sink its replies go to: a transport
+ * stream sink (src/net), or a benchmark's capture buffer.
  */
 struct Frame
 {
@@ -92,19 +94,9 @@ class ServerFrontEnd
      */
     void handleBatch(std::span<Frame> frames, util::ThreadPool &pool);
 
-    /** One-frame-batch convenience for an already-decoded message. */
-    void handleMessage(const protocol::Message &msg,
-                       protocol::ServerEndpoint &endpoint);
-
-    /** Handle one queued message, if any. @return message handled. */
-    bool pumpOnce(protocol::ServerEndpoint &endpoint);
-
-    /** Drain the endpoint until idle. */
-    void pumpAll(protocol::ServerEndpoint &endpoint);
-
     /** Initiate the adaptive remap exchange for a device. */
     void startRemap(std::uint64_t device_id,
-                    protocol::ServerEndpoint &endpoint);
+                    protocol::ReplySink &endpoint);
 
     /** Open a continuous-authentication heartbeat session. */
     void startHeartbeat(std::uint64_t device_id,

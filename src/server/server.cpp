@@ -198,45 +198,6 @@ AuthenticationServer::enroll(
 }
 
 void
-runExchange(AuthenticationServer &server,
-            protocol::ServerEndpoint &server_endpoint,
-            DeviceAgent &agent)
-{
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        progress |= server.pumpOnce(server_endpoint);
-        progress |= agent.pumpOnce();
-    }
-}
-
-SteppedExchangeResult
-runExchangeSteps(AuthenticationServer &server,
-                 protocol::ServerEndpoint &server_endpoint,
-                 DeviceAgent &agent, util::SimClock &clock,
-                 protocol::InMemoryChannel &channel,
-                 std::uint64_t max_steps)
-{
-    SteppedExchangeResult result;
-    for (; result.steps < max_steps; ++result.steps) {
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            progress |= server.pumpOnce(server_endpoint);
-            progress |= agent.pumpOnce();
-        }
-        if (!agent.sessionActive() && channel.idle()) {
-            result.quiesced = true;
-            return result;
-        }
-        clock.advance(1);
-        server.tick();
-        agent.tick();
-    }
-    return result;
-}
-
-void
 collectServerStats(const AuthenticationServer &server,
                    util::StatsRegistry &registry,
                    const std::string &component)

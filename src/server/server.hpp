@@ -12,14 +12,17 @@
  *    per-message protocol state machines.
  *  - DeviceDirectory (device_directory.hpp): device-record access.
  *  - ServerFrontEnd  (front_end.hpp): frame decode, shard routing,
- *    and the parallel batch pipeline (handleBatch); the single-frame
- *    pumpOnce path is a one-frame batch.
+ *    and the parallel batch pipeline (handleBatch), the one frame
+ *    entry point.
  *
  * This header keeps the stable public surface: trusted enrollment
- * (capture error maps, install the initial logical-map key),
- * single-message pumping, batch servicing, remap initiation, and the
- * aggregate counters, all delegating to the layers above. The
- * device-side agent lives in device_agent.hpp.
+ * (capture error maps, install the initial logical-map key), batch
+ * servicing, remap and heartbeat initiation, and the aggregate
+ * counters, all delegating to the layers above. Frames reach
+ * handleBatch through a transport (src/net): sockets via
+ * EpollTransport, in-process exchanges via LoopbackTransport, whose
+ * device-side agent and exchange drivers live in
+ * net/device_agent.hpp.
  */
 
 #ifndef AUTH_SERVER_SERVER_HPP
@@ -36,7 +39,6 @@
 #include "server/challenge_gen.hpp"
 #include "server/config.hpp"
 #include "server/database.hpp"
-#include "server/device_agent.hpp"
 #include "server/device_directory.hpp"
 #include "server/front_end.hpp"
 #include "server/session_manager.hpp"
@@ -98,34 +100,15 @@ class AuthenticationServer
              const std::vector<core::VddMv> &reserved_levels,
              std::uint32_t sweep_passes = 8);
 
-    /** Handle one queued message, if any. @return message handled. */
-    bool pumpOnce(protocol::ServerEndpoint &endpoint)
-    {
-        return front.pumpOnce(endpoint);
-    }
-
-    /** Drain the endpoint until idle. */
-    void pumpAll(protocol::ServerEndpoint &endpoint)
-    {
-        front.pumpAll(endpoint);
-    }
-
     /**
      * Service a batch of frames, parallelising across session shards
-     * on @p pool (ThreadPool::global() by default). Outcomes are
-     * bit-identical at any pool width; replies are emitted to each
-     * frame's endpoint in frame order.
+     * on @p pool. Outcomes are bit-identical at any pool width;
+     * replies are emitted to each frame's endpoint in frame order.
      */
     void
     handleBatch(std::span<Frame> frames, util::ThreadPool &pool)
     {
         front.handleBatch(frames, pool);
-    }
-
-    void
-    handleBatch(std::span<Frame> frames)
-    {
-        front.handleBatch(frames, util::ThreadPool::global());
     }
 
     /**
@@ -141,9 +124,13 @@ class AuthenticationServer
     /** Garbage-collect expired sessions against the bound clock. */
     void tick() { sessionsMgr.expireAll(); }
 
-    /** Initiate the adaptive remap exchange for a device. */
+    /**
+     * Initiate the adaptive remap exchange for a device; the
+     * RemapRequest goes to @p endpoint, the sink of the device's
+     * stream.
+     */
     void startRemap(std::uint64_t device_id,
-                    protocol::ServerEndpoint &endpoint)
+                    protocol::ReplySink &endpoint)
     {
         front.startRemap(device_id, endpoint);
     }
@@ -336,40 +323,6 @@ class AuthenticationServer
 void collectServerStats(const AuthenticationServer &server,
                         util::StatsRegistry &registry,
                         const std::string &component = "server");
-
-/**
- * Pump both sides of a channel until neither has queued work -- the
- * synchronous equivalent of letting the exchange run to completion.
- */
-void runExchange(AuthenticationServer &server,
-                 protocol::ServerEndpoint &server_endpoint,
-                 DeviceAgent &agent);
-
-/** Result of a clock-driven exchange (see runExchangeSteps). */
-struct SteppedExchangeResult
-{
-    /**
-     * The exchange reached quiescence (agent idle, channel empty)
-     * within the step budget; false means a hang, which the
-     * reliability layer exists to rule out.
-     */
-    bool quiesced = false;
-    std::uint64_t steps = 0;
-};
-
-/**
- * Clock-driven exchange driver: each step pumps both sides to
- * quiescence, then advances the shared clock by one and lets the
- * server expire sessions and the agent retransmit. Returns once the
- * agent has no session in flight and no frame is queued or delayed,
- * or after @p max_steps (a hang).
- */
-SteppedExchangeResult
-runExchangeSteps(AuthenticationServer &server,
-                 protocol::ServerEndpoint &server_endpoint,
-                 DeviceAgent &agent, util::SimClock &clock,
-                 protocol::InMemoryChannel &channel,
-                 std::uint64_t max_steps = 1000);
 
 /**
  * Convenience: challenge levels spaced @p spacing_mv apart starting

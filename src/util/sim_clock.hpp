@@ -2,12 +2,12 @@
  * @file
  * Simulated step clock shared by the reliability layer.
  *
- * All protocol timing (channel delivery delays, client retry timeouts
+ * All protocol timing (transport delivery delays, client retry timeouts
  * and backoff, server session deadlines) is expressed in abstract
  * *steps* of one shared SimClock rather than wall-clock time, so every
  * fault schedule and retry interleaving is replayable bit-for-bit and
  * tests never sleep. A step corresponds to one iteration of the
- * exchange driver loop (see server::runExchangeSteps).
+ * exchange driver loop (see net::runExchangeSteps).
  */
 
 #ifndef AUTH_UTIL_SIM_CLOCK_HPP

@@ -12,6 +12,8 @@
 #include "attack/replay.hpp"
 #include "core/nearest.hpp"
 #include "mc/mapgen.hpp"
+#include "net/loopback.hpp"
+#include "server/server.hpp"
 
 namespace attack = authenticache::attack;
 namespace core = authenticache::core;
@@ -173,36 +175,44 @@ TEST(ModelAttack, ResetAfterRemapDropsAccuracy)
 
 TEST(ReplayAttacker, FindsLatestFramesByType)
 {
-    authenticache::protocol::InMemoryChannel channel;
-    authenticache::protocol::Transcript transcript;
-    channel.attachTranscript(&transcript);
-    authenticache::protocol::ClientEndpoint client(channel);
+    namespace proto = authenticache::protocol;
+    authenticache::server::AuthenticationServer server(
+        authenticache::server::ServerConfig{}, 1);
+    authenticache::net::LoopbackTransport transport(
+        server.frontEnd(), authenticache::net::TransportConfig{});
+    proto::Transcript transcript;
+    transport.attachTranscript(&transcript);
+    auto *client = transport.connect();
 
-    client.send(authenticache::protocol::AuthRequest{1});
-    client.send(authenticache::protocol::AuthRequest{2});
-    authenticache::protocol::ResponseMsg resp;
+    client->sendMessage(1, proto::AuthRequest{1});
+    client->sendMessage(2, proto::AuthRequest{2});
+    proto::ResponseMsg resp;
     resp.nonce = 7;
     resp.response = authenticache::util::BitVec(8);
-    client.send(resp);
+    client->sendMessage(2, resp);
 
     authenticache::attack::ReplayAttacker attacker(transcript);
     auto req = attacker.lastRequestFrame();
     ASSERT_TRUE(req.has_value());
-    auto decoded = authenticache::protocol::decodeMessage(*req);
-    EXPECT_EQ(std::get<authenticache::protocol::AuthRequest>(decoded)
-                  .deviceId,
+    auto decoded = proto::decodeMessage(*req);
+    EXPECT_EQ(std::get<proto::AuthRequest>(decoded).deviceId,
               2u); // Latest request, not the first.
 
     ASSERT_TRUE(attacker.lastResponseFrame().has_value());
 
-    // Replaying re-enqueues the captured frame verbatim (drain the
-    // originals first: the queue is FIFO).
-    while (channel.receiveAtServer()) {
-    }
-    attacker.replayToServer(channel, *req);
-    auto arrived = channel.receiveAtServer();
-    ASSERT_TRUE(arrived.has_value());
-    EXPECT_EQ(*arrived, *req);
+    // Replaying writes the captured payload verbatim: it crosses the
+    // tap unchanged and the server decodes and answers it.
+    authenticache::util::ThreadPool pool(1);
+    transport.pumpUntilIdle(pool);
+    const auto before = transport.counters().framesIn;
+    client->sendPayload(9, *req);
+    EXPECT_EQ(transcript.entries().back().frame, *req);
+    transport.pumpUntilIdle(pool);
+    EXPECT_EQ(transport.counters().framesIn, before + 1);
+    bool answered = false;
+    for (const auto &[stream, msg] : client->readMessages())
+        answered |= stream == 9;
+    EXPECT_TRUE(answered);
 }
 
 TEST(ReplayAttacker, EmptyTranscriptYieldsNothing)

@@ -637,7 +637,8 @@ TEST(PairStream, AuthAtExhaustionTakesErrorReply)
     RecordingSink sink;
     std::vector<srv::Frame> frames = {
         srv::Frame{proto::encodeMessage(proto::AuthRequest{1}), &sink}};
-    server.handleBatch(frames);
+    authenticache::util::ThreadPool pool(1);
+    server.handleBatch(frames, pool);
     ASSERT_EQ(sink.sent.size(), 1u);
     ASSERT_TRUE(isError(sink.sent[0]));
     EXPECT_NE(std::get<proto::ErrorMsg>(sink.sent[0]).reason.find(

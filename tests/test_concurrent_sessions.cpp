@@ -1,7 +1,7 @@
 /**
  * @file
  * Integration: multiple devices interleaving authentications through
- * one server, each over its own channel (one connection per client,
+ * one server, each over its own loopback connection (one per client,
  * as a real deployment would have) -- the server's nonce-based
  * session state must keep the exchanges independent, and interleaved
  * remaps must not cross wires.
@@ -11,10 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include "net/device_agent.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 
 namespace fw = authenticache::firmware;
+namespace net = authenticache::net;
 namespace sim = authenticache::sim;
 namespace proto = authenticache::protocol;
 namespace srv = authenticache::server;
@@ -26,9 +28,8 @@ struct Device
     std::unique_ptr<sim::SimulatedChip> chip;
     std::unique_ptr<fw::SimulatedMachine> machine;
     std::unique_ptr<fw::AuthenticacheClient> client;
-    proto::InMemoryChannel channel;
-    std::unique_ptr<proto::ServerEndpoint> serverEnd;
-    std::unique_ptr<srv::DeviceAgent> agent;
+    net::LoopbackTransport::Client *link = nullptr;
+    std::unique_ptr<net::DeviceAgent> agent;
 };
 
 } // namespace
@@ -43,6 +44,8 @@ class ConcurrentSessions : public ::testing::Test
         scfg.challengeBits = 64;
         scfg.verifier.pIntra = 0.08;
         server = std::make_unique<srv::AuthenticationServer>(scfg, 4);
+        transport = std::make_unique<net::LoopbackTransport>(
+            server->frontEnd(), net::TransportConfig{});
 
         for (std::uint64_t i = 0; i < 3; ++i) {
             sim::ChipConfig cfg;
@@ -61,29 +64,27 @@ class ConcurrentSessions : public ::testing::Test
             server->enroll(
                 i + 1, *dev.client, levels,
                 {srv::defaultReservedLevel(*dev.client)});
-            dev.serverEnd = std::make_unique<proto::ServerEndpoint>(
-                dev.channel);
-            dev.agent = std::make_unique<srv::DeviceAgent>(
-                i + 1, *dev.client,
-                proto::ClientEndpoint(dev.channel));
+            dev.link = transport->connect();
+            dev.agent = std::make_unique<net::DeviceAgent>(
+                i + 1, *dev.client, *dev.link);
         }
     }
 
-    /** Pump every connection once, server side then device side. */
+    /** Alternate server batches and device turns until idle. */
     void
     pumpEverything()
     {
         bool progress = true;
         while (progress) {
-            progress = false;
-            for (auto &dev : devices) {
-                progress |= server->pumpOnce(*dev.serverEnd);
+            progress = transport->pump(pool) > 0;
+            for (auto &dev : devices)
                 progress |= dev.agent->pumpOnce();
-            }
         }
     }
 
     std::unique_ptr<srv::AuthenticationServer> server;
+    authenticache::util::ThreadPool pool{1};
+    std::unique_ptr<net::LoopbackTransport> transport;
     Device devices[3];
 };
 
@@ -93,10 +94,9 @@ TEST_F(ConcurrentSessions, InterleavedAuthenticationsStayIndependent)
     for (auto &dev : devices)
         dev.agent->requestAuthentication();
 
-    // Server issues all three challenges first, then the devices
-    // answer in a scrambled order.
-    for (auto &dev : devices)
-        server->pumpOnce(*dev.serverEnd);
+    // Server issues all three challenges first (one batch), then the
+    // devices answer in a scrambled order.
+    EXPECT_EQ(transport->pump(pool), 3u);
     devices[2].agent->pumpOnce(); // Answers its challenge.
     devices[0].agent->pumpOnce();
     devices[1].agent->pumpOnce();
@@ -112,7 +112,7 @@ TEST_F(ConcurrentSessions, InterleavedAuthenticationsStayIndependent)
 TEST_F(ConcurrentSessions, RemapAndAuthInterleave)
 {
     // Device 1 remaps while devices 2 and 3 authenticate.
-    server->startRemap(1, *devices[0].serverEnd);
+    server->startRemap(1, devices[0].link->sink(1));
     devices[1].agent->requestAuthentication();
     devices[2].agent->requestAuthentication();
     pumpEverything();
@@ -125,8 +125,7 @@ TEST_F(ConcurrentSessions, RemapAndAuthInterleave)
 
     // Device 1's rotated key still authenticates.
     devices[0].agent->requestAuthentication();
-    srv::runExchange(*server, *devices[0].serverEnd,
-                     *devices[0].agent);
+    net::runExchange(*transport, *devices[0].agent, pool);
     ASSERT_TRUE(devices[0].agent->lastDecision().has_value());
     EXPECT_TRUE(devices[0].agent->lastDecision()->accepted);
 }
@@ -137,9 +136,9 @@ TEST_F(ConcurrentSessions, CrossDeviceResponseRejected)
     // challenge with its own silicon: nonce matches but the response
     // comes from the wrong fingerprint.
     devices[0].agent->requestAuthentication();
-    server->pumpAll(*devices[0].serverEnd);
+    transport->pumpUntilIdle(pool);
 
-    auto msg = proto::ClientEndpoint(devices[0].channel).receive();
+    auto msg = devices[0].link->receive();
     ASSERT_TRUE(msg.has_value());
     auto *ch = std::get_if<proto::ChallengeMsg>(&*msg);
     ASSERT_NE(ch, nullptr);
@@ -151,8 +150,8 @@ TEST_F(ConcurrentSessions, CrossDeviceResponseRejected)
         proto::ResponseMsg resp;
         resp.nonce = ch->nonce;
         resp.response = std::move(outcome.response);
-        proto::ClientEndpoint(devices[0].channel).send(resp);
-        server->pumpAll(*devices[0].serverEnd);
+        devices[0].link->sendMessage(1, resp);
+        transport->pumpUntilIdle(pool);
         devices[0].agent->pumpAll();
         ASSERT_TRUE(devices[0].agent->lastDecision().has_value());
         EXPECT_FALSE(devices[0].agent->lastDecision()->accepted);

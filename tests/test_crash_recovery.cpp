@@ -40,6 +40,7 @@
 #include "core/remap.hpp"
 #include "crypto/fuzzy_extractor.hpp"
 #include "mc/mapgen.hpp"
+#include "net/loopback.hpp"
 #include "server/durability.hpp"
 #include "server/server.hpp"
 #include "server/storage.hpp"
@@ -50,6 +51,7 @@ namespace jnl = authenticache::server::journal;
 namespace core = authenticache::core;
 namespace sim = authenticache::sim;
 namespace mc = authenticache::mc;
+namespace net = authenticache::net;
 namespace proto = authenticache::protocol;
 namespace crypto = authenticache::crypto;
 namespace util = authenticache::util;
@@ -175,20 +177,27 @@ runWorkload(const std::string &dir, std::uint64_t rotate_every,
                                    recovered.lastSeq, inj);
         server.attachDurability(&mgr);
 
-        proto::InMemoryChannel chan;
-        proto::ServerEndpoint sep(chan);
+        util::ThreadPool pool(1);
+        net::LoopbackTransport transport(server.frontEnd(),
+                                         net::TransportConfig{});
+        auto *link = transport.connect();
 
         auto drainToClient = [&]() {
             std::vector<proto::Message> msgs;
-            while (auto frame = chan.receiveAtClient())
-                msgs.push_back(proto::decodeMessage(*frame));
+            while (auto m = link->receive())
+                msgs.push_back(std::move(*m));
             return msgs;
         };
 
+        // Each message is serviced as its own batch, like a device
+        // talking to the server one frame at a time.
+        auto toServer = [&](std::uint64_t id, const proto::Message &m) {
+            link->sendMessage(id, m);
+            transport.pumpUntilIdle(pool);
+        };
+
         auto auth = [&](std::uint64_t id, bool honest) {
-            chan.sendToServer(
-                proto::encodeMessage(proto::AuthRequest{id}));
-            server.pumpAll(sep);
+            toServer(id, proto::AuthRequest{id});
             std::optional<proto::ChallengeMsg> ch;
             for (const auto &m : drainToClient())
                 if (const auto *c =
@@ -201,28 +210,24 @@ runWorkload(const std::string &dir, std::uint64_t rotate_every,
             if (!honest)
                 for (std::size_t b = 0; b < resp.size(); ++b)
                     resp.flip(b);
-            chan.sendToServer(proto::encodeMessage(
-                proto::ResponseMsg{ch->nonce, resp}));
-            server.pumpAll(sep);
+            toServer(id, proto::ResponseMsg{ch->nonce, resp});
             drainToClient();
         };
 
         auto remap = [&](std::uint64_t id) {
-            server.startRemap(id, sep);
+            server.startRemap(id, link->sink(id));
             std::optional<proto::RemapRequest> rr;
             for (const auto &m : drainToClient())
                 if (const auto *r =
                         std::get_if<proto::RemapRequest>(&m))
                     rr = *r;
             ASSERT_TRUE(rr.has_value());
-            chan.sendToServer(proto::encodeMessage(
-                craftAck(server.database().at(id), *rr)));
-            server.pumpAll(sep);
+            toServer(id, craftAck(server.database().at(id), *rr));
             drainToClient();
         };
 
         auto remapRejected = [&](std::uint64_t id) {
-            server.startRemap(id, sep);
+            server.startRemap(id, link->sink(id));
             std::optional<proto::RemapRequest> rr;
             for (const auto &m : drainToClient())
                 if (const auto *r =
@@ -231,13 +236,12 @@ runWorkload(const std::string &dir, std::uint64_t rotate_every,
             ASSERT_TRUE(rr.has_value());
             auto ack = craftAck(server.database().at(id), *rr);
             ack.confirmation[0] ^= 0xFF; // Key confirmation fails.
-            chan.sendToServer(proto::encodeMessage(ack));
-            server.pumpAll(sep);
+            toServer(id, ack);
             drainToClient();
         };
 
         auto heartbeat = [&](std::uint64_t id, bool honest) {
-            server.startHeartbeat(id, sep);
+            server.startHeartbeat(id, link->sink(id));
             std::optional<proto::Heartbeat> hb;
             for (const auto &m : drainToClient())
                 if (const auto *h = std::get_if<proto::Heartbeat>(&m))
@@ -248,9 +252,7 @@ runWorkload(const std::string &dir, std::uint64_t rotate_every,
             if (!honest)
                 for (std::size_t b = 0; b < resp.size(); ++b)
                     resp.flip(b);
-            chan.sendToServer(proto::encodeMessage(
-                proto::HeartbeatProof{hb->nonce, resp}));
-            server.pumpAll(sep);
+            toServer(id, proto::HeartbeatProof{hb->nonce, resp});
             drainToClient();
             server.stopHeartbeat(id);
         };
@@ -517,28 +519,26 @@ TEST(CrashRecovery, RestartedServerContinuesFromRecoveredState)
     server.attachDurability(&mgr);
     server.seedCompletedRemaps(rec.remapOutcomes);
 
-    proto::InMemoryChannel chan;
-    proto::ServerEndpoint sep(chan);
+    util::ThreadPool pool(1);
+    net::LoopbackTransport transport(server.frontEnd(),
+                                     net::TransportConfig{});
+    auto *link = transport.connect();
     for (std::uint64_t id : {201, 202}) {
-        chan.sendToServer(
-            proto::encodeMessage(proto::AuthRequest{id}));
-        server.pumpAll(sep);
+        link->sendMessage(id, proto::AuthRequest{id});
+        transport.pumpUntilIdle(pool);
         std::optional<proto::ChallengeMsg> ch;
-        while (auto frame = chan.receiveAtClient()) {
-            auto m = proto::decodeMessage(*frame);
-            if (const auto *c = std::get_if<proto::ChallengeMsg>(&m))
+        while (auto m = link->receive()) {
+            if (const auto *c = std::get_if<proto::ChallengeMsg>(&*m))
                 ch = *c;
         }
         ASSERT_TRUE(ch.has_value()) << "device " << id;
         auto resp = honestResponse(server.database().at(id),
                                    ch->challenge);
-        chan.sendToServer(proto::encodeMessage(
-            proto::ResponseMsg{ch->nonce, resp}));
-        server.pumpAll(sep);
+        link->sendMessage(id, proto::ResponseMsg{ch->nonce, resp});
+        transport.pumpUntilIdle(pool);
         bool accepted = false;
-        while (auto frame = chan.receiveAtClient()) {
-            auto m = proto::decodeMessage(*frame);
-            if (const auto *d = std::get_if<proto::AuthDecision>(&m))
+        while (auto m = link->receive()) {
+            if (const auto *d = std::get_if<proto::AuthDecision>(&*m))
                 accepted = d->accepted;
         }
         EXPECT_TRUE(accepted) << "device " << id;

@@ -12,6 +12,7 @@
 
 #include "firmware/keygen.hpp"
 #include "mc/mapgen.hpp"
+#include "net/device_agent.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 
@@ -19,7 +20,7 @@ namespace fw = authenticache::firmware;
 namespace sim = authenticache::sim;
 namespace core = authenticache::core;
 namespace crypto = authenticache::crypto;
-namespace proto = authenticache::protocol;
+namespace net = authenticache::net;
 namespace srv = authenticache::server;
 using authenticache::util::Rng;
 
@@ -145,12 +146,12 @@ TEST_F(MultiLevelIntegration, EndToEndAuthentication)
     auto reserved = srv::defaultReservedLevel(*client);
     server.enroll(5, *client, levels, {reserved});
 
-    proto::InMemoryChannel channel;
-    proto::ServerEndpoint server_end(channel);
-    srv::DeviceAgent agent(5, *client,
-                           proto::ClientEndpoint(channel));
+    authenticache::util::ThreadPool pool(1);
+    net::LoopbackTransport transport(server.frontEnd(),
+                                     net::TransportConfig{});
+    net::DeviceAgent agent(5, *client, *transport.connect());
     agent.requestAuthentication();
-    srv::runExchange(server, server_end, agent);
+    net::runExchange(transport, agent, pool);
 
     ASSERT_TRUE(agent.lastDecision().has_value())
         << (agent.errors().empty() ? "no decision"

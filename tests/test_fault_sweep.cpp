@@ -7,7 +7,13 @@
  * clean status -- no hang, no leaked pending session after GC, no
  * double-retired challenge pair, and both sides' logical-map keys
  * stay in sync. The whole sweep is replayed under the same seeds and
- * must produce bit-for-bit identical outcomes.
+ * must produce bit-for-bit identical outcomes, and those outcomes are
+ * pinned line for line in a golden table.
+ *
+ * The exchange runs over net::LoopbackTransport with one frame per
+ * pump (TransportConfig::maxBatchFrames = 1), so the server and the
+ * agent alternate message by message and the send ordinals the faults
+ * address keep their 7-frame meaning.
  */
 
 #include <iostream>
@@ -18,15 +24,18 @@
 
 #include <gtest/gtest.h>
 
+#include "net/device_agent.hpp"
 #include "server/server.hpp"
 #include "substrate_test_util.hpp"
 
 namespace fw = authenticache::firmware;
+namespace net = authenticache::net;
 namespace testutil = authenticache::testutil;
 namespace core = authenticache::core;
 namespace proto = authenticache::protocol;
 namespace srv = authenticache::server;
 using authenticache::util::SimClock;
+using authenticache::util::ThreadPool;
 
 namespace {
 
@@ -156,7 +165,7 @@ statusName(const std::optional<fw::AuthOutcome::Status> &s)
 
 /**
  * Run the canonical exchange under one fault plan on a fresh device,
- * server, channel, and clock, all rebuilt from the same seeds: the
+ * server, transport, and clock, all rebuilt from the same seeds: the
  * only degree of freedom between runs is the plan itself.
  */
 RunOutcome
@@ -176,25 +185,27 @@ runFaultedExchange(const DeviceTemplate &tmpl,
                          {tmpl.reserved});
 
     SimClock clock;
-    proto::InMemoryChannel channel;
-    channel.bindClock(&clock);
-    channel.setFaultPlan(fault_plan);
+    ThreadPool pool(1);
+    net::TransportConfig tcfg;
+    tcfg.maxBatchFrames = 1;
+    net::LoopbackTransport transport(server.frontEnd(), tcfg);
+    transport.bindClock(&clock);
+    transport.setFaultPlan(fault_plan);
     if (tap)
-        channel.attachTranscript(tap);
-    proto::ServerEndpoint server_end(channel);
+        transport.attachTranscript(tap);
+    auto *link = transport.connect();
     server.bindClock(&clock);
 
-    srv::DeviceAgent agent(kDeviceId, client,
-                           proto::ClientEndpoint(channel));
+    net::DeviceAgent agent(kDeviceId, client, *link);
     agent.bindClock(&clock);
 
     RunOutcome out;
     agent.requestAuthentication();
-    auto auth = srv::runExchangeSteps(server, server_end, agent,
-                                      clock, channel, kMaxSteps);
-    server.startRemap(kDeviceId, server_end);
-    auto remap = srv::runExchangeSteps(server, server_end, agent,
-                                       clock, channel, kMaxSteps);
+    auto auth = net::runExchangeSteps(server, transport, agent, clock,
+                                      pool, kMaxSteps);
+    server.startRemap(kDeviceId, link->sink(kDeviceId));
+    auto remap = net::runExchangeSteps(server, transport, agent, clock,
+                                       pool, kMaxSteps);
 
     out.quiesced = auth.quiesced && remap.quiesced;
     out.steps = auth.steps + remap.steps;
@@ -245,11 +256,126 @@ runFullSweep(const DeviceTemplate &tmpl)
     return sweep;
 }
 
+/**
+ * The sweep's outcomes, recorded when the exchange still ran over a
+ * per-message in-process channel; delivery through the batch
+ * transport must not change a single field.
+ */
+const char *const kGoldenSweep[] = {
+    "drop@AuthRequest: quiesced=1 steps=12 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=1 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "drop@Challenge: quiesced=1 steps=12 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=1 dupReq=1 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "drop@Response: quiesced=1 steps=12 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=1 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "drop@Decision: quiesced=1 steps=12 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=1 dupReq=0 dupDone=1 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "drop@RemapRequest: quiesced=1 steps=0 auth=Ok accepted=1 "
+    "remaps=0 remapTimeouts=0 retx=0 dupReq=0 dupDone=0 expired=1 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "drop@RemapAck: quiesced=1 steps=12 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=1 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "drop@RemapCommit: quiesced=1 steps=12 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=1 dupReq=0 dupDone=1 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "duplicate@AuthRequest: quiesced=1 steps=0 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=1 dupDone=1 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "duplicate@Challenge: quiesced=1 steps=0 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=0 dupDone=1 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "duplicate@Response: quiesced=1 steps=0 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=0 dupDone=1 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "duplicate@Decision: quiesced=1 steps=0 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "duplicate@RemapRequest: quiesced=1 steps=0 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=0 dupDone=1 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "duplicate@RemapAck: quiesced=1 steps=0 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=0 dupDone=1 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "duplicate@RemapCommit: quiesced=1 steps=0 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "reorder@AuthRequest: quiesced=1 steps=0 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "reorder@Challenge: quiesced=1 steps=0 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "reorder@Response: quiesced=1 steps=0 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "reorder@Decision: quiesced=1 steps=0 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "reorder@RemapRequest: quiesced=1 steps=0 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "reorder@RemapAck: quiesced=1 steps=0 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "reorder@RemapCommit: quiesced=1 steps=0 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "delay@AuthRequest: quiesced=1 steps=8 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "delay@Challenge: quiesced=1 steps=8 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "delay@Response: quiesced=1 steps=8 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "delay@Decision: quiesced=1 steps=8 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "delay@RemapRequest: quiesced=1 steps=8 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "delay@RemapAck: quiesced=1 steps=8 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "delay@RemapCommit: quiesced=1 steps=8 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=0 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "corrupt@AuthRequest: quiesced=1 steps=12 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=1 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "corrupt@Challenge: quiesced=1 steps=12 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=1 dupReq=1 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "corrupt@Response: quiesced=1 steps=12 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=1 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "corrupt@Decision: quiesced=1 steps=12 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=1 dupReq=0 dupDone=1 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "corrupt@RemapRequest: quiesced=1 steps=0 auth=Ok accepted=1 "
+    "remaps=0 remapTimeouts=0 retx=0 dupReq=0 dupDone=0 expired=1 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "corrupt@RemapAck: quiesced=1 steps=12 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=1 dupReq=0 dupDone=0 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+    "corrupt@RemapCommit: quiesced=1 steps=12 auth=Ok accepted=1 "
+    "remaps=1 remapTimeouts=0 retx=1 dupReq=0 dupDone=1 expired=0 "
+    "pending=0 consumedAuth=32 consumedReserved=40 keySync=1",
+};
+
 } // namespace
 
 class FaultSweep : public ::testing::Test
 {
   protected:
+    using Sweep = std::vector<std::pair<std::string, RunOutcome>>;
+
     static void
     SetUpTestSuite()
     {
@@ -259,14 +385,27 @@ class FaultSweep : public ::testing::Test
     static void
     TearDownTestSuite()
     {
+        delete sweep;
+        sweep = nullptr;
         delete tmpl;
         tmpl = nullptr;
     }
 
+    /** One full sweep, run on first use and shared by the checks. */
+    static const Sweep &
+    fullSweep()
+    {
+        if (sweep == nullptr)
+            sweep = new Sweep(runFullSweep(*tmpl));
+        return *sweep;
+    }
+
     static DeviceTemplate *tmpl;
+    static Sweep *sweep;
 };
 
 DeviceTemplate *FaultSweep::tmpl = nullptr;
+FaultSweep::Sweep *FaultSweep::sweep = nullptr;
 
 TEST_F(FaultSweep, BaselineIsSevenFramesAndClean)
 {
@@ -291,7 +430,7 @@ TEST_F(FaultSweep, EverySingleFaultCompletesOrFailsClean)
         runFaultedExchange(*tmpl, proto::FaultPlan(kPlanSeed));
     ASSERT_TRUE(baseline.quiesced);
 
-    for (const auto &[label, out] : runFullSweep(*tmpl)) {
+    for (const auto &[label, out] : fullSweep()) {
         SCOPED_TRACE(label);
         std::cout << "[sweep] " << label << ": " << out.serialize()
                   << "\n";
@@ -330,9 +469,18 @@ TEST_F(FaultSweep, EverySingleFaultCompletesOrFailsClean)
     }
 }
 
+TEST_F(FaultSweep, OutcomesMatchGoldenTable)
+{
+    const Sweep &got = fullSweep();
+    ASSERT_EQ(got.size(), std::size(kGoldenSweep));
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i].first + ": " + got[i].second.serialize(),
+                  kGoldenSweep[i]);
+}
+
 TEST_F(FaultSweep, SweepIsDeterministicAcrossRuns)
 {
-    auto first = runFullSweep(*tmpl);
+    const Sweep &first = fullSweep();
     auto second = runFullSweep(*tmpl);
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t i = 0; i < first.size(); ++i) {

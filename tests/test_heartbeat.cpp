@@ -15,12 +15,14 @@
 #include <gtest/gtest.h>
 
 #include "mc/mapgen.hpp"
+#include "net/device_agent.hpp"
 #include "server/server.hpp"
 #include "sim/drift.hpp"
 #include "substrate/drift_injector.hpp"
 #include "substrate_test_util.hpp"
 
 namespace fw = authenticache::firmware;
+namespace net = authenticache::net;
 namespace sim = authenticache::sim;
 namespace proto = authenticache::protocol;
 namespace srv = authenticache::server;
@@ -30,7 +32,7 @@ namespace util = authenticache::util;
 
 namespace {
 
-/** A full device + server + agent harness over an in-memory channel. */
+/** A full device + server + agent harness over a loopback transport. */
 struct HeartbeatRig
 {
     std::unique_ptr<sub::FingerprintSubstrate> chip;
@@ -38,9 +40,10 @@ struct HeartbeatRig
     fw::AuthenticacheClient client;
     srv::AuthenticationServer server;
     util::SimClock clock;
-    proto::InMemoryChannel channel;
-    proto::ServerEndpoint serverEnd{channel};
-    srv::DeviceAgent agent;
+    util::ThreadPool pool{1};
+    net::LoopbackTransport transport;
+    net::LoopbackTransport::Client *link;
+    net::DeviceAgent agent;
 
     static fw::ClientConfig clientConfig()
     {
@@ -55,7 +58,8 @@ struct HeartbeatRig
         : chip(testutil::makeTestSubstrate(die_seed)),
           client(*chip, machine, clientConfig()),
           server(cfg, server_seed),
-          agent(die_seed, client, proto::ClientEndpoint(channel))
+          transport(server.frontEnd(), net::TransportConfig{}),
+          link(transport.connect()), agent(die_seed, client, *link)
     {
         client.boot();
         auto levels = srv::defaultChallengeLevels(client, 2);
@@ -65,16 +69,10 @@ struct HeartbeatRig
         agent.bindClock(&clock);
     }
 
-    std::uint64_t deviceId() const { return agent_id; }
+    /** The sink of the device's stream (server-pushed messages). */
+    proto::ReplySink &sink() { return link->sink(agent_id); }
 
-    void pump()
-    {
-        bool progress = true;
-        while (progress) {
-            progress = server.pumpOnce(serverEnd);
-            progress |= agent.pumpOnce();
-        }
-    }
+    void pump() { net::runExchange(transport, agent, pool); }
 
     /** One simulated step: pump, advance, cadence tick, retries. */
     void step(bool pump_agent = true)
@@ -82,9 +80,9 @@ struct HeartbeatRig
         if (pump_agent)
             pump();
         else
-            server.pumpAll(serverEnd);
+            transport.pumpUntilIdle(pool);
         clock.advance(1);
-        server.tickHeartbeats(serverEnd);
+        server.tickHeartbeats(sink());
         server.tick();
         if (pump_agent)
             agent.tick();
@@ -108,7 +106,7 @@ TEST(Heartbeat, CleanSessionHoldsTrustHigh)
 {
     auto cfg = baseConfig();
     HeartbeatRig rig(cfg);
-    rig.server.startHeartbeat(9, rig.serverEnd);
+    rig.server.startHeartbeat(9, rig.sink());
     for (int s = 0; s < 40; ++s)
         rig.step();
 
@@ -138,7 +136,7 @@ TEST(Heartbeat, SilentClientDecaysToRevocation)
     auto cfg = baseConfig();
     cfg.trust.remapBelow = 0;
     HeartbeatRig rig(cfg);
-    rig.server.startHeartbeat(9, rig.serverEnd);
+    rig.server.startHeartbeat(9, rig.sink());
     for (int s = 0; s < 60 && rig.server.sessions().revocations() == 0;
          ++s)
         rig.step(/*pump_agent=*/false);
@@ -156,12 +154,12 @@ TEST(Heartbeat, SilentClientDecaysToRevocation)
 
     // A revoked device is refused plain authentication too.
     rig.agent.requestAuthentication();
-    srv::runExchange(rig.server, rig.serverEnd, rig.agent);
+    rig.pump();
     ASSERT_FALSE(rig.agent.errors().empty());
     EXPECT_EQ(rig.agent.errors().back(), "device revoked");
 
     // And a fresh heartbeat session is refused.
-    rig.server.startHeartbeat(9, rig.serverEnd);
+    rig.server.startHeartbeat(9, rig.sink());
     rig.agent.pumpAll();
     EXPECT_EQ(rig.agent.errors().back(), "device revoked");
 }
@@ -174,7 +172,7 @@ TEST(Heartbeat, SilentClientWithRemapTiersForcesReenrollment)
     // re-enrollment rather than revocation.
     auto cfg = baseConfig();
     HeartbeatRig rig(cfg);
-    rig.server.startHeartbeat(9, rig.serverEnd);
+    rig.server.startHeartbeat(9, rig.sink());
     for (int s = 0;
          s < 80 && !rig.server.database().at(9).reenrollRequired();
          ++s)
@@ -206,7 +204,7 @@ TEST(Heartbeat, AdminUnlockClearsRevocationAndRestoresTrust)
 
     // And the device authenticates again.
     rig.agent.requestAuthentication();
-    srv::runExchange(rig.server, rig.serverEnd, rig.agent);
+    rig.pump();
     ASSERT_TRUE(rig.agent.lastDecision().has_value());
     EXPECT_TRUE(rig.agent.lastDecision()->accepted);
 }
@@ -218,10 +216,9 @@ TEST(Heartbeat, StepUpSessionsUseFullWidthChallenges)
     auto cfg = baseConfig();
     cfg.trust.initial = cfg.trust.stepUpBelow - 1;
     HeartbeatRig rig(cfg);
-    rig.server.startHeartbeat(9, rig.serverEnd);
+    rig.server.startHeartbeat(9, rig.sink());
 
-    proto::ClientEndpoint peek(rig.channel);
-    auto msg = peek.receive();
+    auto msg = rig.link->receive();
     ASSERT_TRUE(msg.has_value());
     auto *hb = std::get_if<proto::Heartbeat>(&*msg);
     ASSERT_NE(hb, nullptr);
@@ -233,10 +230,9 @@ TEST(Heartbeat, NominalSessionsUseLowCostChallenges)
 {
     auto cfg = baseConfig();
     HeartbeatRig rig(cfg);
-    rig.server.startHeartbeat(9, rig.serverEnd);
+    rig.server.startHeartbeat(9, rig.sink());
 
-    proto::ClientEndpoint peek(rig.channel);
-    auto msg = peek.receive();
+    auto msg = rig.link->receive();
     ASSERT_TRUE(msg.has_value());
     auto *hb = std::get_if<proto::Heartbeat>(&*msg);
     ASSERT_NE(hb, nullptr);
@@ -254,7 +250,7 @@ TEST(Heartbeat, ProactiveRemapFiresAndCompletes)
     cfg.trust.revokeBelow = 0;
     cfg.trust.remapBudget = 1;
     HeartbeatRig rig(cfg);
-    rig.server.startHeartbeat(9, rig.serverEnd);
+    rig.server.startHeartbeat(9, rig.sink());
 
     // Miss one round: 36 -> 34 < 35 schedules the remap and grants
     // remapRecovery back.
@@ -282,7 +278,7 @@ TEST(Heartbeat, BudgetExhaustionForcesReenrollment)
     cfg.trust.revokeBelow = 0;
     cfg.trust.remapBudget = 0;
     HeartbeatRig rig(cfg);
-    rig.server.startHeartbeat(9, rig.serverEnd);
+    rig.server.startHeartbeat(9, rig.sink());
     for (int s = 0; s < 20 &&
                     !rig.server.database().at(9).reenrollRequired();
          ++s)
@@ -296,11 +292,11 @@ TEST(Heartbeat, BudgetExhaustionForcesReenrollment)
     // Auth and a fresh heartbeat are both refused until re-enrollment.
     rig.agent.pumpAll();
     rig.agent.requestAuthentication();
-    srv::runExchange(rig.server, rig.serverEnd, rig.agent);
+    rig.pump();
     ASSERT_FALSE(rig.agent.errors().empty());
     EXPECT_EQ(rig.agent.errors().back(), "re-enrollment required");
 
-    rig.server.startHeartbeat(9, rig.serverEnd);
+    rig.server.startHeartbeat(9, rig.sink());
     rig.agent.pumpAll();
     EXPECT_EQ(rig.agent.errors().back(), "re-enrollment required");
 }
@@ -309,11 +305,10 @@ TEST(Heartbeat, DuplicateProofReplaysCachedVerdict)
 {
     auto cfg = baseConfig();
     HeartbeatRig rig(cfg);
-    rig.server.startHeartbeat(9, rig.serverEnd);
+    rig.server.startHeartbeat(9, rig.sink());
 
     // Answer round 1, capturing the proof frame for replay.
-    proto::ClientEndpoint client_end(rig.channel);
-    auto msg = client_end.receive();
+    auto msg = rig.link->receive();
     ASSERT_TRUE(msg.has_value());
     auto *hb = std::get_if<proto::Heartbeat>(&*msg);
     ASSERT_NE(hb, nullptr);
@@ -322,21 +317,21 @@ TEST(Heartbeat, DuplicateProofReplaysCachedVerdict)
     proto::HeartbeatProof proof;
     proof.nonce = hb->nonce;
     proof.response = outcome.response;
-    client_end.send(proof);
-    rig.server.pumpAll(rig.serverEnd);
+    rig.link->sendMessage(9, proof);
+    rig.transport.pumpUntilIdle(rig.pool);
     const std::uint32_t trust_after =
         rig.server.database().at(9).trustScore();
 
     // The duplicate replays the cached TrustUpdate and never
     // re-scores the ledger.
-    client_end.send(proof);
-    rig.server.pumpAll(rig.serverEnd);
+    rig.link->sendMessage(9, proof);
+    rig.transport.pumpUntilIdle(rig.pool);
     EXPECT_EQ(rig.server.database().at(9).trustScore(), trust_after);
     EXPECT_EQ(rig.server.duplicateCompletions(), 1u);
 
-    auto replay = client_end.receive(); // Original verdict.
+    auto replay = rig.link->receive(); // Original verdict.
     ASSERT_TRUE(replay.has_value());
-    auto dup = client_end.receive(); // Replayed verdict.
+    auto dup = rig.link->receive(); // Replayed verdict.
     ASSERT_TRUE(dup.has_value());
     auto *v1 = std::get_if<proto::TrustUpdate>(&*replay);
     auto *v2 = std::get_if<proto::TrustUpdate>(&*dup);
@@ -350,7 +345,7 @@ TEST(Heartbeat, StopTearsDownSession)
 {
     auto cfg = baseConfig();
     HeartbeatRig rig(cfg);
-    rig.server.startHeartbeat(9, rig.serverEnd);
+    rig.server.startHeartbeat(9, rig.sink());
     EXPECT_EQ(rig.server.sessions().activeHeartbeats(), 1u);
     EXPECT_TRUE(rig.server.stopHeartbeat(9));
     EXPECT_FALSE(rig.server.stopHeartbeat(9));
@@ -535,7 +530,7 @@ TEST(Heartbeat, DriftTrajectoryIsDeterministic)
         auto cfg = baseConfig();
         HeartbeatRig rig(cfg);
         proto::Transcript transcript;
-        rig.channel.attachTranscript(&transcript);
+        rig.transport.attachTranscript(&transcript);
 
         sim::DriftScheduleConfig dcfg;
         dcfg.rampSteps = 40;
@@ -543,14 +538,14 @@ TEST(Heartbeat, DriftTrajectoryIsDeterministic)
         dcfg.returnToNominal = false;
         sub::DriftInjector drift(*rig.chip,
                                  sim::DriftSchedule(0xD21F7, 9, dcfg));
-        rig.server.startHeartbeat(9, rig.serverEnd);
+        rig.server.startHeartbeat(9, rig.sink());
         for (int s = 0; s < 80; ++s) {
             rig.pump();
             trust_trajectory.push_back(
                 rig.server.database().at(9).trustScore());
             rig.clock.advance(1);
             drift.apply(rig.clock.now());
-            rig.server.tickHeartbeats(rig.serverEnd);
+            rig.server.tickHeartbeats(rig.sink());
             rig.server.tick();
             rig.agent.tick();
         }
@@ -638,7 +633,7 @@ TEST(Heartbeat, RevokeMessageRoundTripsThroughAgent)
 {
     auto cfg = baseConfig();
     HeartbeatRig rig(cfg);
-    rig.server.startHeartbeat(9, rig.serverEnd);
+    rig.server.startHeartbeat(9, rig.sink());
     rig.pump();
     EXPECT_FALSE(rig.agent.revoked());
 
@@ -649,7 +644,7 @@ TEST(Heartbeat, RevokeMessageRoundTripsThroughAgent)
     // torn down server-side); the agent discovers it on its next
     // exchange attempt.
     rig.agent.requestAuthentication();
-    srv::runExchange(rig.server, rig.serverEnd, rig.agent);
+    rig.pump();
     ASSERT_FALSE(rig.agent.errors().empty());
     EXPECT_EQ(rig.agent.errors().back(), "device revoked");
 }

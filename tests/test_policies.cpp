@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/device_agent.hpp"
 #include "server/server.hpp"
 #include "server/storage.hpp"
 #include "sim/chip.hpp"
@@ -16,6 +17,7 @@ namespace fw = authenticache::firmware;
 namespace sim = authenticache::sim;
 namespace core = authenticache::core;
 namespace proto = authenticache::protocol;
+namespace net = authenticache::net;
 namespace srv = authenticache::server;
 using authenticache::util::Rng;
 
@@ -115,10 +117,13 @@ class Lockout : public ::testing::Test
         server->enroll(9, *client, levels,
                        {srv::defaultReservedLevel(*client)});
 
-        server_end = std::make_unique<proto::ServerEndpoint>(channel);
-        agent = std::make_unique<srv::DeviceAgent>(
-            9, *client, proto::ClientEndpoint(channel));
+        transport = std::make_unique<net::LoopbackTransport>(
+            server->frontEnd(), net::TransportConfig{});
+        link = transport->connect();
+        agent = std::make_unique<net::DeviceAgent>(9, *client, *link);
     }
+
+    void run() { net::runExchange(*transport, *agent, pool); }
 
     /** Run one auth with the response sabotaged to force rejection. */
     void
@@ -126,8 +131,8 @@ class Lockout : public ::testing::Test
     {
         agent->requestAuthentication();
         // Pump manually so we can corrupt the response in flight.
-        server->pumpOnce(*server_end); // Request -> challenge.
-        auto msg = proto::ClientEndpoint(channel).receive();
+        transport->pump(pool); // Request -> challenge.
+        auto msg = link->receive();
         ASSERT_TRUE(msg.has_value());
         auto *ch = std::get_if<proto::ChallengeMsg>(&*msg);
         ASSERT_NE(ch, nullptr);
@@ -136,8 +141,8 @@ class Lockout : public ::testing::Test
         bogus.response = core::Response(ch->challenge.size());
         for (std::size_t i = 0; i < bogus.response.size(); i += 2)
             bogus.response.flip(i); // Half the bits wrong.
-        proto::ClientEndpoint(channel).send(bogus);
-        server->pumpOnce(*server_end);
+        link->sendMessage(9, bogus);
+        transport->pump(pool);
         agent->pumpAll();
     }
 
@@ -145,9 +150,10 @@ class Lockout : public ::testing::Test
     std::unique_ptr<fw::SimulatedMachine> machine;
     std::unique_ptr<fw::AuthenticacheClient> client;
     std::unique_ptr<srv::AuthenticationServer> server;
-    proto::InMemoryChannel channel;
-    std::unique_ptr<proto::ServerEndpoint> server_end;
-    std::unique_ptr<srv::DeviceAgent> agent;
+    authenticache::util::ThreadPool pool{1};
+    std::unique_ptr<net::LoopbackTransport> transport;
+    net::LoopbackTransport::Client *link = nullptr;
+    std::unique_ptr<net::DeviceAgent> agent;
 };
 
 TEST_F(Lockout, LocksAfterConsecutiveFailures)
@@ -160,7 +166,7 @@ TEST_F(Lockout, LocksAfterConsecutiveFailures)
 
     // Further requests are refused outright.
     agent->requestAuthentication();
-    srv::runExchange(*server, *server_end, *agent);
+    run();
     ASSERT_FALSE(agent->errors().empty());
     EXPECT_NE(agent->errors().back().find("device locked"),
               std::string::npos);
@@ -172,7 +178,7 @@ TEST_F(Lockout, SuccessResetsTheCounter)
     failOnce();
     // Genuine authentication succeeds and clears the streak.
     agent->requestAuthentication();
-    srv::runExchange(*server, *server_end, *agent);
+    run();
     ASSERT_TRUE(agent->lastDecision().has_value());
     ASSERT_TRUE(agent->lastDecision()->accepted);
     EXPECT_EQ(server->database().at(9).consecutiveFailures(), 0u);
@@ -192,7 +198,7 @@ TEST_F(Lockout, AdminUnlockRestoresService)
     server->unlockDevice(9);
     EXPECT_FALSE(server->database().at(9).locked());
     agent->requestAuthentication();
-    srv::runExchange(*server, *server_end, *agent);
+    run();
     ASSERT_TRUE(agent->lastDecision().has_value());
     EXPECT_TRUE(agent->lastDecision()->accepted);
 }

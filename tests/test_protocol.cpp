@@ -1,20 +1,25 @@
 /**
  * @file
  * Tests for serialization, protocol messages (round trips, framing,
- * corruption detection), and the in-memory channel with transcript and
- * fault injection.
+ * corruption detection), and message delivery over the loopback
+ * transport with transcript and fault injection.
  */
 
 #include <gtest/gtest.h>
 
+#include "net/loopback.hpp"
 #include "protocol/channel.hpp"
 #include "protocol/messages.hpp"
 #include "protocol/serialize.hpp"
+#include "server/server.hpp"
 #include "util/crc32.hpp"
 
 namespace p = authenticache::protocol;
 namespace core = authenticache::core;
+namespace net = authenticache::net;
+namespace srv = authenticache::server;
 using authenticache::util::BitVec;
+using authenticache::util::ThreadPool;
 
 TEST(Serialize, ScalarRoundTrip)
 {
@@ -147,68 +152,88 @@ TEST(Messages, UnknownTypeRejected)
     EXPECT_THROW(p::decodeMessage(frame.bytes()), p::DecodeError);
 }
 
+namespace {
+
+/**
+ * An empty server behind a loopback transport: every AuthRequest
+ * (no device is enrolled) is answered with an ErrorMsg on its own
+ * stream, and sink() pushes server messages to the client.
+ */
+struct Wire
+{
+    srv::AuthenticationServer server{srv::ServerConfig{}, 1};
+    net::LoopbackTransport transport{server.frontEnd(),
+                                     net::TransportConfig{}};
+    net::LoopbackTransport::Client *client = transport.connect();
+    ThreadPool pool{1};
+
+    void pump() { transport.pumpUntilIdle(pool); }
+};
+
+} // namespace
+
 TEST(Channel, FifoBothDirections)
 {
-    p::InMemoryChannel channel;
-    p::ClientEndpoint client(channel);
-    p::ServerEndpoint server(channel);
+    Wire w;
+    w.client->sendMessage(1, p::AuthRequest{1});
+    w.client->sendMessage(2, p::AuthRequest{2});
+    w.pump();
+    auto replies = w.client->readMessages();
+    ASSERT_EQ(replies.size(), 2u);
+    EXPECT_EQ(replies[0].first, 1u);
+    EXPECT_EQ(replies[1].first, 2u);
+    EXPECT_EQ(w.transport.counters().framesIn, 2u);
 
-    client.send(p::AuthRequest{1});
-    client.send(p::AuthRequest{2});
-    auto m1 = server.receive();
-    auto m2 = server.receive();
-    ASSERT_TRUE(m1 && m2);
-    EXPECT_EQ(std::get<p::AuthRequest>(*m1).deviceId, 1u);
-    EXPECT_EQ(std::get<p::AuthRequest>(*m2).deviceId, 2u);
-    EXPECT_FALSE(server.receive().has_value());
-
-    server.send(p::AuthDecision{5, true, 0});
-    auto m3 = client.receive();
+    w.client->sink(3).send(p::AuthDecision{5, true, 0});
+    auto m3 = w.client->receive();
     ASSERT_TRUE(m3);
     EXPECT_TRUE(std::get<p::AuthDecision>(*m3).accepted);
+    EXPECT_FALSE(w.client->receive().has_value());
 }
 
 TEST(Channel, DropInjection)
 {
-    p::InMemoryChannel channel;
-    p::ClientEndpoint client(channel);
-    p::ServerEndpoint server(channel);
-
-    channel.dropNextFrames(1);
-    client.send(p::AuthRequest{1});
-    EXPECT_FALSE(server.receive().has_value());
-    client.send(p::AuthRequest{2});
-    auto m = server.receive();
-    ASSERT_TRUE(m);
-    EXPECT_EQ(std::get<p::AuthRequest>(*m).deviceId, 2u);
+    Wire w;
+    w.transport.setFaultPlan(
+        p::FaultPlan().add({p::FaultType::Drop, 0, 0}));
+    w.client->sendMessage(1, p::AuthRequest{1});
+    w.pump();
+    EXPECT_EQ(w.transport.counters().framesIn, 0u);
+    EXPECT_FALSE(w.client->receive().has_value());
+    w.client->sendMessage(2, p::AuthRequest{2});
+    w.pump();
+    auto replies = w.client->readMessages();
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_EQ(replies[0].first, 2u);
 }
 
 TEST(Channel, CorruptionInjection)
 {
-    p::InMemoryChannel channel;
-    p::ClientEndpoint client(channel);
-    p::ServerEndpoint server(channel);
-
-    channel.corruptNextFrames(1);
-    client.send(p::AuthRequest{1});
-    EXPECT_THROW(server.receive(), p::DecodeError);
+    Wire w;
+    w.transport.setFaultPlan(
+        p::FaultPlan().add({p::FaultType::Corrupt, 0, 0}));
+    w.client->sink(1).send(p::AuthDecision{5, true, 0});
+    EXPECT_THROW(w.client->receive(), p::DecodeError);
 }
 
 TEST(Transcript, RecordsAndDecodesCrps)
 {
-    p::InMemoryChannel channel;
+    Wire w;
     p::Transcript transcript;
-    channel.attachTranscript(&transcript);
-    p::ClientEndpoint client(channel);
-    p::ServerEndpoint server(channel);
+    w.transport.attachTranscript(&transcript);
 
     BitVec resp = BitVec::fromString("01");
-    server.send(p::ChallengeMsg{11, sampleChallenge()});
-    client.send(p::ResponseMsg{11, resp});
+    w.client->sink(11).send(p::ChallengeMsg{11, sampleChallenge()});
+    w.client->sendMessage(11, p::ResponseMsg{11, resp});
     // A second, unmatched challenge must not produce a pair.
-    server.send(p::ChallengeMsg{12, sampleChallenge()});
+    w.client->sink(12).send(p::ChallengeMsg{12, sampleChallenge()});
+    (void)w.client->readMessages();
 
-    EXPECT_EQ(transcript.size(), 3u);
+    ASSERT_EQ(transcript.size(), 3u);
+    EXPECT_EQ(transcript.entries()[0].direction,
+              p::Direction::ServerToClient);
+    EXPECT_EQ(transcript.entries()[1].direction,
+              p::Direction::ClientToServer);
     auto crps = transcript.observedCrps();
     ASSERT_EQ(crps.size(), 1u);
     EXPECT_EQ(crps[0].first.size(), 2u);
@@ -217,11 +242,10 @@ TEST(Transcript, RecordsAndDecodesCrps)
 
 TEST(Transcript, ClearEmpties)
 {
-    p::InMemoryChannel channel;
+    Wire w;
     p::Transcript transcript;
-    channel.attachTranscript(&transcript);
-    p::ClientEndpoint client(channel);
-    client.send(p::AuthRequest{1});
+    w.transport.attachTranscript(&transcript);
+    w.client->sendMessage(1, p::AuthRequest{1});
     EXPECT_EQ(transcript.size(), 1u);
     transcript.clear();
     EXPECT_EQ(transcript.size(), 0u);

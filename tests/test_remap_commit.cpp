@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/device_agent.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 
@@ -18,8 +19,21 @@ namespace fw = authenticache::firmware;
 namespace sim = authenticache::sim;
 namespace core = authenticache::core;
 namespace crypto = authenticache::crypto;
+namespace net = authenticache::net;
 namespace proto = authenticache::protocol;
 namespace srv = authenticache::server;
+
+namespace {
+
+/** Holds what the server sends instead of delivering it, so a test
+ *  can tamper with a message in flight. */
+struct Intercept : proto::ReplySink
+{
+    void send(const proto::Message &m) override { msgs.push_back(m); }
+    std::vector<proto::Message> msgs;
+};
+
+} // namespace
 
 class RemapCommitFlow : public ::testing::Test
 {
@@ -46,25 +60,41 @@ class RemapCommitFlow : public ::testing::Test
         server->enroll(8, *client, levels,
                        {srv::defaultReservedLevel(*client)});
 
-        server_end = std::make_unique<proto::ServerEndpoint>(channel);
-        agent = std::make_unique<srv::DeviceAgent>(
-            8, *client, proto::ClientEndpoint(channel));
+        transport = std::make_unique<net::LoopbackTransport>(
+            server->frontEnd(), net::TransportConfig{});
+        link = transport->connect();
+        agent = std::make_unique<net::DeviceAgent>(8, *client, *link);
+    }
+
+    void run() { net::runExchange(*transport, *agent, pool); }
+
+    /** Start a remap and return its RemapRequest undelivered. */
+    proto::RemapRequest
+    interceptRemap()
+    {
+        Intercept tap;
+        server->startRemap(8, tap);
+        EXPECT_EQ(tap.msgs.size(), 1u);
+        auto *req = std::get_if<proto::RemapRequest>(&tap.msgs.at(0));
+        EXPECT_NE(req, nullptr);
+        return req ? *req : proto::RemapRequest{};
     }
 
     std::unique_ptr<sim::SimulatedChip> chip;
     std::unique_ptr<fw::SimulatedMachine> machine;
     std::unique_ptr<fw::AuthenticacheClient> client;
     std::unique_ptr<srv::AuthenticationServer> server;
-    proto::InMemoryChannel channel;
-    std::unique_ptr<proto::ServerEndpoint> server_end;
-    std::unique_ptr<srv::DeviceAgent> agent;
+    authenticache::util::ThreadPool pool{1};
+    std::unique_ptr<net::LoopbackTransport> transport;
+    net::LoopbackTransport::Client *link = nullptr;
+    std::unique_ptr<net::DeviceAgent> agent;
 };
 
 TEST_F(RemapCommitFlow, CleanRemapCommitsBothSides)
 {
     crypto::Key256 before = client->mapKey();
-    server->startRemap(8, *server_end);
-    srv::runExchange(*server, *server_end, *agent);
+    server->startRemap(8, link->sink(8));
+    run();
 
     EXPECT_EQ(server->remapsCommitted(), 1u);
     EXPECT_EQ(server->remapsRejected(), 0u);
@@ -77,21 +107,15 @@ TEST_F(RemapCommitFlow, CorruptedHelperIsRejectedWithoutDesync)
     crypto::Key256 before = client->mapKey();
     ASSERT_EQ(server->database().at(8).mapKey(), before);
 
-    server->startRemap(8, *server_end);
-
     // Intercept the RemapRequest and sabotage one helper group so
     // the client derives the wrong secret.
-    auto frame = channel.receiveAtClient();
-    ASSERT_TRUE(frame.has_value());
-    auto msg = proto::decodeMessage(*frame);
-    auto *req = std::get_if<proto::RemapRequest>(&msg);
-    ASSERT_NE(req, nullptr);
-    req->helper.flip(0);
-    req->helper.flip(1);
-    req->helper.flip(2); // Majority of the first 5-bit group flips.
-    channel.sendToClient(proto::encodeMessage(*req));
+    proto::RemapRequest req = interceptRemap();
+    req.helper.flip(0);
+    req.helper.flip(1);
+    req.helper.flip(2); // Majority of the first 5-bit group flips.
+    link->sink(8).send(req);
 
-    srv::runExchange(*server, *server_end, *agent);
+    run();
 
     // The confirmation MAC exposed the mismatch: rejected, and both
     // sides still hold the old key.
@@ -102,13 +126,13 @@ TEST_F(RemapCommitFlow, CorruptedHelperIsRejectedWithoutDesync)
 
     // Authentication still works on the old key.
     agent->requestAuthentication();
-    srv::runExchange(*server, *server_end, *agent);
+    run();
     ASSERT_TRUE(agent->lastDecision().has_value());
     EXPECT_TRUE(agent->lastDecision()->accepted);
 
     // And a clean retry succeeds.
-    server->startRemap(8, *server_end);
-    srv::runExchange(*server, *server_end, *agent);
+    server->startRemap(8, link->sink(8));
+    run();
     EXPECT_EQ(server->remapsCommitted(), 1u);
     EXPECT_EQ(client->mapKey(), server->database().at(8).mapKey());
 }
@@ -116,8 +140,7 @@ TEST_F(RemapCommitFlow, CorruptedHelperIsRejectedWithoutDesync)
 TEST_F(RemapCommitFlow, StrayCommitIsIgnored)
 {
     crypto::Key256 before = client->mapKey();
-    channel.sendToClient(
-        proto::encodeMessage(proto::RemapCommit{12345, true}));
+    link->sink(8).send(proto::RemapCommit{12345, true});
     agent->pumpAll();
     EXPECT_EQ(client->mapKey(), before);
 }
@@ -125,19 +148,14 @@ TEST_F(RemapCommitFlow, StrayCommitIsIgnored)
 TEST_F(RemapCommitFlow, ForgedConfirmationRejected)
 {
     // An attacker who hijacks the ack cannot confirm without the key.
-    server->startRemap(8, *server_end);
-    auto frame = channel.receiveAtClient();
-    ASSERT_TRUE(frame.has_value());
-    auto msg = proto::decodeMessage(*frame);
-    auto *req = std::get_if<proto::RemapRequest>(&msg);
-    ASSERT_NE(req, nullptr);
+    proto::RemapRequest req = interceptRemap();
 
     proto::RemapAck forged;
-    forged.nonce = req->nonce;
+    forged.nonce = req.nonce;
     forged.success = true;
     forged.confirmation.fill(0xAB);
-    channel.sendToServer(proto::encodeMessage(forged));
-    server->pumpAll(*server_end);
+    link->sendMessage(8, forged);
+    transport->pumpUntilIdle(pool);
 
     EXPECT_EQ(server->remapsCommitted(), 0u);
     EXPECT_EQ(server->remapsRejected(), 1u);

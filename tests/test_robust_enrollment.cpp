@@ -7,13 +7,14 @@
 #include <gtest/gtest.h>
 
 #include "mc/mapgen.hpp"
+#include "net/device_agent.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 
 namespace core = authenticache::core;
 namespace sim = authenticache::sim;
 namespace fw = authenticache::firmware;
-namespace proto = authenticache::protocol;
+namespace net = authenticache::net;
 namespace srv = authenticache::server;
 using authenticache::util::Rng;
 
@@ -134,10 +135,10 @@ TEST(RobustEnrollment, EnrollWithCombinedMapAuthenticates)
     srv::AuthenticationServer server(scfg, 2);
     server.enrollWithMap(4, combined, client, {level}, {});
 
-    proto::InMemoryChannel channel;
-    proto::ServerEndpoint server_end(channel);
-    srv::DeviceAgent agent(4, client,
-                           proto::ClientEndpoint(channel));
+    authenticache::util::ThreadPool pool(1);
+    net::LoopbackTransport transport(server.frontEnd(),
+                                     net::TransportConfig{});
+    net::DeviceAgent agent(4, client, *transport.connect());
 
     // Authenticates at both ends of the envelope.
     for (double temp : {0.0, 20.0}) {
@@ -145,7 +146,7 @@ TEST(RobustEnrollment, EnrollWithCombinedMapAuthenticates)
         c.temperatureDeltaC = temp;
         chip.setConditions(c);
         agent.requestAuthentication();
-        srv::runExchange(server, server_end, agent);
+        net::runExchange(transport, agent, pool);
         ASSERT_TRUE(agent.lastDecision().has_value());
         EXPECT_TRUE(agent.lastDecision()->accepted)
             << "at +" << temp << "C, HD "

@@ -16,6 +16,7 @@
 #include "attack/replay.hpp"
 #include "core/crp.hpp"
 #include "mc/mapgen.hpp"
+#include "net/device_agent.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 
@@ -23,6 +24,7 @@ namespace fw = authenticache::firmware;
 namespace sim = authenticache::sim;
 namespace core = authenticache::core;
 namespace crypto = authenticache::crypto;
+namespace net = authenticache::net;
 namespace proto = authenticache::protocol;
 namespace srv = authenticache::server;
 using authenticache::util::Rng;
@@ -269,7 +271,7 @@ TEST(VerifierConcurrentCopy, ConcurrentCopyConstructionFromLiveSource)
 
 /**
  * Full-stack fixture: one genuine device enrolled with a server,
- * talking over the in-memory channel.
+ * talking over the loopback transport.
  */
 class Integration : public ::testing::Test
 {
@@ -298,28 +300,29 @@ class Integration : public ::testing::Test
         auto reserved = srv::defaultReservedLevel(*client);
         server->enroll(42, *client, levels, {reserved});
 
-        channel.attachTranscript(&transcript);
-        server_endpoint =
-            std::make_unique<proto::ServerEndpoint>(channel);
-        agent = std::make_unique<srv::DeviceAgent>(
-            42, *client, proto::ClientEndpoint(channel));
+        transport = std::make_unique<net::LoopbackTransport>(
+            server->frontEnd(), net::TransportConfig{});
+        transport->attachTranscript(&transcript);
+        link = transport->connect();
+        agent = std::make_unique<net::DeviceAgent>(42, *client, *link);
     }
 
     void
     authenticateOnce()
     {
         agent->requestAuthentication();
-        srv::runExchange(*server, *server_endpoint, *agent);
+        net::runExchange(*transport, *agent, pool);
     }
 
     std::unique_ptr<sim::SimulatedChip> chip;
     std::unique_ptr<fw::SimulatedMachine> machine;
     std::unique_ptr<fw::AuthenticacheClient> client;
     std::unique_ptr<srv::AuthenticationServer> server;
-    proto::InMemoryChannel channel;
+    authenticache::util::ThreadPool pool{1};
     proto::Transcript transcript;
-    std::unique_ptr<proto::ServerEndpoint> server_endpoint;
-    std::unique_ptr<srv::DeviceAgent> agent;
+    std::unique_ptr<net::LoopbackTransport> transport;
+    net::LoopbackTransport::Client *link = nullptr;
+    std::unique_ptr<net::DeviceAgent> agent;
 };
 
 TEST_F(Integration, GenuineDeviceAccepted)
@@ -352,10 +355,9 @@ TEST_F(Integration, RepeatedAuthenticationsUseFreshChallenges)
 
 TEST_F(Integration, UnknownDeviceRejected)
 {
-    srv::DeviceAgent stranger(99, *client,
-                              proto::ClientEndpoint(channel));
+    net::DeviceAgent stranger(99, *client, *transport->connect());
     stranger.requestAuthentication();
-    srv::runExchange(*server, *server_endpoint, stranger);
+    net::runExchange(*transport, stranger, pool);
     EXPECT_FALSE(stranger.lastDecision().has_value());
     ASSERT_FALSE(stranger.errors().empty());
     EXPECT_NE(stranger.errors()[0].find("unknown device"),
@@ -378,10 +380,9 @@ TEST_F(Integration, ImposterChipRejected)
     imposter.boot();
     imposter.setMapKey(client->mapKey());
 
-    srv::DeviceAgent imposter_agent(42, imposter,
-                                    proto::ClientEndpoint(channel));
+    net::DeviceAgent imposter_agent(42, imposter, *transport->connect());
     imposter_agent.requestAuthentication();
-    srv::runExchange(*server, *server_endpoint, imposter_agent);
+    net::runExchange(*transport, imposter_agent, pool);
 
     ASSERT_TRUE(imposter_agent.lastDecision().has_value());
     EXPECT_FALSE(imposter_agent.lastDecision()->accepted);
@@ -404,8 +405,8 @@ TEST_F(Integration, ReplayedResponseNeverGrantsFreshAccess)
     std::uint64_t accepts_before =
         server->database().at(42).accepted();
 
-    attacker.replayToServer(channel, *frame);
-    server->pumpAll(*server_endpoint);
+    link->sendPayload(42, *frame);
+    transport->pumpUntilIdle(pool);
 
     EXPECT_EQ(server->reports().size(), reports_before);
     EXPECT_EQ(server->database().at(42).accepted(), accepts_before);
@@ -416,8 +417,8 @@ TEST_F(Integration, ReplayedResponseNeverGrantsFreshAccess)
     proto::ResponseMsg stray;
     stray.nonce = 0xDEAD;
     stray.response = core::Response(128);
-    channel.sendToServer(proto::encodeMessage(stray));
-    server->pumpAll(*server_endpoint);
+    link->sendMessage(42, stray);
+    transport->pumpUntilIdle(pool);
     agent->pumpAll();
     ASSERT_FALSE(agent->errors().empty());
     EXPECT_NE(agent->errors().back().find("unknown nonce"),
@@ -426,9 +427,10 @@ TEST_F(Integration, ReplayedResponseNeverGrantsFreshAccess)
 
 TEST_F(Integration, CorruptedFrameHandled)
 {
-    channel.corruptNextFrames(1);
+    transport->setFaultPlan(proto::FaultPlan().add(
+        {proto::FaultType::Corrupt, 0, 0}));
     agent->requestAuthentication(); // This frame gets corrupted.
-    srv::runExchange(*server, *server_endpoint, *agent);
+    net::runExchange(*transport, *agent, pool);
     // The server answered with a decode error; no decision reached.
     EXPECT_FALSE(agent->lastDecision().has_value());
     ASSERT_FALSE(agent->errors().empty());
@@ -446,8 +448,8 @@ TEST_F(Integration, RemapRotatesKeyAndAuthStillWorks)
     crypto::Key256 before = client->mapKey();
     ASSERT_EQ(server->database().at(42).mapKey(), before);
 
-    server->startRemap(42, *server_endpoint);
-    srv::runExchange(*server, *server_endpoint, *agent);
+    server->startRemap(42, link->sink(42));
+    net::runExchange(*transport, *agent, pool);
 
     EXPECT_EQ(server->remapsCommitted(), 1u);
     EXPECT_EQ(agent->remapsProcessed(), 1u);

@@ -13,12 +13,14 @@
 #include <gtest/gtest.h>
 
 #include "mc/mapgen.hpp"
+#include "net/device_agent.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 
 namespace fw = authenticache::firmware;
 namespace sim = authenticache::sim;
 namespace core = authenticache::core;
+namespace net = authenticache::net;
 namespace proto = authenticache::protocol;
 namespace srv = authenticache::server;
 using authenticache::util::Rng;
@@ -52,7 +54,17 @@ class SessionCap : public ::testing::Test
         server->enroll(2, *client, levels,
                        {srv::defaultReservedLevel(*client)});
 
-        server_end = std::make_unique<proto::ServerEndpoint>(channel);
+        transport = std::make_unique<net::LoopbackTransport>(
+            server->frontEnd(), net::TransportConfig{});
+        link = transport->connect();
+    }
+
+    /** Deliver one message on device @p id's stream, as one batch. */
+    void
+    send(std::uint64_t id, const proto::Message &m)
+    {
+        link->sendMessage(id, m);
+        transport->pump(pool);
     }
 
     /**
@@ -74,9 +86,7 @@ class SessionCap : public ::testing::Test
     void
     requestFrom(std::uint64_t device_id)
     {
-        channel.sendToServer(
-            proto::encodeMessage(proto::AuthRequest{device_id}));
-        server->pumpOnce(*server_end);
+        send(device_id, proto::AuthRequest{device_id});
     }
 
     std::unique_ptr<sim::SimulatedChip> chip;
@@ -84,8 +94,9 @@ class SessionCap : public ::testing::Test
     std::unique_ptr<fw::AuthenticacheClient> client;
     std::unique_ptr<srv::AuthenticationServer> server;
     std::vector<core::VddMv> levels;
-    proto::InMemoryChannel channel;
-    std::unique_ptr<proto::ServerEndpoint> server_end;
+    authenticache::util::ThreadPool pool{1};
+    std::unique_ptr<net::LoopbackTransport> transport;
+    net::LoopbackTransport::Client *link = nullptr;
 };
 
 TEST_F(SessionCap, FloodIsBounded)
@@ -118,9 +129,8 @@ TEST_F(SessionCap, DuplicateRequestsDoNotInflatePendingState)
     // All 50 replies carry the identical challenge and nonce.
     std::optional<std::uint64_t> nonce;
     std::size_t replies = 0;
-    while (auto frame = channel.receiveAtClient()) {
-        auto msg = proto::decodeMessage(*frame);
-        auto *ch = std::get_if<proto::ChallengeMsg>(&msg);
+    while (auto msg = link->receive()) {
+        auto *ch = std::get_if<proto::ChallengeMsg>(&*msg);
         ASSERT_NE(ch, nullptr);
         if (!nonce)
             nonce = ch->nonce;
@@ -136,10 +146,9 @@ TEST_F(SessionCap, EvictedChallengeRejectsLateResponse)
     // answering it later must fail with "unknown nonce".
     enrollFlooders(20);
     requestFrom(2);
-    auto first = channel.receiveAtClient();
-    ASSERT_TRUE(first.has_value());
-    auto first_msg = proto::decodeMessage(*first);
-    auto *first_ch = std::get_if<proto::ChallengeMsg>(&first_msg);
+    auto first_msg = link->receive();
+    ASSERT_TRUE(first_msg.has_value());
+    auto *first_ch = std::get_if<proto::ChallengeMsg>(&*first_msg);
     ASSERT_NE(first_ch, nullptr);
 
     for (std::size_t i = 0; i < 20; ++i)
@@ -152,8 +161,7 @@ TEST_F(SessionCap, EvictedChallengeRejectsLateResponse)
     proto::ResponseMsg resp;
     resp.nonce = first_ch->nonce;
     resp.response = std::move(outcome.response);
-    channel.sendToServer(proto::encodeMessage(resp));
-    server->pumpOnce(*server_end);
+    send(2, resp);
 
     // No decision was recorded for it.
     for (const auto &report : server->reports())
@@ -196,11 +204,10 @@ TEST_F(SessionCap, PromptSessionsUnaffected)
 {
     // A device that answers promptly completes normally even while
     // the cap churns.
-    srv::DeviceAgent agent(2, *client,
-                           proto::ClientEndpoint(channel));
+    net::DeviceAgent agent(2, *client, *transport->connect());
     for (int round = 0; round < 12; ++round) {
         agent.requestAuthentication();
-        srv::runExchange(*server, *server_end, agent);
+        net::runExchange(*transport, agent, pool);
         ASSERT_TRUE(agent.lastDecision().has_value());
         EXPECT_TRUE(agent.lastDecision()->accepted);
     }

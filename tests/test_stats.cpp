@@ -254,8 +254,10 @@ TEST(ServerTrustStats, LedgerCountersSurfaceInRegistry)
     server.enrollRecord(
         srv::DeviceRecord(1, std::move(map), {700}, {690}));
 
-    proto::InMemoryChannel channel;
-    proto::ServerEndpoint sink(channel);
+    struct Discard : proto::ReplySink
+    {
+        void send(const proto::Message &) override {}
+    } sink;
     server.startHeartbeat(1, sink);
     for (int i = 0; i < 4; ++i) {
         clock.advance();

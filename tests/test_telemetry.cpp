@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/device_agent.hpp"
 #include "server/server.hpp"
 #include "sim/chip.hpp"
 #include "util/stats_registry.hpp"
@@ -15,7 +16,7 @@
 namespace fw = authenticache::firmware;
 namespace sim = authenticache::sim;
 namespace core = authenticache::core;
-namespace proto = authenticache::protocol;
+namespace net = authenticache::net;
 namespace srv = authenticache::server;
 namespace u = authenticache::util;
 using authenticache::util::Rng;
@@ -71,12 +72,12 @@ TEST(Telemetry, CollectorsCaptureSystemActivity)
     server.enroll(3, client, levels,
                   {srv::defaultReservedLevel(client)});
 
-    proto::InMemoryChannel channel;
-    proto::ServerEndpoint server_end(channel);
-    srv::DeviceAgent agent(3, client,
-                           proto::ClientEndpoint(channel));
+    u::ThreadPool pool(1);
+    net::LoopbackTransport transport(server.frontEnd(),
+                                     net::TransportConfig{});
+    net::DeviceAgent agent(3, client, *transport.connect());
     agent.requestAuthentication();
-    srv::runExchange(server, server_end, agent);
+    net::runExchange(transport, agent, pool);
     ASSERT_TRUE(agent.lastDecision().has_value());
 
     u::StatsRegistry reg;

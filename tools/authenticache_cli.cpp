@@ -58,6 +58,7 @@
 #include <vector>
 
 #include "firmware/keygen.hpp"
+#include "net/device_agent.hpp"
 #include "server/durability.hpp"
 #include "server/server.hpp"
 #include "server/storage.hpp"
@@ -275,15 +276,15 @@ cmdAuth(const Args &args)
     Device device(id, platform);
     device.client.setMapKey(server.database().at(id).mapKey());
 
-    protocol::InMemoryChannel channel;
-    protocol::ServerEndpoint server_end(channel);
-    server::DeviceAgent agent(id, device.client,
-                              protocol::ClientEndpoint(channel));
+    util::ThreadPool pool(1);
+    net::LoopbackTransport transport(server.frontEnd(),
+                                     net::TransportConfig{});
+    net::DeviceAgent agent(id, device.client, *transport.connect());
 
     util::Table table({"round", "decision", "hamming_distance"});
     for (std::uint64_t round = 1; round <= rounds; ++round) {
         agent.requestAuthentication();
-        server::runExchange(server, server_end, agent);
+        net::runExchange(transport, agent, pool);
         const auto &d = agent.lastDecision();
         table.row()
             .cell(round)
@@ -416,10 +417,11 @@ cmdHeartbeat(const Args &args)
     util::SimClock clock;
     server.bindClock(&clock);
 
-    protocol::InMemoryChannel channel;
-    protocol::ServerEndpoint server_end(channel);
-    server::DeviceAgent agent(id, device.client,
-                              protocol::ClientEndpoint(channel));
+    util::ThreadPool pool(1);
+    net::LoopbackTransport transport(server.frontEnd(),
+                                     net::TransportConfig{});
+    auto *link = transport.connect();
+    net::DeviceAgent agent(id, device.client, *link);
     agent.bindClock(&clock);
 
     // --drift: a deterministic excursion peaking halfway through the
@@ -436,7 +438,7 @@ cmdHeartbeat(const Args &args)
         drift->apply(clock.now());
     }
 
-    server.startHeartbeat(id, server_end);
+    server.startHeartbeat(id, link->sink(id));
 
     util::Table table(
         {"step", "trust", "tier", "round", "hamming_distance"});
@@ -444,11 +446,7 @@ cmdHeartbeat(const Args &args)
     std::optional<std::uint8_t> seen_tier;
     std::uint64_t seen_rounds = 0;
     for (std::uint64_t s = 0; s < steps; ++s) {
-        bool progress = true;
-        while (progress) {
-            progress = server.pumpOnce(server_end);
-            progress |= agent.pumpOnce();
-        }
+        net::runExchange(transport, agent, pool);
         if (agent.lastTrust() != seen_trust ||
             agent.lastTier() != seen_tier ||
             agent.heartbeatsAnswered() != seen_rounds) {
@@ -471,7 +469,7 @@ cmdHeartbeat(const Args &args)
         clock.advance(1);
         if (drift)
             drift->apply(clock.now());
-        server.tickHeartbeats(server_end);
+        server.tickHeartbeats(link->sink(id));
         server.tick();
         agent.tick();
     }
@@ -562,12 +560,12 @@ cmdImposter(const Args &args)
     Device imposter(die, platform);
     imposter.client.setMapKey(server.database().at(id).mapKey());
 
-    protocol::InMemoryChannel channel;
-    protocol::ServerEndpoint server_end(channel);
-    server::DeviceAgent agent(id, imposter.client,
-                              protocol::ClientEndpoint(channel));
+    util::ThreadPool pool(1);
+    net::LoopbackTransport transport(server.frontEnd(),
+                                     net::TransportConfig{});
+    net::DeviceAgent agent(id, imposter.client, *transport.connect());
     agent.requestAuthentication();
-    server::runExchange(server, server_end, agent);
+    net::runExchange(transport, agent, pool);
 
     if (agent.lastDecision()) {
         std::cout << "imposter die " << die << " presenting device "
