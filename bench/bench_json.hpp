@@ -2,7 +2,7 @@
  * @file
  * The one JSON writer behind every BENCH_*.json file (bench_runner,
  * bench_transport_load, bench_heartbeat_drift), plus the timing
- * helpers and header fields those harnesses share.
+ * helpers, header fields and "benchmarks" rows those harnesses share.
  *
  * Output is fixed-order and diff-friendly: one key per line, two
  * spaces of indent per level, 12 significant digits for doubles.
@@ -172,6 +172,57 @@ writeHeader(Json &j, const std::string &schema, bool quick)
             std::string(util::simdLevelName(util::simdLevel())));
     j.field("hardware_threads",
             std::uint64_t(util::ThreadPool::defaultThreadCount()));
+}
+
+/** One "benchmarks" row: throughput plus latency percentiles. */
+struct Series
+{
+    std::string name;
+    std::string simd;
+    double opsPerS = 0.0;
+    double p50Ns = 0.0;
+    double p99Ns = 0.0;
+    std::uint64_t ops = 0;
+};
+
+/**
+ * The row for @p samples, each the time in ns of @p ops_per_sample
+ * ops. Percentiles are per *sample*, divided by @p ops_per_sample for
+ * a per-op figure where a sample batches many ops.
+ */
+inline Series
+makeSeries(const std::string &name, const std::string &simd,
+           std::uint64_t ops_per_sample, std::vector<double> samples)
+{
+    Series s;
+    s.name = name;
+    s.simd = simd;
+    s.ops = ops_per_sample * samples.size();
+    double total_ns = 0.0;
+    for (double v : samples)
+        total_ns += v;
+    s.opsPerS = total_ns > 0.0
+                    ? static_cast<double>(s.ops) / (total_ns * 1e-9)
+                    : 0.0;
+    s.p50Ns = percentile(samples, 0.50) /
+              static_cast<double>(ops_per_sample);
+    s.p99Ns = percentile(samples, 0.99) /
+              static_cast<double>(ops_per_sample);
+    return s;
+}
+
+/** Write @p s as one object of a "benchmarks" array. */
+inline void
+writeSeries(Json &j, const Series &s)
+{
+    j.openObject();
+    j.field("name", s.name);
+    j.field("simd", s.simd);
+    j.field("ops", s.ops);
+    j.field("ops_per_s", s.opsPerS);
+    j.field("p50_ns", s.p50Ns);
+    j.field("p99_ns", s.p99Ns);
+    j.closeObject();
 }
 
 /** Pass/fail properties of a run, by name; each must hold. */

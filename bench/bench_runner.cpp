@@ -9,34 +9,39 @@
  *    SIMD width: the SECDED batch encode/decode kernels and 64-bit
  *    challenge evaluation through the server's query-major plane scan
  *    (core::evaluate). Per-op p50/p99 latency plus ops/s, and derived
- *    hardware-independent ratios (SIMD speedup over scalar, the
- *    median over interleaved passes). Also scalar primitives: the
- *    frame codec (wire encode and decode of a 128-bit challenge,
- *    CRC-32 over 4 KiB), SipHash-2-4 of a u64, SHA-256 of 1 KiB and
- *    the Feistel coordinate permutation.
+ *    hardware-independent ratios (SIMD speedup over scalar). Also
+ *    scalar primitives: the frame codec (wire encode and decode of a
+ *    128-bit challenge, CRC-32 over 4 KiB), SipHash-2-4 of a u64,
+ *    SHA-256 of 1 KiB and the Feistel coordinate permutation.
  *
  *  - BENCH_server.json -- end-to-end batch front-end throughput
  *    (frames/s, per-batch p50/p99) at several thread counts, with
  *    durability off and on, plus derived ratios (scaling, journaling
  *    overhead).
  *
+ *  Both suites have one fixed size, and every derived ratio follows
+ *  one rule: the median of its per-pass ratios over interleaved
+ *  passes of the same fixed work (PassRecorder). A run of both takes
+ *  a few seconds.
+ *
  *  tools/bench_compare.py diffs a fresh run against the checked-in
  *  baselines and fails on regression; CI runs it in --ratios-only
  *  mode so the gate is hardware-independent.
  *
- * Flags: --out-dir <dir>, --hotpath-only, --server-only, --smoke
- * (or AUTHENTICACHE_QUICK=1) for a fast CI run.
+ * Flags: --out-dir <dir>, --hotpath-only, --server-only.
  */
 
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -62,83 +67,113 @@ namespace {
 using authbench::Clock;
 using authbench::Json;
 using authbench::nsSince;
-using authbench::percentile;
+using authbench::makeSeries;
+using authbench::Series;
 
-/** One benchmark row: throughput plus latency percentiles. */
-struct Series
+// ---------------------------------------------------------------
+// Interleaved passes: the one ratio rule of both suites.
+// ---------------------------------------------------------------
+
+/**
+ * Timings of several configs of one workload (SIMD widths of a kernel,
+ * server widths with durability off and on), taken in passes. Each
+ * pass times the same fixed block of work on every config, the configs
+ * back to back, so a pass's rate ratio between two configs compares
+ * runs made moments apart. A derived ratio is the median of the
+ * per-pass ratios; a series pools its samples over all passes.
+ */
+template <typename Config>
+class PassRecorder
 {
-    std::string name;
-    std::string simd;
-    double opsPerS = 0.0;
-    double p50Ns = 0.0;
-    double p99Ns = 0.0;
-    std::uint64_t ops = 0;
+  public:
+    /** One timed sample of @p ops ops on @p c in the current pass. */
+    void
+    record(const Config &c, double ns, std::uint64_t ops)
+    {
+        Tally &t = tallies[c];
+        t.samples.push_back(ns);
+        t.ops += ops;
+        t.passNs += ns;
+        t.passOps += ops;
+    }
+
+    /** Close the current pass: each config's rate over it. */
+    void
+    endPass()
+    {
+        for (auto &[c, t] : tallies) {
+            t.passRates.push_back(
+                t.passNs > 0.0 ? static_cast<double>(t.passOps) / t.passNs
+                               : 0.0);
+            t.passNs = 0.0;
+            t.passOps = 0;
+        }
+    }
+
+    /** Median over passes of rate(@p a) / rate(@p b) (the upper
+     *  middle for an even pass count). */
+    double
+    medianRatio(const Config &a, const Config &b) const
+    {
+        const auto &ra = tallies.at(a).passRates;
+        const auto &rb = tallies.at(b).passRates;
+        std::vector<double> ratios;
+        for (std::size_t i = 0; i < ra.size(); ++i)
+            ratios.push_back(rb[i] > 0.0 ? ra[i] / rb[i] : 0.0);
+        std::sort(ratios.begin(), ratios.end());
+        return ratios.empty() ? 0.0 : ratios[ratios.size() / 2];
+    }
+
+    /** The row of @p c: every sample, ops exactly as recorded. */
+    Series
+    series(const Config &c, const std::string &name,
+           const std::string &simd) const
+    {
+        const Tally &t = tallies.at(c);
+        Series s = makeSeries(name, simd, t.ops / t.samples.size(),
+                              t.samples);
+        s.ops = t.ops;
+        return s;
+    }
+
+  private:
+    struct Tally
+    {
+        std::vector<double> samples;
+        std::uint64_t ops = 0;
+        double passNs = 0.0; ///< Current pass.
+        std::uint64_t passOps = 0;
+        std::vector<double> passRates; ///< Ops per ns, one per pass.
+    };
+    std::map<Config, Tally> tallies;
 };
 
-Series
-makeSeries(const std::string &name, const std::string &simd,
-           std::uint64_t ops_per_sample, std::vector<double> samples)
+/** What a suite writes; empty sections are left out. */
+struct SuiteResult
 {
-    Series s;
-    s.name = name;
-    s.simd = simd;
-    s.ops = ops_per_sample * samples.size();
-    double total_ns = 0.0;
-    for (double v : samples)
-        total_ns += v;
-    s.opsPerS = total_ns > 0.0
-                    ? static_cast<double>(s.ops) / (total_ns * 1e-9)
-                    : 0.0;
-    // Percentiles are per *sample*; divide by ops_per_sample for a
-    // per-op figure where a sample batches many ops.
-    s.p50Ns = percentile(samples, 0.50) /
-              static_cast<double>(ops_per_sample);
-    s.p99Ns = percentile(samples, 0.99) /
-              static_cast<double>(ops_per_sample);
-    return s;
-}
-
-void
-writeSeries(Json &j, const Series &s)
-{
-    j.openObject();
-    j.field("name", s.name);
-    j.field("simd", s.simd);
-    j.field("ops", s.ops);
-    j.field("ops_per_s", s.opsPerS);
-    j.field("p50_ns", s.p50Ns);
-    j.field("p99_ns", s.p99Ns);
-    j.closeObject();
-}
+    std::vector<std::uint64_t> threadCounts;
+    std::vector<Series> series;
+    std::map<std::string, double> derived;
+    std::map<std::string, double> floors;
+};
 
 // ---------------------------------------------------------------
 // Hot-path microkernels.
 // ---------------------------------------------------------------
 
-struct HotpathResult
-{
-    std::vector<Series> series;
-    std::map<std::string, double> derived;
-};
-
-/** Median of @p v (upper middle for an even count). */
-double
-median(std::vector<double> v)
-{
-    std::sort(v.begin(), v.end());
-    return v.empty() ? 0.0 : v[v.size() / 2];
-}
-
 /**
- * The frame codec, which is scalar code at every dispatch width: the
- * wire encode and the client-side decode (WireDecoder + decodeMessage)
- * of the 128-bit ChallengeMsg the server sends per auth, and CRC-32
- * over 4 KiB. Each sample times a batch of ops.
+ * The scalar primitives, the same code at every dispatch width: the
+ * frame codec (the wire encode and the client-side decode --
+ * WireDecoder + decodeMessage -- of the 128-bit ChallengeMsg the
+ * server sends per auth, and CRC-32 over 4 KiB), SipHash-2-4 of a u64
+ * (the Feistel round function), SHA-256 of 1 KiB, and
+ * FeistelPermutation::map over a 2^19-entry domain. Each sample times
+ * one batch of a primitive over the same inputs, and every batch is
+ * checked, which also keeps its results live.
  */
 void
-runFrameCodec(bool quick, const core::CacheGeometry &geom,
-              core::VddMv level_mv, util::Rng &rng,
-              std::vector<Series> &series)
+runScalarPrimitives(const core::CacheGeometry &geom, core::VddMv level_mv,
+                    util::Rng &rng, std::vector<Series> &series)
 {
     const protocol::ChallengeMsg msg{
         rng.next(), core::randomChallenge(geom, level_mv, 128, rng)};
@@ -146,7 +181,9 @@ runFrameCodec(bool quick, const core::CacheGeometry &geom,
     std::vector<std::uint8_t> block(4096);
     for (auto &b : block)
         b = static_cast<std::uint8_t>(rng.next());
-    const std::uint32_t block_crc = util::crc32(block);
+    const crypto::SipHashKey key{3, 4};
+    const crypto::FeistelPermutation perm(key, 65536ull * 8);
+    const std::vector<std::uint8_t> kib(1024, 0xAB);
 
     auto decode = [&frame] {
         net::WireDecoder dec;
@@ -160,124 +197,106 @@ runFrameCodec(bool quick, const core::CacheGeometry &geom,
         std::exit(1);
     }
 
-    constexpr std::size_t kBatch = 64;
-    const std::size_t samples = quick ? 40 : 400;
-    // Every timed result is checked, which also keeps it live.
-    std::vector<double> enc_ns, dec_ns, crc_ns;
-    std::size_t wrong = 0;
-    for (std::size_t s = 0; s < samples; ++s) {
-        auto t0 = Clock::now();
-        for (std::size_t i = 0; i < kBatch; ++i)
-            wrong += net::encodeWireMessage(1, msg) != frame;
-        enc_ns.push_back(nsSince(t0));
-        t0 = Clock::now();
-        for (std::size_t i = 0; i < kBatch; ++i)
-            wrong += std::get<protocol::ChallengeMsg>(decode()).nonce !=
-                     msg.nonce;
-        dec_ns.push_back(nsSince(t0));
-        t0 = Clock::now();
-        for (std::size_t i = 0; i < kBatch; ++i)
-            wrong += util::crc32(block) != block_crc;
-        crc_ns.push_back(nsSince(t0));
-    }
-    if (wrong != 0) {
-        std::cerr << "FAIL: frame codec diverged " << wrong
-                  << " times\n";
-        std::exit(1);
-    }
+    // Each batch folds its results into one word, which must match
+    // the word of an untimed batch.
+    constexpr std::uint64_t kBatch = 64;
+    struct Primitive
+    {
+        const char *name;
+        std::uint64_t opsPerSample;
+        std::function<std::uint64_t()> batch;
+        std::vector<double> ns = {};
+    };
+    Primitive primitives[] = {
+        {"challenge_wire_encode_128bit", kBatch,
+         [&] {
+             std::uint64_t acc = 0;
+             for (std::uint64_t i = 0; i < kBatch; ++i)
+                 acc += net::encodeWireMessage(1, msg) == frame;
+             return acc;
+         }},
+        {"challenge_wire_decode_128bit", kBatch,
+         [&] {
+             std::uint64_t acc = 0;
+             for (std::uint64_t i = 0; i < kBatch; ++i)
+                 acc += std::get<protocol::ChallengeMsg>(decode())
+                            .nonce == msg.nonce;
+             return acc;
+         }},
+        {"crc32_4kib", kBatch,
+         [&] {
+             std::uint64_t acc = 0;
+             for (std::uint64_t i = 0; i < kBatch; ++i)
+                 acc += util::crc32(block);
+             return acc;
+         }},
+        {"siphash24_u64", kBatch,
+         [&] {
+             std::uint64_t acc = 0;
+             for (std::uint64_t w = 0; w < kBatch; ++w)
+                 acc ^= crypto::siphash24(key, w);
+             return acc;
+         }},
+        {"sha256_1kib", kBatch / 8,
+         [&] {
+             std::uint64_t acc = 0;
+             for (std::uint64_t i = 0; i < kBatch / 8; ++i)
+                 acc += crypto::Sha256::hash(kib)[i];
+             return acc;
+         }},
+        {"feistel_map", kBatch,
+         [&] {
+             std::uint64_t acc = 0;
+             for (std::uint64_t x = 0; x < kBatch; ++x)
+                 acc ^= perm.map(x);
+             return acc;
+         }},
+    };
 
+    std::vector<std::uint64_t> want;
+    for (Primitive &p : primitives)
+        want.push_back(p.batch());
+    // The codec and the hash primitives are sampled as two groups:
+    // interleaving the codec's allocations with the Feistel map
+    // measured up to 2x its time.
+    constexpr std::size_t kSamples = 400;
+    for (auto [lo, hi] : {std::pair{0, 3}, std::pair{3, 6}}) {
+        for (std::size_t s = 0; s < kSamples; ++s) {
+            for (int i = lo; i < hi; ++i) {
+                Primitive &p = primitives[i];
+                const auto t0 = Clock::now();
+                const std::uint64_t got = p.batch();
+                p.ns.push_back(nsSince(t0));
+                if (got != want[i]) {
+                    std::cerr << "FAIL: " << p.name << " diverged\n";
+                    std::exit(1);
+                }
+            }
+        }
+    }
     const std::string scalar =
         util::simdLevelName(util::SimdLevel::Scalar);
-    series.push_back(makeSeries("challenge_wire_encode_128bit", scalar,
-                                kBatch, std::move(enc_ns)));
-    series.push_back(makeSeries("challenge_wire_decode_128bit", scalar,
-                                kBatch, std::move(dec_ns)));
-    series.push_back(
-        makeSeries("crc32_4kib", scalar, kBatch, std::move(crc_ns)));
+    for (Primitive &p : primitives)
+        series.push_back(makeSeries(p.name, scalar, p.opsPerSample,
+                                    std::move(p.ns)));
 }
 
-/**
- * The hash and permutation primitives, scalar at every width:
- * SipHash-2-4 of a u64 (the Feistel round function), SHA-256 of
- * 1 KiB, and FeistelPermutation::map over a 2^19-entry domain. Each
- * sample times a batch over the same inputs; every batch must fold
- * to the untimed reference, which also keeps the results live.
- */
-void
-runCrypto(bool quick, std::vector<Series> &series)
+SuiteResult
+runHotpath()
 {
-    const crypto::SipHashKey key{3, 4};
-    const crypto::FeistelPermutation perm(key, 65536ull * 8);
-    const std::vector<std::uint8_t> block(1024, 0xAB);
-
-    constexpr std::size_t kBatch = 64;
-    auto sip = [&key] {
-        std::uint64_t acc = 0;
-        for (std::uint64_t w = 0; w < kBatch; ++w)
-            acc ^= crypto::siphash24(key, w);
-        return acc;
-    };
-    auto sha = [&block] {
-        std::uint64_t acc = 0;
-        for (std::size_t i = 0; i < kBatch / 8; ++i)
-            acc += crypto::Sha256::hash(block)[i];
-        return acc;
-    };
-    auto feistel = [&perm] {
-        std::uint64_t acc = 0;
-        for (std::uint64_t x = 0; x < kBatch; ++x)
-            acc ^= perm.map(x);
-        return acc;
-    };
-    const std::uint64_t sip_ref = sip(), sha_ref = sha(),
-                        feistel_ref = feistel();
-
-    const std::size_t samples = quick ? 40 : 400;
-    std::vector<double> sip_ns, sha_ns, feistel_ns;
-    std::size_t wrong = 0;
-    for (std::size_t s = 0; s < samples; ++s) {
-        auto t0 = Clock::now();
-        wrong += sip() != sip_ref;
-        sip_ns.push_back(nsSince(t0));
-        t0 = Clock::now();
-        wrong += sha() != sha_ref;
-        sha_ns.push_back(nsSince(t0));
-        t0 = Clock::now();
-        wrong += feistel() != feistel_ref;
-        feistel_ns.push_back(nsSince(t0));
-    }
-    if (wrong != 0) {
-        std::cerr << "FAIL: crypto primitives diverged " << wrong
-                  << " times\n";
-        std::exit(1);
-    }
-
-    const std::string scalar =
-        util::simdLevelName(util::SimdLevel::Scalar);
-    series.push_back(makeSeries("siphash24_u64", scalar, kBatch,
-                                std::move(sip_ns)));
-    series.push_back(makeSeries("sha256_1kib", scalar, kBatch / 8,
-                                std::move(sha_ns)));
-    series.push_back(makeSeries("feistel_map", scalar, kBatch,
-                                std::move(feistel_ns)));
-}
-
-HotpathResult
-runHotpath(bool quick)
-{
-    HotpathResult out;
+    SuiteResult out;
     util::Rng rng(0xBE7C);
     const auto levels = util::supportedSimdLevels();
     const util::SimdLevel widest = util::detectedSimdLevel();
 
     // SECDED batch kernels: encode + decode over a word buffer.
-    const std::size_t words = quick ? (1u << 14) : (1u << 16);
-    const std::size_t reps = quick ? 2 : 4;
-    std::vector<std::uint64_t> data(words);
+    constexpr std::size_t kWords = 1u << 16;
+    constexpr std::size_t kReps = 4;
+    std::vector<std::uint64_t> data(kWords);
     for (auto &w : data)
         w = rng.next();
-    std::vector<std::uint32_t> check(words);
-    std::vector<ecc::DecodeResult> dec(words);
+    std::vector<std::uint32_t> check(kWords);
+    std::vector<ecc::DecodeResult> dec(kWords);
     ecc::SecdedCodec codec(64);
 
     // Challenge evaluation: 64-bit challenges against a 60-error map
@@ -287,12 +306,12 @@ runHotpath(bool quick)
     const core::CacheGeometry geom(4 * 1024 * 1024);
     const core::VddMv level_mv = 700.0;
     core::ErrorMap map = mc::randomErrorMap(geom, level_mv, 60, rng);
-    const std::size_t evals = quick ? 200 : 2000;
+    constexpr std::size_t kEvals = 2000;
     std::vector<core::Challenge> challenges;
     std::vector<core::Response> want;
-    challenges.reserve(evals);
-    want.reserve(evals);
-    for (std::size_t i = 0; i < evals; ++i) {
+    challenges.reserve(kEvals);
+    want.reserve(kEvals);
+    for (std::size_t i = 0; i < kEvals; ++i) {
         challenges.push_back(
             core::randomChallenge(geom, level_mv, 64, rng));
         want.push_back(core::evaluate(map, challenges.back(),
@@ -300,49 +319,25 @@ runHotpath(bool quick)
     }
 
     // Each pass times every kernel at every width, one width's block
-    // after the other, so a pass's widest/scalar ratio compares
-    // steady-state runs made milliseconds apart. A derived ratio is
-    // the median of the per-pass ratios; a series pools its samples
-    // over all passes.
-    constexpr std::size_t kPasses = 7;
-    struct Kernel
-    {
-        std::string name;
-        std::uint64_t opsPerSample;
-        std::map<util::SimdLevel, std::vector<double>> samples;
-        std::map<util::SimdLevel, double> passNs; ///< Current pass.
-        std::vector<double> passRatios;
-
-        void
-        record(util::SimdLevel level, double ns)
-        {
-            samples[level].push_back(ns);
-            passNs[level] += ns;
-        }
-    };
-    Kernel encode{"secded_encode_batch", words, {}, {}, {}};
-    Kernel decode{"secded_decode_batch", words, {}, {}, {}};
-    Kernel evaluate{"evaluate_64bit", 1, {}, {}, {}};
-    Kernel *const kernels[] = {&encode, &decode, &evaluate};
-
+    // after the other; equal work at every width.
+    constexpr std::size_t kPasses = 25;
+    PassRecorder<util::SimdLevel> encode, decode, evaluate;
     for (std::size_t pass = 0; pass < kPasses; ++pass) {
-        for (Kernel *k : kernels)
-            k->passNs.clear();
         for (util::SimdLevel level : levels) {
-            for (std::size_t r = 0; r < reps; ++r) {
+            for (std::size_t r = 0; r < kReps; ++r) {
                 auto t0 = Clock::now();
-                codec.encodeBatch(data.data(), check.data(), words,
+                codec.encodeBatch(data.data(), check.data(), kWords,
                                   level);
-                encode.record(level, nsSince(t0));
+                encode.record(level, nsSince(t0), kWords);
                 t0 = Clock::now();
                 codec.decodeBatch(data.data(), check.data(), dec.data(),
-                                  words, level);
-                decode.record(level, nsSince(t0));
+                                  kWords, level);
+                decode.record(level, nsSince(t0), kWords);
             }
-            for (std::size_t i = 0; i < evals; ++i) {
+            for (std::size_t i = 0; i < kEvals; ++i) {
                 auto t0 = Clock::now();
                 auto resp = core::evaluate(map, challenges[i], level);
-                evaluate.record(level, nsSince(t0));
+                evaluate.record(level, nsSince(t0), 1);
                 if (resp != want[i]) {
                     std::cerr << "FAIL: evaluate diverged at "
                               << util::simdLevelName(level) << "\n";
@@ -350,26 +345,27 @@ runHotpath(bool quick)
                 }
             }
         }
-        // Equal work at every width: the speedup is a time ratio.
-        for (Kernel *k : kernels) {
-            const double wide = k->passNs[widest];
-            k->passRatios.push_back(
-                wide > 0.0 ? k->passNs[util::SimdLevel::Scalar] / wide
-                           : 0.0);
-        }
+        for (auto *k : {&encode, &decode, &evaluate})
+            k->endPass();
     }
 
-    for (Kernel *k : kernels) {
+    const std::tuple<const char *, const char *,
+                     const PassRecorder<util::SimdLevel> *>
+        kernels[] = {
+            {"secded_encode_batch", "secded_encode_simd_speedup", &encode},
+            {"secded_decode_batch", "secded_decode_simd_speedup", &decode},
+            {"evaluate_64bit", "evaluate_simd_speedup", &evaluate}};
+    for (const auto &[name, speedup, k] : kernels) {
         for (util::SimdLevel level : levels)
-            out.series.push_back(makeSeries(
-                k->name, util::simdLevelName(level), k->opsPerSample,
-                std::move(k->samples[level])));
+            out.series.push_back(
+                k->series(level, name, util::simdLevelName(level)));
+        out.derived[speedup] =
+            k->medianRatio(widest, util::SimdLevel::Scalar);
     }
-    runFrameCodec(quick, geom, level_mv, rng, out.series);
-    runCrypto(quick, out.series);
-    out.derived["secded_encode_simd_speedup"] = median(encode.passRatios);
-    out.derived["secded_decode_simd_speedup"] = median(decode.passRatios);
-    out.derived["evaluate_simd_speedup"] = median(evaluate.passRatios);
+    runScalarPrimitives(geom, level_mv, rng, out.series);
+    // The acceptance floor the compare script enforces on every run:
+    // the widest challenge evaluation must hold >= 2x over scalar.
+    out.floors["evaluate_simd_speedup"] = 2.0;
     return out;
 }
 
@@ -395,17 +391,26 @@ struct Mailbox : protocol::ReplySink
     std::vector<std::vector<std::uint8_t>> frames;
 };
 
+/**
+ * One server config of the suite: an enrolled flood of devices, the
+ * pool that serves its batches and, with durability on, the journal
+ * directory it owns.
+ */
 struct Flood
 {
+    std::string label;
     server::ServerConfig cfg;
     server::AuthenticationServer srv;
     std::vector<std::uint64_t> ids;
     std::vector<Mailbox> mail;
+    std::string durDir;
     std::optional<server::DurabilityManager> dur;
+    util::ThreadPool pool;
 
-    explicit Flood(std::size_t n_devices,
-                   const std::string &durable_dir = "")
-        : cfg([] {
+    Flood(std::size_t n_devices, unsigned threads, bool durable)
+        : label((durable ? "server_batch_durable_t" : "server_batch_t") +
+                std::to_string(threads)),
+          cfg([] {
               server::ServerConfig c;
               c.challengeBits = 64;
               c.verifier.pIntra = 0.08;
@@ -413,7 +418,7 @@ struct Flood
               c.sessionShards = 16;
               return c;
           }()),
-          srv(cfg, kServerSeed)
+          srv(cfg, kServerSeed), pool(threads)
     {
         core::CacheGeometry geom(256 * 1024);
         for (std::size_t i = 0; i < n_devices; ++i) {
@@ -425,11 +430,23 @@ struct Flood
             ids.push_back(id);
         }
         mail.resize(n_devices);
-        if (!durable_dir.empty()) {
-            dur.emplace(
-                server::DurabilityConfig{durable_dir, 4096},
-                srv.database());
+        if (durable) {
+            durDir = (std::filesystem::temp_directory_path() /
+                      ("authbench_runner_dur_t" + std::to_string(threads)))
+                         .string();
+            std::filesystem::remove_all(durDir);
+            std::filesystem::create_directories(durDir);
+            dur.emplace(server::DurabilityConfig{durDir, 4096},
+                        srv.database());
             srv.attachDurability(&*dur);
+        }
+    }
+
+    ~Flood()
+    {
+        if (dur) {
+            dur.reset();
+            std::filesystem::remove_all(durDir);
         }
     }
 };
@@ -442,127 +459,99 @@ honest(const server::DeviceRecord &rec, const core::Challenge &ch)
     return core::evaluate(remap.mapErrorMap(rec.physicalMap()), ch);
 }
 
-struct ServerRun
+/**
+ * One round on @p flood: every device's AuthRequest as one batch, then
+ * the honest ResponseMsg to each challenge as a second; each batch is
+ * timed into @p rec under config @p c.
+ */
+void
+runRound(Flood &flood, PassRecorder<std::size_t> &rec, std::size_t c)
 {
-    Series series;
-    std::uint64_t accepted = 0;
-};
+    const std::size_t n_devices = flood.ids.size();
+    std::vector<server::Frame> batch;
+    batch.reserve(n_devices);
+    for (std::size_t i = 0; i < n_devices; ++i)
+        batch.push_back(server::Frame{
+            protocol::encodeMessage(protocol::AuthRequest{flood.ids[i]}),
+            &flood.mail[i]});
+    auto t0 = Clock::now();
+    flood.srv.handleBatch(batch, flood.pool);
+    rec.record(c, nsSince(t0), batch.size());
 
-ServerRun
-runServer(std::size_t n_devices, std::size_t rounds, unsigned threads,
-          bool durable, const std::string &label)
-{
-    std::string dur_dir;
-    if (durable) {
-        dur_dir = (std::filesystem::temp_directory_path() /
-                   "authbench_runner_dur")
-                      .string();
-        std::filesystem::remove_all(dur_dir);
-        std::filesystem::create_directories(dur_dir);
+    batch.clear();
+    for (std::size_t i = 0; i < n_devices; ++i) {
+        auto &inbox = flood.mail[i].frames;
+        if (inbox.empty())
+            continue;
+        auto msg = protocol::decodeMessage(inbox.front());
+        auto *ch = std::get_if<protocol::ChallengeMsg>(&msg);
+        if (!ch)
+            continue;
+        const auto &rec_i = flood.srv.database().at(flood.ids[i]);
+        batch.push_back(server::Frame{
+            protocol::encodeMessage(protocol::ResponseMsg{
+                ch->nonce, honest(rec_i, ch->challenge)}),
+            &flood.mail[i]});
     }
-    Flood flood(n_devices, dur_dir);
-    util::ThreadPool pool(threads);
-
-    std::vector<double> batch_ns;
-    std::uint64_t frames = 0;
-    for (std::size_t r = 0; r < rounds; ++r) {
-        std::vector<server::Frame> batch;
-        batch.reserve(n_devices);
-        for (std::size_t i = 0; i < n_devices; ++i)
-            batch.push_back(server::Frame{
-                protocol::encodeMessage(
-                    protocol::AuthRequest{flood.ids[i]}),
-                &flood.mail[i]});
-        auto t0 = Clock::now();
-        flood.srv.handleBatch(batch, pool);
-        batch_ns.push_back(nsSince(t0));
-        frames += batch.size();
-
-        batch.clear();
-        for (std::size_t i = 0; i < n_devices; ++i) {
-            auto &inbox = flood.mail[i].frames;
-            if (inbox.empty())
-                continue;
-            auto msg = protocol::decodeMessage(inbox.front());
-            auto *ch = std::get_if<protocol::ChallengeMsg>(&msg);
-            if (!ch)
-                continue;
-            const auto &rec =
-                flood.srv.database().at(flood.ids[i]);
-            batch.push_back(server::Frame{
-                protocol::encodeMessage(protocol::ResponseMsg{
-                    ch->nonce, honest(rec, ch->challenge)}),
-                &flood.mail[i]});
-        }
-        t0 = Clock::now();
-        flood.srv.handleBatch(batch, pool);
-        batch_ns.push_back(nsSince(t0));
-        frames += batch.size();
-        for (auto &box : flood.mail)
-            box.frames.clear();
-    }
-
-    ServerRun out;
-    const std::uint64_t per_batch = frames / batch_ns.size();
-    out.series = makeSeries(label, util::simdLevelName(
-                                       util::simdLevel()),
-                            per_batch, std::move(batch_ns));
-    // ops == frames exactly (per_batch rounding would distort it).
-    out.series.ops = frames;
-    for (auto id : flood.ids)
-        out.accepted += flood.srv.database().at(id).accepted();
-    if (!dur_dir.empty())
-        std::filesystem::remove_all(dur_dir);
-    return out;
+    t0 = Clock::now();
+    flood.srv.handleBatch(batch, flood.pool);
+    rec.record(c, nsSince(t0), batch.size());
+    for (auto &box : flood.mail)
+        box.frames.clear();
 }
 
-struct ServerResult
+SuiteResult
+runServerSuite()
 {
-    std::vector<Series> series;
-    std::vector<std::uint64_t> threadCounts;
-    std::map<std::string, double> derived;
-};
+    // Every pass runs the same rounds on every config: 2 timed batches
+    // a round, so 500 batches per series.
+    constexpr std::size_t kDevices = 192;
+    constexpr std::size_t kPasses = 50;
+    constexpr std::size_t kRoundsPerPass = 5;
 
-ServerResult
-runServerSuite(bool quick)
-{
-    ServerResult out;
-    const std::size_t devices = quick ? 32 : 192;
-    const std::size_t rounds = quick ? 2 : 5;
     const unsigned hw = util::ThreadPool::defaultThreadCount();
     std::vector<unsigned> widths{1, 4};
     if (hw > 4)
         widths.push_back(hw);
 
+    // One flood and one pool per (width, durability) config, alive for
+    // the whole run; plain/durable pairs in width order.
+    std::vector<std::unique_ptr<Flood>> floods;
+    for (unsigned w : widths)
+        for (bool durable : {false, true})
+            floods.push_back(std::make_unique<Flood>(kDevices, w, durable));
+
+    PassRecorder<std::size_t> rec;
+    for (std::size_t pass = 0; pass < kPasses; ++pass) {
+        for (std::size_t c = 0; c < floods.size(); ++c)
+            for (std::size_t r = 0; r < kRoundsPerPass; ++r)
+                runRound(*floods[c], rec, c);
+        rec.endPass();
+    }
+
+    SuiteResult out;
+    out.threadCounts.assign(widths.begin(), widths.end());
+    const std::string simd = util::simdLevelName(util::simdLevel());
     std::uint64_t accepted_ref = 0;
-    double rate_1t = 0.0, rate_hw = 0.0, durable_hw = 0.0;
-    for (unsigned w : widths) {
-        out.threadCounts.push_back(w);
-        auto plain =
-            runServer(devices, rounds, w, false,
-                      "server_batch_t" + std::to_string(w));
-        auto durable =
-            runServer(devices, rounds, w, true,
-                      "server_batch_durable_t" + std::to_string(w));
-        if (w == widths.front())
-            accepted_ref = plain.accepted;
-        if (plain.accepted != accepted_ref ||
-            durable.accepted != accepted_ref) {
-            std::cerr << "FAIL: accepted count diverged at " << w
-                      << " threads\n";
+    for (std::size_t c = 0; c < floods.size(); ++c) {
+        Flood &flood = *floods[c];
+        std::uint64_t accepted = 0;
+        for (auto id : flood.ids)
+            accepted += flood.srv.database().at(id).accepted();
+        if (c == 0)
+            accepted_ref = accepted;
+        if (accepted != accepted_ref) {
+            std::cerr << "FAIL: accepted count diverged at "
+                      << flood.label << "\n";
             std::exit(1);
         }
-        if (w == 1)
-            rate_1t = plain.series.opsPerS;
-        rate_hw = plain.series.opsPerS;
-        durable_hw = durable.series.opsPerS;
-        out.series.push_back(std::move(plain.series));
-        out.series.push_back(std::move(durable.series));
+        out.series.push_back(rec.series(c, flood.label, simd));
     }
+    const std::size_t plain_hw = floods.size() - 2;
     out.derived["scaling_max_threads_vs_1"] =
-        rate_1t > 0.0 ? rate_hw / rate_1t : 0.0;
+        rec.medianRatio(plain_hw, 0);
     out.derived["durable_overhead_ratio"] =
-        durable_hw > 0.0 ? rate_hw / durable_hw : 0.0;
+        rec.medianRatio(plain_hw, plain_hw + 1);
     return out;
 }
 
@@ -570,54 +559,53 @@ runServerSuite(bool quick)
 // Output.
 // ---------------------------------------------------------------
 
+/** Write @p r to @p path under @p schema. */
 void
-writeHotpath(const std::string &path, const HotpathResult &r,
-             bool quick)
+writeSuite(const std::string &path, const std::string &schema,
+           const SuiteResult &r)
 {
     std::ofstream f(path);
     Json j(f);
     j.open();
-    authbench::writeHeader(j, "authenticache-bench-hotpath-v1", quick);
+    authbench::writeHeader(j, schema, /*quick=*/false);
+    if (!r.threadCounts.empty()) {
+        j.openArray("thread_counts");
+        for (std::uint64_t t : r.threadCounts) {
+            j.openObject();
+            j.field("threads", t);
+            j.closeObject();
+        }
+        j.closeArray();
+    }
     j.openArray("benchmarks");
     for (const auto &s : r.series)
-        writeSeries(j, s);
+        authbench::writeSeries(j, s);
     j.closeArray();
     j.openObject("derived");
     for (const auto &[k, v] : r.derived)
         j.field(k, v);
     j.closeObject();
-    j.openObject("floors");
-    // The acceptance floor the compare script enforces on every run:
-    // the widest challenge evaluation must hold >= 2x over scalar.
-    j.field("evaluate_simd_speedup", 2.0);
-    j.closeObject();
+    if (!r.floors.empty()) {
+        j.openObject("floors");
+        for (const auto &[k, v] : r.floors)
+            j.field(k, v);
+        j.closeObject();
+    }
     j.close();
 }
 
+/** Run one suite, write it and print its derived ratios. */
 void
-writeServer(const std::string &path, const ServerResult &r,
-            bool quick)
+runSuite(const std::string &path, const std::string &schema,
+         SuiteResult (*suite)())
 {
-    std::ofstream f(path);
-    Json j(f);
-    j.open();
-    authbench::writeHeader(j, "authenticache-bench-server-v1", quick);
-    j.openArray("thread_counts");
-    for (std::uint64_t t : r.threadCounts) {
-        j.openObject();
-        j.field("threads", t);
-        j.closeObject();
-    }
-    j.closeArray();
-    j.openArray("benchmarks");
-    for (const auto &s : r.series)
-        writeSeries(j, s);
-    j.closeArray();
-    j.openObject("derived");
+    authbench::WallTimer t;
+    const SuiteResult r = suite();
+    writeSuite(path, schema, r);
+    std::cout << "wrote " << path << " (" << r.series.size()
+              << " series, " << t.seconds() << " s)\n";
     for (const auto &[k, v] : r.derived)
-        j.field(k, v);
-    j.closeObject();
-    j.close();
+        std::cout << "  " << k << ": " << v << "\n";
 }
 
 } // namespace
@@ -626,7 +614,7 @@ int
 main(int argc, char **argv)
 {
     std::string out_dir = ".";
-    bool hotpath = true, server = true, smoke = false;
+    bool hotpath = true, server = true;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--out-dir") && i + 1 < argc)
             out_dir = argv[++i];
@@ -634,42 +622,22 @@ main(int argc, char **argv)
             server = false;
         else if (!std::strcmp(argv[i], "--server-only"))
             hotpath = false;
-        else if (!std::strcmp(argv[i], "--smoke"))
-            smoke = true;
         else {
             std::cerr << "usage: bench_runner [--out-dir D] "
-                         "[--hotpath-only|--server-only] [--smoke]\n";
+                         "[--hotpath-only|--server-only]\n";
             return 2;
         }
     }
-    if (authbench::quickMode())
-        smoke = true;
 
-    authbench::banner("Perf-trajectory runner (BENCH_*.json)",
-                      "regression gate inputs; see EXPERIMENTS.md "
-                      "'Perf trajectory'");
+    util::printBanner(std::cout, "Perf-trajectory runner (BENCH_*.json)");
+    std::cout << "Regression gate inputs; see EXPERIMENTS.md "
+                 "'Perf trajectory'\n\n";
 
-    if (hotpath) {
-        authbench::WallTimer t;
-        auto r = runHotpath(smoke);
-        const std::string path = out_dir + "/BENCH_hotpath.json";
-        writeHotpath(path, r, smoke);
-        std::cout << "wrote " << path << " ("
-                  << r.series.size() << " series, "
-                  << t.seconds() << " s)\n";
-        for (const auto &[k, v] : r.derived)
-            std::cout << "  " << k << ": " << v << "\n";
-    }
-    if (server) {
-        authbench::WallTimer t;
-        auto r = runServerSuite(smoke);
-        const std::string path = out_dir + "/BENCH_server.json";
-        writeServer(path, r, smoke);
-        std::cout << "wrote " << path << " ("
-                  << r.series.size() << " series, "
-                  << t.seconds() << " s)\n";
-        for (const auto &[k, v] : r.derived)
-            std::cout << "  " << k << ": " << v << "\n";
-    }
+    if (hotpath)
+        runSuite(out_dir + "/BENCH_hotpath.json",
+                 "authenticache-bench-hotpath-v1", runHotpath);
+    if (server)
+        runSuite(out_dir + "/BENCH_server.json",
+                 "authenticache-bench-server-v1", runServerSuite);
     return 0;
 }

@@ -352,14 +352,9 @@ writeTransport(const std::string &path, const LoadParams &p,
     j.openArray("benchmarks");
     for (std::size_t i = 0; i < sweeps.size(); ++i) {
         const SweepOutcome &s = sweeps[i];
-        j.openObject();
-        j.field("name", "transport_auth_e2e");
-        j.field("simd", kWindowLabels[i]);
-        j.field("ops", s.merged.accepted);
-        j.field("ops_per_s", s.goodputPerS());
-        j.field("p50_ns", s.p50Ns);
-        j.field("p99_ns", s.p99Ns);
-        j.closeObject();
+        authbench::writeSeries(
+            j, {"transport_auth_e2e", kWindowLabels[i], s.goodputPerS(),
+                s.p50Ns, s.p99Ns, s.merged.accepted});
     }
     j.closeArray();
     j.openArray("load_curve");

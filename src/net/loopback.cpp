@@ -1,6 +1,7 @@
 #include "net/loopback.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -8,14 +9,6 @@
 namespace authenticache::net {
 
 using protocol::Direction;
-
-void
-LoopbackTransport::Client::write(std::span<const std::uint8_t> data)
-{
-    if (writeClosed || aborted)
-        return;
-    outbox.insert(outbox.end(), data.begin(), data.end());
-}
 
 void
 LoopbackTransport::Client::sendMessage(std::uint64_t stream,
@@ -28,22 +21,11 @@ void
 LoopbackTransport::Client::sendPayload(std::uint64_t stream,
                                        std::vector<std::uint8_t> payload)
 {
-    if (writeClosed || aborted)
-        return;
     // Whatever the server already wrote crosses the wire first, so
     // send ordinals follow the order the two sides actually wrote in.
     owner->collect(*this);
     owner->transmit(*this, Direction::ClientToServer,
                     WireFrame{stream, std::move(payload)});
-}
-
-void
-LoopbackTransport::Client::abort()
-{
-    aborted = true;
-    writeClosed = true;
-    outbox.clear();
-    outHead = 0;
 }
 
 std::optional<WireFrame>
@@ -143,17 +125,12 @@ LoopbackTransport::feed(Client &client)
     }
     client.outbox.clear();
     client.outHead = 0;
-    // Orderly shutdown: EOF is delivered only after every byte before
-    // it has been consumed.
-    if (client.writeClosed && !conn.closed && conn.queue.empty() &&
-        conn.decoder.buffered() == 0 && conn.pendingOut() == 0)
-        core.close(conn);
 }
 
 void
 LoopbackTransport::collect(Client &client)
 {
-    if (client.conn == nullptr || client.aborted)
+    if (client.conn == nullptr)
         return;
     TransportCore::Conn &conn = *client.conn;
     if (conn.pendingOut() == 0)
@@ -270,17 +247,13 @@ LoopbackTransport::pump(util::ThreadPool &pool)
     for (auto &[id, client] : clients) {
         if (client->conn == nullptr)
             continue; // Reaped by drain().
-        if (client->aborted && !client->conn->closed)
-            core.close(*client->conn); // RST: drop everything now.
-        else
-            feed(*client);
+        feed(*client);
     }
 
     const std::size_t serviced = core.runBatch(pool);
 
-    // Deliver reply frames; then re-check half-closed connections,
-    // whose EOF may have become deliverable once the batch drained
-    // their queue and replies flushed.
+    // Deliver reply frames; then move bytes that backpressure stalled,
+    // now that the batch has drained their queues.
     for (auto &[id, client] : clients) {
         if (client->conn == nullptr)
             continue;
@@ -295,7 +268,8 @@ void
 LoopbackTransport::pumpUntilIdle(util::ThreadPool &pool)
 {
     // Each idle pump still moves stalled bytes, so loop until nothing
-    // is queued anywhere, then once more to flush EOFs.
+    // is queued anywhere; the last pump also passes on any held frame
+    // that has come due.
     while (!wireIdle())
         pump(pool);
     pump(pool);

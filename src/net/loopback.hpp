@@ -42,7 +42,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -62,10 +61,6 @@ class LoopbackTransport : public Transport
       public:
         std::uint64_t id() const { return connId; }
 
-        /** Queue raw bytes toward the server (a TCP send). Raw
-         *  bytes bypass the tap and the fault plan. */
-        void write(std::span<const std::uint8_t> data);
-
         /** Frame and queue one message on @p stream. */
         void sendMessage(std::uint64_t stream,
                          const protocol::Message &m);
@@ -78,14 +73,6 @@ class LoopbackTransport : public Transport
          */
         void sendPayload(std::uint64_t stream,
                          std::vector<std::uint8_t> payload);
-
-        /** Half-close: no more client bytes; server drains then
-         *  closes (an orderly FIN). */
-        void closeWrite() { writeClosed = true; }
-
-        /** Abortive close: unsent bytes vanish, the server sees EOF
-         *  immediately (a mid-stream RST). */
-        void abort();
 
         /**
          * The next server->client message on any stream, if one has
@@ -140,8 +127,6 @@ class LoopbackTransport : public Transport
         std::size_t outHead = 0;
         WireDecoder down; ///< client-side decoder of server bytes
         std::deque<WireFrame> inbox; ///< delivered server frames
-        bool writeClosed = false;
-        bool aborted = false;
     };
 
     LoopbackTransport(server::ServerFrontEnd &front,
@@ -154,8 +139,8 @@ class LoopbackTransport : public Transport
     /**
      * One deterministic service cycle, connections in ascending id
      * order: release due delayed frames, move client bytes into the
-     * core (respecting backpressure), deliver EOFs, run one batch,
-     * deliver reply frames to the clients. @return frames serviced.
+     * core (respecting backpressure), run one batch, deliver reply
+     * frames to the clients. @return frames serviced.
      */
     std::size_t pump(util::ThreadPool &pool) override;
 

@@ -13,6 +13,9 @@ variants of the current file with one value moved:
     below 1 (only *_simd_speedup ratios may read "width unavailable");
   - a gate that is false, or missing from the current run, fails in
     both modes (exit 1);
+  - a quick run against a full baseline (or the reverse) exits 2 when
+    the baseline has derived ratios or floors, and is only a note
+    against a baseline with gates only;
   - a malformed file exits 2: a gate written as a number, a derived
     value written as a bool, a missing header key, a series without
     ops_per_s.
@@ -48,11 +51,15 @@ class FixtureCase(unittest.TestCase):
     def tearDown(self):
         self.tmp.cleanup()
 
-    def run_on(self, doc, *flags):
-        """Exit code and stderr of the script on @doc as current."""
-        path = os.path.join(self.tmp.name, "current.json")
+    def write(self, name, doc):
+        path = os.path.join(self.tmp.name, name)
         with open(path, "w") as f:
             json.dump(doc, f)
+        return path
+
+    def run_on(self, doc, *flags):
+        """Exit code and stderr of the script on @doc as current."""
+        path = self.write("current.json", doc)
         run = subprocess.run(
             [sys.executable, SCRIPT, *flags, self.baseline, path],
             capture_output=True, text=True)
@@ -137,6 +144,31 @@ class Gates(FixtureCase):
             code, err = self.run_on(doc, *flags)
             self.assertEqual(code, 1, flags)
             self.assertIn("gate fixture_gate: missing", err)
+
+
+class RunSize(FixtureCase):
+    def test_size_mismatch_against_ratios_exits_2(self):
+        doc = copy.deepcopy(self.current)
+        doc["quick"] = False
+        for flags in (("--ratios-only",), ()):
+            code, err = self.run_on(doc, *flags)
+            self.assertEqual(code, 2, flags)
+            self.assertIn("only compare runs of one size", err)
+
+    def test_size_mismatch_against_gates_only_is_a_note(self):
+        base = load("baseline.json")
+        del base["derived"]
+        del base["floors"]
+        gates_only = self.write("gates_only.json", base)
+        doc = copy.deepcopy(self.current)
+        doc["quick"] = False
+        run = subprocess.run(
+            [sys.executable, SCRIPT, "--ratios-only", gates_only,
+             self.write("current.json", doc)],
+            capture_output=True, text=True)
+        self.assertEqual(run.returncode, 0, run.stderr)
+        self.assertIn("note: quick=True baseline vs quick=False",
+                      run.stdout)
 
 
 class Schema(FixtureCase):

@@ -1,8 +1,9 @@
 /**
  * @file
  * The BENCH_*.json writer (bench/bench_json.hpp): exact output text
- * for every value kind and nesting shape, and the overload set that
- * keeps pointers and stray integer types from compiling.
+ * for every value kind and nesting shape and for one "benchmarks"
+ * row, and the overload set that keeps pointers and stray integer
+ * types from compiling.
  */
 
 #include <gtest/gtest.h>
@@ -110,6 +111,34 @@ TEST(BenchJson, GatesAreBoolsInNameOrder)
     "a_first": false,
     "z_last": true
   }
+}
+)");
+}
+
+TEST(BenchJson, SeriesRowIsExact)
+{
+    // Five samples of 4 ops each: 20 ops in 1500 ns; per-op p50 is
+    // the middle sample (300 ns / 4), p99 the 4th of 5 (400 ns / 4).
+    const authbench::Series s = authbench::makeSeries(
+        "crc32_4kib", "scalar", 4, {500, 100, 400, 200, 300});
+    std::ostringstream os;
+    authbench::Json j(os);
+    j.open();
+    j.openArray("benchmarks");
+    authbench::writeSeries(j, s);
+    j.closeArray();
+    j.close();
+    EXPECT_EQ(os.str(), R"({
+  "benchmarks": [
+    {
+      "name": "crc32_4kib",
+      "simd": "scalar",
+      "ops": 20,
+      "ops_per_s": 13333333.3333,
+      "p50_ns": 75,
+      "p99_ns": 100
+    }
+  ]
 }
 )");
 }

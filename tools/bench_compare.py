@@ -44,6 +44,12 @@ comparison:
   - every "derived" and "floors" value is a number (not a bool);
   - every "gates" value is a bool.
 
+A pair whose "quick" headers differ also exits 2 when the baseline
+has "derived" or "floors" values: a ratio measured at one run size
+says nothing about a run of the other size. A baseline with gates
+only (transport, heartbeat) is still compared, with a note, since
+each gate is a property the run must hold at any size.
+
 Usage:
   tools/bench_compare.py BASELINE CURRENT [BASELINE2 CURRENT2 ...]
       [--threshold 0.10] [--ratios-only]
@@ -137,8 +143,8 @@ def compare_pair(base, cur, threshold, ratios_only):
     if base.get("quick") != cur.get("quick"):
         notes.append(
             f"note: quick={base.get('quick')} baseline vs "
-            f"quick={cur.get('quick')} current -- absolute numbers "
-            "are not comparable; ratios still are")
+            f"quick={cur.get('quick')} current -- the gates still "
+            "apply; absolute numbers are not comparable")
 
     same_width = (base.get("detected_simd") ==
                   cur.get("detected_simd"))
@@ -252,6 +258,15 @@ def main():
         for e in schema_errors(docs[path]):
             print(f"bench_compare: {path}: schema: {e}",
                   file=sys.stderr)
+            malformed = True
+    for base, cur in zip(args.files[::2], args.files[1::2]):
+        b, c = docs[base], docs[cur]
+        if (b.get("quick") != c.get("quick")
+                and (b.get("derived") or b.get("floors"))):
+            print(f"bench_compare: [{base} vs {cur}] quick="
+                  f"{b.get('quick')} baseline vs quick={c.get('quick')} "
+                  "current: derived ratios and floors only compare runs "
+                  "of one size", file=sys.stderr)
             malformed = True
     if malformed:
         return 2
