@@ -219,11 +219,11 @@ runHeartbeatDevice(std::size_t idx, unsigned pool_width,
 
     for (const auto &entry : tap.entries())
         out.transcript += hex(entry.frame) + "\n";
-    const auto &sess = server.sessions();
-    out.failed = sess.heartbeatsFailed();
-    out.marginal = sess.heartbeatsMarginal();
-    out.rounds = sess.heartbeatsClean() + out.marginal + out.failed;
-    out.remaps = sess.proactiveRemaps();
+    const auto totals = server.sessions().totals();
+    out.failed = totals.heartbeatsFailed;
+    out.marginal = totals.heartbeatsMarginal;
+    out.rounds = totals.heartbeatsClean + out.marginal + out.failed;
+    out.remaps = totals.proactiveRemaps;
     out.challengeBits = issuedChallengeBits(tap);
     const auto &record = server.database().at(id);
     out.lockedOut = record.revoked() || record.reenrollRequired() ||

@@ -272,7 +272,6 @@ runSweep(server::AuthenticationServer &server,
     // overload capacity goes into challenges whose responses are then
     // shed, and goodput collapses instead of plateauing.
     tcfg.continuationReserve = p.budget / 4;
-    tcfg.classifyContinuation = net::isContinuationPayload;
     net::EpollTransport transport(server.frontEnd(), tcfg);
     util::ThreadPool pool;
 

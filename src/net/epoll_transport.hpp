@@ -28,7 +28,7 @@
 
 namespace authenticache::net {
 
-class EpollTransport : public Transport
+class EpollTransport
 {
   public:
     /**
@@ -38,7 +38,7 @@ class EpollTransport : public Transport
     EpollTransport(server::ServerFrontEnd &front,
                    const TransportConfig &config,
                    std::uint16_t port = 0);
-    ~EpollTransport() override;
+    ~EpollTransport();
 
     /** The bound TCP port. */
     std::uint16_t port() const { return boundPort; }
@@ -48,22 +48,25 @@ class EpollTransport : public Transport
      * run one batch, flush replies, reap dead connections.
      * @return frames serviced.
      */
-    std::size_t pump(util::ThreadPool &pool) override
-    {
-        return pump(pool, 0);
-    }
+    std::size_t pump(util::ThreadPool &pool) { return pump(pool, 0); }
 
     /** As above, blocking in epoll_wait up to @p timeoutMs. */
     std::size_t pump(util::ThreadPool &pool, int timeoutMs);
 
-    void drain(util::ThreadPool &pool) override;
+    /**
+     * Graceful shutdown: stop accepting connections, service
+     * everything already admitted or buffered, flush replies, then
+     * close every connection (the shed pattern's clean drain).
+     */
+    void drain(util::ThreadPool &pool);
 
-    const TransportCounters &counters() const override
+    const TransportCounters &counters() const
     {
         return core.counters();
     }
 
-    bool idle() const override;
+    /** No queued requests and no undelivered output. */
+    bool idle() const;
 
     std::size_t connectionCount() const
     {

@@ -86,8 +86,6 @@ LoopbackTransport::LoopbackTransport(server::ServerFrontEnd &front,
 {
 }
 
-LoopbackTransport::~LoopbackTransport() = default;
-
 LoopbackTransport::Client *
 LoopbackTransport::connect()
 {
@@ -220,8 +218,7 @@ LoopbackTransport::releaseHeld()
 {
     if (held.empty())
         return;
-    // Unbinding the clock releases everything still held.
-    const std::uint64_t step = clock ? clock->now() : ~std::uint64_t{0};
+    const std::uint64_t step = releaseStep();
     // Release in step order, frames due at the same step in send order
     // (the sort is stable and frames are held in send order), so
     // delivery is deterministic however far the clock jumped.
@@ -268,11 +265,9 @@ void
 LoopbackTransport::pumpUntilIdle(util::ThreadPool &pool)
 {
     // Each idle pump still moves stalled bytes, so loop until nothing
-    // is queued anywhere; the last pump also passes on any held frame
-    // that has come due.
+    // is queued anywhere and no held frame has come due.
     while (!wireIdle())
         pump(pool);
-    pump(pool);
 }
 
 void
@@ -299,6 +294,10 @@ LoopbackTransport::wireIdle() const
 {
     if (!core.idle())
         return false;
+    const std::uint64_t step = releaseStep();
+    for (const auto &h : held)
+        if (h.releaseStep <= step)
+            return false;
     for (const auto &[id, client] : clients) {
         if (client->conn == nullptr || client->conn->closed)
             continue;

@@ -52,7 +52,7 @@
 
 namespace authenticache::net {
 
-class LoopbackTransport : public Transport
+class LoopbackTransport
 {
   public:
     /** Client-side handle to one loopback connection. */
@@ -131,7 +131,6 @@ class LoopbackTransport : public Transport
 
     LoopbackTransport(server::ServerFrontEnd &front,
                       const TransportConfig &config);
-    ~LoopbackTransport() override;
 
     /** Open a connection. Refused (returns nullptr) after drain(). */
     Client *connect();
@@ -142,7 +141,7 @@ class LoopbackTransport : public Transport
      * core (respecting backpressure), run one batch, deliver reply
      * frames to the clients. @return frames serviced.
      */
-    std::size_t pump(util::ThreadPool &pool) override;
+    std::size_t pump(util::ThreadPool &pool);
 
     /** Pump until no admitted or deliverable work remains (frames a
      *  Delay fault holds wait for the clock, not for pumps). */
@@ -153,15 +152,15 @@ class LoopbackTransport : public Transport
      * handles stay valid: they read as server-closed, and a later
      * pump() or idle() skips them.
      */
-    void drain(util::ThreadPool &pool) override;
+    void drain(util::ThreadPool &pool);
 
-    const TransportCounters &counters() const override
+    const TransportCounters &counters() const
     {
         return core.counters();
     }
 
     /** Nothing queued, undelivered, or held by a Delay fault. */
-    bool idle() const override;
+    bool idle() const;
 
     TransportCore &transportCore() { return core; }
 
@@ -216,7 +215,15 @@ class LoopbackTransport : public Transport
     /** Deliver held frames whose release step has passed. */
     void releaseHeld();
 
-    /** No admitted work, no stalled bytes, no undelivered output. */
+    /** Frames held up to this step are due (all of them once the
+     *  clock is unbound). */
+    std::uint64_t releaseStep() const
+    {
+        return clock ? clock->now() : ~std::uint64_t{0};
+    }
+
+    /** No admitted work, no stalled bytes, no undelivered output, no
+     *  held frame due. */
     bool wireIdle() const;
 
     TransportCore core;

@@ -128,8 +128,7 @@ TransportCore::admit(Conn &conn, WireFrame frame)
     // reserve; continuations may fill the budget completely.
     std::size_t cap = cfg.globalInFlight;
     if (cfg.continuationReserve > 0 &&
-        cfg.classifyContinuation != nullptr &&
-        !cfg.classifyContinuation(frame.payload))
+        !isContinuationPayload(frame.payload))
         cap -= std::min(cfg.continuationReserve, cap);
     if (queuedTotal >= cap) {
         // Budget exhausted: shed with an explicit reject on the

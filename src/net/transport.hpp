@@ -94,7 +94,7 @@ struct TransportConfig
     /**
      * Continuation-aware shedding (0 disables). When positive, the
      * top @c continuationReserve slots of the global budget are held
-     * back for frames @c classifyContinuation marks as continuations
+     * back for frames isContinuationPayload() marks as continuations
      * of in-progress exchanges; new-work frames are shed once the
      * unreserved slice fills. This protects half-done work from
      * congestion collapse: under sustained overload the server
@@ -102,14 +102,6 @@ struct TransportConfig
      * new ones whose responses would then be shed.
      */
     std::size_t continuationReserve = 0;
-
-    /**
-     * Classifier backing @c continuationReserve: true when the wire
-     * payload continues an in-progress exchange. Unset means no frame
-     * is a continuation (every frame competes for the full budget).
-     */
-    bool (*classifyContinuation)(std::span<const std::uint8_t>) =
-        nullptr;
 };
 
 /** Monotonic tallies of everything the transport did. */
@@ -142,9 +134,10 @@ protocol::ErrorMsg overloadedReject();
 bool isOverloadedReject(const protocol::Message &m);
 
 /**
- * Classifier for TransportConfig::classifyContinuation: true for
- * protocol frames that continue an exchange the server already
- * invested work in (ResponseMsg, RemapAck, RemapCommit).
+ * The classifier behind TransportConfig::continuationReserve: true
+ * for protocol frames that continue an exchange the server already
+ * invested work in (ResponseMsg, RemapAck, RemapCommit,
+ * HeartbeatProof).
  */
 bool isContinuationPayload(std::span<const std::uint8_t> payload);
 
@@ -302,31 +295,6 @@ class TransportCore
     std::uint64_t nextId = 1;
     std::size_t queuedTotal = 0;
     bool inBatch = false;
-};
-
-/** Transport-agnostic pump surface shared by loopback and epoll. */
-class Transport
-{
-  public:
-    virtual ~Transport() = default;
-
-    /**
-     * One service cycle: move bytes, admit/shed, run one batch, flush
-     * replies. @return frames serviced.
-     */
-    virtual std::size_t pump(util::ThreadPool &pool) = 0;
-
-    /**
-     * Graceful shutdown: stop accepting connections, service
-     * everything already admitted or buffered, flush replies, then
-     * close every connection (the shed pattern's clean drain).
-     */
-    virtual void drain(util::ThreadPool &pool) = 0;
-
-    virtual const TransportCounters &counters() const = 0;
-
-    /** No queued requests and no undelivered output. */
-    virtual bool idle() const = 0;
 };
 
 } // namespace authenticache::net

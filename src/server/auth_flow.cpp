@@ -7,28 +7,30 @@
 
 namespace authenticache::server {
 
+const char *
+refusalReason(const EnrollmentDatabase &devices, std::uint64_t device_id)
+{
+    if (!devices.contains(device_id))
+        return "unknown device";
+    const DeviceRecord &record = devices.at(device_id);
+    if (record.revoked())
+        return "device revoked";
+    if (record.locked())
+        return "device locked";
+    if (record.reenrollRequired())
+        return "re-enrollment required";
+    return nullptr;
+}
+
 FlowOutput
 AuthFlow::onRequest(SessionShard &sh, const protocol::AuthRequest &msg)
 {
     FlowOutput out;
-    if (!devices.contains(msg.deviceId)) {
-        out.replies.push_back(protocol::ErrorMsg{"unknown device"});
+    if (const char *refusal = refusalReason(devices, msg.deviceId)) {
+        out.replies.push_back(protocol::ErrorMsg{refusal});
         return out;
     }
     DeviceRecord &record = devices.at(msg.deviceId);
-    if (record.revoked()) {
-        out.replies.push_back(protocol::ErrorMsg{"device revoked"});
-        return out;
-    }
-    if (record.locked()) {
-        out.replies.push_back(protocol::ErrorMsg{"device locked"});
-        return out;
-    }
-    if (record.reenrollRequired()) {
-        out.replies.push_back(
-            protocol::ErrorMsg{"re-enrollment required"});
-        return out;
-    }
 
     // Idempotent retransmission handling: while this device already
     // has an outstanding challenge, a duplicated or retransmitted

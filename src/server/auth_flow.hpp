@@ -19,7 +19,7 @@
 #include "protocol/messages.hpp"
 #include "server/challenge_gen.hpp"
 #include "server/config.hpp"
-#include "server/device_directory.hpp"
+#include "server/database.hpp"
 #include "server/session_manager.hpp"
 #include "server/verifier.hpp"
 
@@ -38,10 +38,18 @@ struct FlowOutput
     std::optional<std::uint64_t> openedNonce;
 };
 
+/**
+ * Why @p device_id may not authenticate or open a heartbeat session
+ * (unknown, revoked, locked, or awaiting re-enrollment), or nullptr
+ * when it may.
+ */
+const char *refusalReason(const EnrollmentDatabase &devices,
+                          std::uint64_t device_id);
+
 class AuthFlow
 {
   public:
-    AuthFlow(SessionManager &sessions_, DeviceDirectory &devices_,
+    AuthFlow(SessionManager &sessions_, EnrollmentDatabase &devices_,
              ChallengeGenerator &generator_, const Verifier &verifier)
         : sessions(sessions_), devices(devices_),
           generator(generator_), verify(verifier)
@@ -68,7 +76,7 @@ class AuthFlow
 
   private:
     SessionManager &sessions;
-    DeviceDirectory &devices;
+    EnrollmentDatabase &devices;
     ChallengeGenerator &generator;
     const Verifier &verify;
 };

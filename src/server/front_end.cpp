@@ -4,41 +4,40 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 
 #include "server/durability.hpp"
 
 namespace authenticache::server {
 
+std::optional<unsigned>
+ServerFrontEnd::route(const protocol::Message &msg) const
+{
+    if (auto *req = std::get_if<protocol::AuthRequest>(&msg))
+        return sessions.shardIndexForDevice(req->deviceId);
+    if (auto *resp = std::get_if<protocol::ResponseMsg>(&msg))
+        return sessions.shardIndexForNonce(resp->nonce);
+    if (auto *ack = std::get_if<protocol::RemapAck>(&msg))
+        return sessions.shardIndexForNonce(ack->nonce);
+    if (auto *proof = std::get_if<protocol::HeartbeatProof>(&msg))
+        return sessions.shardIndexForNonce(proof->nonce);
+    return std::nullopt;
+}
+
 FlowOutput
-ServerFrontEnd::dispatch(const protocol::Message &msg)
+ServerFrontEnd::dispatch(unsigned shard, const protocol::Message &msg)
 {
     try {
-        if (auto *req = std::get_if<protocol::AuthRequest>(&msg)) {
-            SessionShard &sh = sessions.shardForDevice(req->deviceId);
-            util::MutexLock lock(sh.mutex);
+        SessionShard &sh = sessions.shard(shard);
+        util::MutexLock lock(sh.mutex);
+        if (auto *req = std::get_if<protocol::AuthRequest>(&msg))
             return auth.onRequest(sh, *req);
-        }
-        if (auto *resp = std::get_if<protocol::ResponseMsg>(&msg)) {
-            SessionShard &sh = sessions.shardForNonce(resp->nonce);
-            util::MutexLock lock(sh.mutex);
+        if (auto *resp = std::get_if<protocol::ResponseMsg>(&msg))
             return auth.onResponse(sh, *resp);
-        }
-        if (auto *ack = std::get_if<protocol::RemapAck>(&msg)) {
-            SessionShard &sh = sessions.shardForNonce(ack->nonce);
-            util::MutexLock lock(sh.mutex);
+        if (auto *ack = std::get_if<protocol::RemapAck>(&msg))
             return remap.onAck(sh, *ack);
-        }
-        if (auto *proof =
-                std::get_if<protocol::HeartbeatProof>(&msg)) {
-            SessionShard &sh = sessions.shardForNonce(proof->nonce);
-            util::MutexLock lock(sh.mutex);
-            return heartbeat.onProof(sh, *proof);
-        }
-        FlowOutput out;
-        if (std::get_if<protocol::ErrorMsg>(&msg) == nullptr)
-            out.replies.push_back(
-                protocol::ErrorMsg{"unexpected message"});
-        return out;
+        return heartbeat.onProof(
+            sh, std::get<protocol::HeartbeatProof>(msg));
     } catch (const std::exception &e) {
         // Programmer-error invariants aside, nothing a frame carries
         // may crash the verifier: reject the frame and move on.
@@ -88,7 +87,7 @@ ServerFrontEnd::mergeOutputs(std::span<Frame> frames,
     }
     sessions.enforceCap();
     if (dur != nullptr)
-        dur->maybeRotate(devices.database());
+        dur->maybeRotate(devices);
 }
 
 void
@@ -118,22 +117,10 @@ ServerFrontEnd::handleBatch(std::span<Frame> frames,
     for (std::size_t i = 0; i < n; ++i) {
         if (!decoded[i])
             continue;
-        const protocol::Message &m = *decoded[i];
-        if (auto *req = std::get_if<protocol::AuthRequest>(&m)) {
-            perShard[sessions.shardIndexForDevice(req->deviceId)]
-                .push_back(i);
-        } else if (auto *resp =
-                       std::get_if<protocol::ResponseMsg>(&m)) {
-            perShard[sessions.shardIndexForNonce(resp->nonce)]
-                .push_back(i);
-        } else if (auto *ack = std::get_if<protocol::RemapAck>(&m)) {
-            perShard[sessions.shardIndexForNonce(ack->nonce)]
-                .push_back(i);
-        } else if (auto *proof =
-                       std::get_if<protocol::HeartbeatProof>(&m)) {
-            perShard[sessions.shardIndexForNonce(proof->nonce)]
-                .push_back(i);
-        } else if (std::get_if<protocol::ErrorMsg>(&m) == nullptr) {
+        if (std::optional<unsigned> s = route(*decoded[i]))
+            perShard[*s].push_back(i);
+        else if (!std::holds_alternative<protocol::ErrorMsg>(
+                       *decoded[i])) {
             outputs[i].replies.push_back(
                 protocol::ErrorMsg{"unexpected message"});
         }
@@ -150,48 +137,45 @@ ServerFrontEnd::handleBatch(std::span<Frame> frames,
     // changes wall-clock time, never results.
     pool.parallelFor(active.size(), [&](std::size_t k) {
         for (std::size_t i : perShard[active[k]])
-            outputs[i] = dispatch(*decoded[i]);
+            outputs[i] = dispatch(active[k], *decoded[i]);
     });
 
     mergeOutputs(frames, outputs, base);
+}
+
+template <class Flow>
+void
+ServerFrontEnd::initiate(Flow &flow, const char *name,
+                         std::uint64_t device_id,
+                         protocol::ReplySink &endpoint)
+{
+    const std::uint64_t base = sessions.reserveOrdinals(1);
+    std::vector<FlowOutput> outputs(1);
+    try {
+        SessionShard &sh = sessions.shardForDevice(device_id);
+        util::MutexLock lock(sh.mutex);
+        outputs[0] = flow.start(sh, device_id);
+    } catch (const std::exception &e) {
+        outputs[0].replies.push_back(protocol::ErrorMsg{
+            std::string(name) + ": " + e.what()});
+    }
+    Frame frame;
+    frame.reply = &endpoint;
+    mergeOutputs(std::span<Frame>(&frame, 1), outputs, base);
 }
 
 void
 ServerFrontEnd::startRemap(std::uint64_t device_id,
                            protocol::ReplySink &endpoint)
 {
-    const std::uint64_t base = sessions.reserveOrdinals(1);
-    std::vector<FlowOutput> outputs(1);
-    try {
-        SessionShard &sh = sessions.shardForDevice(device_id);
-        util::MutexLock lock(sh.mutex);
-        outputs[0] = remap.start(sh, device_id);
-    } catch (const std::exception &e) {
-        outputs[0].replies.push_back(
-            protocol::ErrorMsg{std::string("remap: ") + e.what()});
-    }
-    Frame frame;
-    frame.reply = &endpoint;
-    mergeOutputs(std::span<Frame>(&frame, 1), outputs, base);
+    initiate(remap, "remap", device_id, endpoint);
 }
 
 void
 ServerFrontEnd::startHeartbeat(std::uint64_t device_id,
                                protocol::ReplySink &endpoint)
 {
-    const std::uint64_t base = sessions.reserveOrdinals(1);
-    std::vector<FlowOutput> outputs(1);
-    try {
-        SessionShard &sh = sessions.shardForDevice(device_id);
-        util::MutexLock lock(sh.mutex);
-        outputs[0] = heartbeat.start(sh, device_id);
-    } catch (const std::exception &e) {
-        outputs[0].replies.push_back(protocol::ErrorMsg{
-            std::string("heartbeat: ") + e.what()});
-    }
-    Frame frame;
-    frame.reply = &endpoint;
-    mergeOutputs(std::span<Frame>(&frame, 1), outputs, base);
+    initiate(heartbeat, "heartbeat", device_id, endpoint);
 }
 
 void
@@ -227,7 +211,7 @@ ServerFrontEnd::stopHeartbeat(std::uint64_t device_id)
 {
     SessionShard &sh = sessions.shardForDevice(device_id);
     util::MutexLock lock(sh.mutex);
-    return heartbeat.stop(sh, device_id);
+    return sh.endHeartbeat(device_id);
 }
 
 } // namespace authenticache::server

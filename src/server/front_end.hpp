@@ -34,6 +34,7 @@
 #define AUTH_SERVER_FRONT_END_HPP
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -61,7 +62,7 @@ class ServerFrontEnd
 {
   public:
     ServerFrontEnd(SessionManager &sessions_,
-                   DeviceDirectory &devices_,
+                   EnrollmentDatabase &devices_,
                    ChallengeGenerator &generator,
                    const Verifier &verifier)
         : sessions(sessions_), devices(devices_),
@@ -119,10 +120,27 @@ class ServerFrontEnd
 
   private:
     /**
-     * Route a decoded message to its shard and flow. Takes the shard
-     * mutex; never throws (failures become ErrorMsg replies).
+     * The shard owning a decoded message: the device's for an
+     * AuthRequest, the nonce's tag for a response, remap ack or
+     * heartbeat proof. Empty for every other message type.
      */
-    FlowOutput dispatch(const protocol::Message &msg);
+    std::optional<unsigned> route(const protocol::Message &msg) const;
+
+    /**
+     * Run a routed message through its flow on shard @p shard. Takes
+     * the shard mutex; never throws (failures become ErrorMsg
+     * replies).
+     */
+    FlowOutput dispatch(unsigned shard, const protocol::Message &msg);
+
+    /**
+     * Run @p flow's start() for a device on its shard and merge the
+     * output as a one-frame batch replying to @p endpoint. A throw
+     * becomes an ErrorMsg prefixed with @p name.
+     */
+    template <class Flow>
+    void initiate(Flow &flow, const char *name, std::uint64_t device_id,
+                  protocol::ReplySink &endpoint);
 
     /** Sequential tail of every batch: journal + emit + rank + cap. */
     void mergeOutputs(std::span<Frame> frames,
@@ -137,7 +155,7 @@ class ServerFrontEnd
     void flushJournal();
 
     SessionManager &sessions;
-    DeviceDirectory &devices;
+    EnrollmentDatabase &devices;
     AuthFlow auth;
     RemapFlow remap;
     HeartbeatFlow heartbeat;

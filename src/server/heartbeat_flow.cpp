@@ -12,24 +12,11 @@ FlowOutput
 HeartbeatFlow::start(SessionShard &sh, std::uint64_t device_id)
 {
     FlowOutput out;
-    if (!devices.contains(device_id)) {
-        out.replies.push_back(protocol::ErrorMsg{"unknown device"});
+    if (const char *refusal = refusalReason(devices, device_id)) {
+        out.replies.push_back(protocol::ErrorMsg{refusal});
         return out;
     }
     DeviceRecord &record = devices.at(device_id);
-    if (record.revoked()) {
-        out.replies.push_back(protocol::ErrorMsg{"device revoked"});
-        return out;
-    }
-    if (record.locked()) {
-        out.replies.push_back(protocol::ErrorMsg{"device locked"});
-        return out;
-    }
-    if (record.reenrollRequired()) {
-        out.replies.push_back(
-            protocol::ErrorMsg{"re-enrollment required"});
-        return out;
-    }
     if (sh.heartbeats.count(device_id) != 0) {
         out.replies.push_back(
             protocol::ErrorMsg{"heartbeat already active"});
@@ -63,9 +50,6 @@ HeartbeatFlow::issueRound(SessionShard &sh, HeartbeatSession &session,
     // A session that cannot issue its next round (no levels, a
     // level without an error-map plane, pair supply exhausted) is
     // torn down rather than left to strand wheel entries forever.
-    // (Inlined rather than a lambda: the thread-safety analysis
-    // treats lambdas as lock-unaware functions; see
-    // SessionManager::sumCounter.)
     std::string abort_reason;
     GeneratedChallenge gen;
     if (levels.empty()) {
@@ -83,9 +67,7 @@ HeartbeatFlow::issueRound(SessionShard &sh, HeartbeatSession &session,
         }
     }
     if (!abort_reason.empty()) {
-        if (session.activeNonce != 0)
-            sh.heartbeatByNonce.erase(session.activeNonce);
-        sh.heartbeats.erase(device);
+        sh.endHeartbeat(device);
         out.replies.push_back(
             protocol::ErrorMsg{std::move(abort_reason)});
         return;
@@ -194,18 +176,6 @@ HeartbeatFlow::tick(SessionShard &sh, std::uint64_t now)
         outs.push_back(std::move(out));
     }
     return outs;
-}
-
-bool
-HeartbeatFlow::stop(SessionShard &sh, std::uint64_t device_id)
-{
-    auto hb = sh.heartbeats.find(device_id);
-    if (hb == sh.heartbeats.end())
-        return false;
-    if (hb->second.activeNonce != 0)
-        sh.heartbeatByNonce.erase(hb->second.activeNonce);
-    sh.heartbeats.erase(hb);
-    return true;
 }
 
 void
@@ -321,7 +291,7 @@ HeartbeatFlow::applyVerdict(SessionShard &sh,
         out.replies.push_back(
             protocol::Revoke{device, "trust exhausted"});
     if (revoked_now || tier == protocol::TrustTier::ReenrollRequired)
-        sh.heartbeats.erase(device);
+        sh.endHeartbeat(device);
 }
 
 } // namespace authenticache::server

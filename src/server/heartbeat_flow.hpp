@@ -32,7 +32,7 @@ namespace authenticache::server {
 class HeartbeatFlow
 {
   public:
-    HeartbeatFlow(SessionManager &sessions_, DeviceDirectory &devices_,
+    HeartbeatFlow(SessionManager &sessions_, EnrollmentDatabase &devices_,
                   ChallengeGenerator &generator_,
                   const Verifier &verifier, RemapFlow &remap_)
         : sessions(sessions_), devices(devices_),
@@ -70,11 +70,6 @@ class HeartbeatFlow
     std::vector<FlowOutput> tick(SessionShard &sh, std::uint64_t now)
         AUTH_REQUIRES(sh.mutex);
 
-    /** Tear down a device's session (revocation/admin). @return
-     *  whether one existed. Caller holds @p sh's mutex. */
-    bool stop(SessionShard &sh, std::uint64_t device_id)
-        AUTH_REQUIRES(sh.mutex);
-
   private:
     /** Issue the next challenge round for a live session. */
     void issueRound(SessionShard &sh, HeartbeatSession &session,
@@ -91,7 +86,7 @@ class HeartbeatFlow
                       FlowOutput &out) AUTH_REQUIRES(sh.mutex);
 
     SessionManager &sessions;
-    DeviceDirectory &devices;
+    EnrollmentDatabase &devices;
     ChallengeGenerator &generator;
     const Verifier &verify;
     RemapFlow &remap;

@@ -20,7 +20,7 @@ namespace authenticache::server {
 class RemapFlow
 {
   public:
-    RemapFlow(SessionManager &sessions_, DeviceDirectory &devices_,
+    RemapFlow(SessionManager &sessions_, EnrollmentDatabase &devices_,
               ChallengeGenerator &generator_)
         : sessions(sessions_), devices(devices_), generator(generator_)
     {
@@ -46,7 +46,7 @@ class RemapFlow
 
   private:
     SessionManager &sessions;
-    DeviceDirectory &devices;
+    EnrollmentDatabase &devices;
     ChallengeGenerator &generator;
 };
 

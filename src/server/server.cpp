@@ -119,14 +119,7 @@ AuthenticationServer::revokeDevice(std::uint64_t device_id)
         util::MutexLock lock(sh.mutex);
         record.revoke();
         ++sh.counters.revocations;
-        // Tear down any live heartbeat session (inline: the flow's
-        // stop() would re-lock the shard).
-        auto hb = sh.heartbeats.find(device_id);
-        if (hb != sh.heartbeats.end()) {
-            if (hb->second.activeNonce != 0)
-                sh.heartbeatByNonce.erase(hb->second.activeNonce);
-            sh.heartbeats.erase(hb);
-        }
+        sh.endHeartbeat(device_id);
     }
     if (durability() != nullptr) {
         durability()->append(journal::TrustUpdate{
@@ -147,12 +140,7 @@ AuthenticationServer::removeDevice(std::uint64_t device_id)
         // Tear down any live heartbeat session first, so a later
         // tick never dereferences the vanished record.
         util::MutexLock lock(sh.mutex);
-        auto hb = sh.heartbeats.find(device_id);
-        if (hb != sh.heartbeats.end()) {
-            if (hb->second.activeNonce != 0)
-                sh.heartbeatByNonce.erase(hb->second.activeNonce);
-            sh.heartbeats.erase(hb);
-        }
+        sh.endHeartbeat(device_id);
     }
     if (!devices.remove(device_id))
         return false;
@@ -219,39 +207,34 @@ collectServerStats(const AuthenticationServer &server,
     registry.set(component, "authentications_rejected", rejected);
     registry.set(component, "devices_locked", locked);
     registry.set(component, "enrolled_error_lines", errors);
-    registry.set(component, "remaps_committed",
-                 server.remapsCommitted());
-    registry.set(component, "remaps_rejected",
-                 server.remapsRejected());
+    const SessionManager &sess = server.sessions();
+    const ShardCounters totals = sess.totals();
+    registry.set(component, "remaps_committed", totals.remapsCommitted);
+    registry.set(component, "remaps_rejected", totals.remapsRejected);
     registry.set(component, "pending_sessions",
                  std::uint64_t(server.pendingSessions()));
-    registry.set(component, "sessions_evicted",
-                 server.sessionsEvicted());
-    registry.set(component, "sessions_expired",
-                 server.sessionsExpired());
-    registry.set(component, "duplicate_requests",
-                 server.duplicateRequests());
+    registry.set(component, "sessions_evicted", totals.evicted);
+    registry.set(component, "sessions_expired", totals.expired);
+    registry.set(component, "duplicate_requests", totals.dupRequests);
     registry.set(component, "duplicate_completions",
-                 server.duplicateCompletions());
-    registry.set(component, "lockouts", server.lockouts());
+                 totals.dupCompletions);
+    registry.set(component, "lockouts", totals.lockouts);
     registry.set(component, "session_shards",
-                 std::uint64_t(server.sessions().shardCount()));
+                 std::uint64_t(sess.shardCount()));
 
     // Continuous-authentication trust ledger.
     const std::string trust = component + ".trust";
-    const SessionManager &sess = server.sessions();
-    registry.set(trust, "decays", sess.trustDecays());
-    registry.set(trust, "step_ups", sess.stepUps());
-    registry.set(trust, "proactive_remaps", sess.proactiveRemaps());
-    registry.set(trust, "revocations", sess.revocations());
+    registry.set(trust, "decays", totals.trustDecays);
+    registry.set(trust, "step_ups", totals.stepUps);
+    registry.set(trust, "proactive_remaps", totals.proactiveRemaps);
+    registry.set(trust, "revocations", totals.revocations);
     registry.set(trust, "unlocks", server.adminUnlocks());
-    registry.set(trust, "heartbeats_clean", sess.heartbeatsClean());
-    registry.set(trust, "heartbeats_marginal",
-                 sess.heartbeatsMarginal());
-    registry.set(trust, "heartbeats_failed", sess.heartbeatsFailed());
+    registry.set(trust, "heartbeats_clean", totals.heartbeatsClean);
+    registry.set(trust, "heartbeats_marginal", totals.heartbeatsMarginal);
+    registry.set(trust, "heartbeats_failed", totals.heartbeatsFailed);
     registry.set(trust, "heartbeats_active",
                  std::uint64_t(sess.activeHeartbeats()));
-    server.sessions().collectStats(registry, component);
+    sess.collectStats(registry, component);
     if (const DurabilityManager *dur = server.durability())
         dur->collectStats(registry, component);
 }

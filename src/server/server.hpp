@@ -10,7 +10,6 @@
  *    per-device RNG streams -- plus the global pending-session cap.
  *  - AuthFlow / RemapFlow (auth_flow.hpp / remap_flow.hpp): the
  *    per-message protocol state machines.
- *  - DeviceDirectory (device_directory.hpp): device-record access.
  *  - ServerFrontEnd  (front_end.hpp): frame decode, shard routing,
  *    and the parallel batch pipeline (handleBatch), the one frame
  *    entry point.
@@ -39,7 +38,6 @@
 #include "server/challenge_gen.hpp"
 #include "server/config.hpp"
 #include "server/database.hpp"
-#include "server/device_directory.hpp"
 #include "server/front_end.hpp"
 #include "server/session_manager.hpp"
 #include "server/verifier.hpp"
@@ -179,12 +177,8 @@ class AuthenticationServer
      */
     bool removeDevice(std::uint64_t device_id);
 
-    EnrollmentDatabase &database() { return devices.database(); }
-    const EnrollmentDatabase &database() const
-    {
-        return devices.database();
-    }
-    DeviceDirectory &directory() { return devices; }
+    EnrollmentDatabase &database() { return devices; }
+    const EnrollmentDatabase &database() const { return devices; }
     const Verifier &verifier() const { return verify; }
     const std::vector<AuthReport> &reports() const
     {
@@ -199,64 +193,41 @@ class AuthenticationServer
     /** The frame-level front end (batch API without the facade). */
     ServerFrontEnd &frontEnd() { return front; }
 
-    /** Remap exchanges committed after key confirmation. */
-    std::uint64_t remapsCommitted() const
-    {
-        return sessionsMgr.remapsCommitted();
-    }
-
-    /** Remap exchanges rejected at the confirmation step. */
-    std::uint64_t remapsRejected() const
-    {
-        return sessionsMgr.remapsRejected();
-    }
-
     /** Outstanding sessions (challenges awaiting a response). */
     std::size_t pendingSessions() const
     {
         return sessionsMgr.totalPending();
     }
 
-    /** Sessions evicted by the pending-session cap. */
+    // Session counters summed over the shards (sessions().totals()).
+    std::uint64_t remapsCommitted() const
+    {
+        return sessionsMgr.totals().remapsCommitted;
+    }
+    std::uint64_t remapsRejected() const
+    {
+        return sessionsMgr.totals().remapsRejected;
+    }
     std::uint64_t sessionsEvicted() const
     {
-        return sessionsMgr.sessionsEvicted();
+        return sessionsMgr.totals().evicted;
     }
-
-    /** Sessions garbage-collected by the per-session deadline. */
     std::uint64_t sessionsExpired() const
     {
-        return sessionsMgr.sessionsExpired();
+        return sessionsMgr.totals().expired;
     }
-
-    /** Retransmitted AuthRequests answered with the same challenge. */
     std::uint64_t duplicateRequests() const
     {
-        return sessionsMgr.duplicateRequests();
+        return sessionsMgr.totals().dupRequests;
     }
-
-    /** Retransmitted responses/acks served from the completed cache. */
-    std::uint64_t duplicateCompletions() const
-    {
-        return sessionsMgr.duplicateCompletions();
-    }
-
-    /** Devices locked by the lockout policy since construction. */
-    std::uint64_t lockouts() const { return sessionsMgr.lockouts(); }
-
-    // Trust-ledger aggregates (continuous authentication).
-    std::uint64_t trustDecays() const
-    {
-        return sessionsMgr.trustDecays();
-    }
-    std::uint64_t stepUps() const { return sessionsMgr.stepUps(); }
+    std::uint64_t stepUps() const { return sessionsMgr.totals().stepUps; }
     std::uint64_t proactiveRemaps() const
     {
-        return sessionsMgr.proactiveRemaps();
+        return sessionsMgr.totals().proactiveRemaps;
     }
     std::uint64_t revocations() const
     {
-        return sessionsMgr.revocations();
+        return sessionsMgr.totals().revocations;
     }
     std::uint64_t adminUnlocks() const { return unlockCount; }
 
@@ -289,10 +260,7 @@ class AuthenticationServer
      * Replace the whole database (recovery / persistence restore).
      * Only valid before traffic: pending sessions are not rebuilt.
      */
-    void adoptDatabase(EnrollmentDatabase db)
-    {
-        devices.adopt(std::move(db));
-    }
+    void adoptDatabase(EnrollmentDatabase db) { devices = std::move(db); }
 
     /**
      * Seed the completed-nonce replay cache with remap commit
@@ -307,7 +275,7 @@ class AuthenticationServer
     ServerConfig cfg;
     util::Rng rng; ///< Master stream: enrollment keys only.
     util::Rng pairSeeds; ///< Enrolled records' pair seeds.
-    DeviceDirectory devices;
+    EnrollmentDatabase devices;
     ChallengeGenerator generator;
     Verifier verify;
     SessionManager sessionsMgr;

@@ -126,6 +126,18 @@ SessionShard::evict(std::uint64_t nonce)
     return false;
 }
 
+bool
+SessionShard::endHeartbeat(std::uint64_t device_id)
+{
+    auto hb = heartbeats.find(device_id);
+    if (hb == heartbeats.end())
+        return false;
+    if (hb->second.activeNonce != 0)
+        heartbeatByNonce.erase(hb->second.activeNonce);
+    heartbeats.erase(hb);
+    return true;
+}
+
 SessionManager::SessionManager(const ServerConfig &config,
                                std::uint64_t seed)
     : cfg(config), masterSeed(seed)
@@ -237,6 +249,31 @@ SessionManager::compactOrdinals()
     }
 }
 
+ShardCounters
+SessionManager::totals() const
+{
+    ShardCounters sum;
+    for (const auto &sh : shards) {
+        util::MutexLock guard(sh->mutex);
+        const ShardCounters &c = sh->counters;
+        sum.dupRequests += c.dupRequests;
+        sum.dupCompletions += c.dupCompletions;
+        sum.expired += c.expired;
+        sum.evicted += c.evicted;
+        sum.lockouts += c.lockouts;
+        sum.remapsCommitted += c.remapsCommitted;
+        sum.remapsRejected += c.remapsRejected;
+        sum.trustDecays += c.trustDecays;
+        sum.stepUps += c.stepUps;
+        sum.proactiveRemaps += c.proactiveRemaps;
+        sum.revocations += c.revocations;
+        sum.heartbeatsClean += c.heartbeatsClean;
+        sum.heartbeatsMarginal += c.heartbeatsMarginal;
+        sum.heartbeatsFailed += c.heartbeatsFailed;
+    }
+    return sum;
+}
+
 std::size_t
 SessionManager::totalPending() const
 {
@@ -246,90 +283,6 @@ SessionManager::totalPending() const
         total += sh->pending();
     }
     return total;
-}
-
-std::uint64_t
-SessionManager::sessionsEvicted() const
-{
-    return sumCounter(&ShardCounters::evicted);
-}
-
-std::uint64_t
-SessionManager::sessionsExpired() const
-{
-    return sumCounter(&ShardCounters::expired);
-}
-
-std::uint64_t
-SessionManager::duplicateRequests() const
-{
-    return sumCounter(&ShardCounters::dupRequests);
-}
-
-std::uint64_t
-SessionManager::duplicateCompletions() const
-{
-    return sumCounter(&ShardCounters::dupCompletions);
-}
-
-std::uint64_t
-SessionManager::remapsCommitted() const
-{
-    return sumCounter(&ShardCounters::remapsCommitted);
-}
-
-std::uint64_t
-SessionManager::remapsRejected() const
-{
-    return sumCounter(&ShardCounters::remapsRejected);
-}
-
-std::uint64_t
-SessionManager::lockouts() const
-{
-    return sumCounter(&ShardCounters::lockouts);
-}
-
-std::uint64_t
-SessionManager::trustDecays() const
-{
-    return sumCounter(&ShardCounters::trustDecays);
-}
-
-std::uint64_t
-SessionManager::stepUps() const
-{
-    return sumCounter(&ShardCounters::stepUps);
-}
-
-std::uint64_t
-SessionManager::proactiveRemaps() const
-{
-    return sumCounter(&ShardCounters::proactiveRemaps);
-}
-
-std::uint64_t
-SessionManager::revocations() const
-{
-    return sumCounter(&ShardCounters::revocations);
-}
-
-std::uint64_t
-SessionManager::heartbeatsClean() const
-{
-    return sumCounter(&ShardCounters::heartbeatsClean);
-}
-
-std::uint64_t
-SessionManager::heartbeatsMarginal() const
-{
-    return sumCounter(&ShardCounters::heartbeatsMarginal);
-}
-
-std::uint64_t
-SessionManager::heartbeatsFailed() const
-{
-    return sumCounter(&ShardCounters::heartbeatsFailed);
 }
 
 std::size_t

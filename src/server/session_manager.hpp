@@ -178,6 +178,12 @@ struct SessionShard
 
     /** Evict one session by nonce. @return something was dropped. */
     bool evict(std::uint64_t nonce) AUTH_REQUIRES(mutex);
+
+    /**
+     * Tear down a device's heartbeat session and its outstanding
+     * round's nonce route. @return whether one existed.
+     */
+    bool endHeartbeat(std::uint64_t device_id) AUTH_REQUIRES(mutex);
 };
 
 class SessionManager
@@ -262,22 +268,24 @@ class SessionManager
      */
     void enforceCap();
 
-    // Aggregates (each takes the shard locks briefly).
+    /** Every shard's counters summed, taking each shard lock once. */
+    ShardCounters totals() const;
+
+    std::uint64_t heartbeatsClean() const
+    {
+        return totals().heartbeatsClean;
+    }
+    std::uint64_t heartbeatsMarginal() const
+    {
+        return totals().heartbeatsMarginal;
+    }
+    std::uint64_t heartbeatsFailed() const
+    {
+        return totals().heartbeatsFailed;
+    }
+
+    // Gauges (each takes the shard locks briefly).
     std::size_t totalPending() const;
-    std::uint64_t sessionsEvicted() const;
-    std::uint64_t sessionsExpired() const;
-    std::uint64_t duplicateRequests() const;
-    std::uint64_t duplicateCompletions() const;
-    std::uint64_t remapsCommitted() const;
-    std::uint64_t remapsRejected() const;
-    std::uint64_t lockouts() const;
-    std::uint64_t trustDecays() const;
-    std::uint64_t stepUps() const;
-    std::uint64_t proactiveRemaps() const;
-    std::uint64_t revocations() const;
-    std::uint64_t heartbeatsClean() const;
-    std::uint64_t heartbeatsMarginal() const;
-    std::uint64_t heartbeatsFailed() const;
     std::size_t activeHeartbeats() const;
 
     /**
@@ -299,23 +307,6 @@ class SessionManager
     bool journalingEnabled() const { return journalingOn; }
 
   private:
-    /**
-     * Sum one counter across the shards, taking each shard lock in
-     * turn. A member pointer instead of a lambda keeps the guarded
-     * read inside this (analyzed) function body -- a lambda would be
-     * analyzed as a separate, lock-unaware function.
-     */
-    std::uint64_t
-    sumCounter(std::uint64_t ShardCounters::*member) const
-    {
-        std::uint64_t total = 0;
-        for (const auto &sh : shards) {
-            util::MutexLock guard(sh->mutex);
-            total += sh->counters.*member;
-        }
-        return total;
-    }
-
     /** Drop stale ordinal entries once the map outgrows the live set. */
     void compactOrdinals();
 

@@ -223,7 +223,7 @@ runFaultedExchange(const DeviceTemplate &tmpl,
     out.agentRemapTimeouts = agent.remapsTimedOut();
     out.retransmissions = agent.retransmissions();
     out.dupRequests = server.duplicateRequests();
-    out.dupCompletions = server.duplicateCompletions();
+    out.dupCompletions = server.sessions().totals().dupCompletions;
     out.expired = server.sessionsExpired();
 
     const auto &record = server.database().at(kDeviceId);

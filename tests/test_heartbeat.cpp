@@ -120,7 +120,7 @@ TEST(Heartbeat, CleanSessionHoldsTrustHigh)
     EXPECT_EQ(record.remapBudgetUsed(), 0u);
     EXPECT_GT(rig.server.sessions().heartbeatsClean(), 5u);
     EXPECT_LE(rig.server.sessions().heartbeatsFailed(), 1u);
-    EXPECT_EQ(rig.server.sessions().revocations(), 0u);
+    EXPECT_EQ(rig.server.sessions().totals().revocations, 0u);
     EXPECT_EQ(rig.server.sessions().activeHeartbeats(), 1u);
     rig.agent.pumpAll(); // Drain any verdict still in flight.
     ASSERT_TRUE(rig.agent.lastTrust().has_value());
@@ -137,16 +137,16 @@ TEST(Heartbeat, SilentClientDecaysToRevocation)
     cfg.trust.remapBelow = 0;
     HeartbeatRig rig(cfg);
     rig.server.startHeartbeat(9, rig.sink());
-    for (int s = 0; s < 60 && rig.server.sessions().revocations() == 0;
+    for (int s = 0; s < 60 && rig.server.sessions().totals().revocations == 0;
          ++s)
         rig.step(/*pump_agent=*/false);
 
     const auto &record = rig.server.database().at(9);
     EXPECT_TRUE(record.revoked());
-    EXPECT_EQ(rig.server.sessions().revocations(), 1u);
+    EXPECT_EQ(rig.server.sessions().totals().revocations, 1u);
     EXPECT_EQ(rig.server.sessions().activeHeartbeats(), 0u);
     EXPECT_GT(rig.server.sessions().heartbeatsFailed(), 2u);
-    EXPECT_GT(rig.server.sessions().trustDecays(), 2u);
+    EXPECT_GT(rig.server.sessions().totals().trustDecays, 2u);
 
     // The queued Revoke reaches the agent once it finally pumps.
     rig.agent.pumpAll();
@@ -182,7 +182,7 @@ TEST(Heartbeat, SilentClientWithRemapTiersForcesReenrollment)
     EXPECT_TRUE(record.reenrollRequired());
     EXPECT_FALSE(record.revoked());
     EXPECT_EQ(record.remapBudgetUsed(), cfg.trust.remapBudget);
-    EXPECT_EQ(rig.server.sessions().proactiveRemaps(),
+    EXPECT_EQ(rig.server.sessions().totals().proactiveRemaps,
               cfg.trust.remapBudget);
     EXPECT_EQ(rig.server.sessions().activeHeartbeats(), 0u);
 }
@@ -193,7 +193,7 @@ TEST(Heartbeat, AdminUnlockClearsRevocationAndRestoresTrust)
     HeartbeatRig rig(cfg);
     rig.server.revokeDevice(9);
     EXPECT_TRUE(rig.server.database().at(9).revoked());
-    EXPECT_EQ(rig.server.sessions().revocations(), 1u);
+    EXPECT_EQ(rig.server.sessions().totals().revocations, 1u);
 
     rig.server.unlockDevice(9);
     const auto &record = rig.server.database().at(9);
@@ -255,9 +255,9 @@ TEST(Heartbeat, ProactiveRemapFiresAndCompletes)
     // Miss one round: 36 -> 34 < 35 schedules the remap and grants
     // remapRecovery back.
     for (int s = 0;
-         s < 20 && rig.server.sessions().proactiveRemaps() == 0; ++s)
+         s < 20 && rig.server.sessions().totals().proactiveRemaps == 0; ++s)
         rig.step(/*pump_agent=*/false);
-    EXPECT_EQ(rig.server.sessions().proactiveRemaps(), 1u);
+    EXPECT_EQ(rig.server.sessions().totals().proactiveRemaps, 1u);
     const auto &record = rig.server.database().at(9);
     EXPECT_EQ(record.remapBudgetUsed(), 1u);
     EXPECT_GE(record.trustScore(), 34u + cfg.trust.remapRecovery -
@@ -327,7 +327,7 @@ TEST(Heartbeat, DuplicateProofReplaysCachedVerdict)
     rig.link->sendMessage(9, proof);
     rig.transport.pumpUntilIdle(rig.pool);
     EXPECT_EQ(rig.server.database().at(9).trustScore(), trust_after);
-    EXPECT_EQ(rig.server.duplicateCompletions(), 1u);
+    EXPECT_EQ(rig.server.sessions().totals().dupCompletions, 1u);
 
     auto replay = rig.link->receive(); // Original verdict.
     ASSERT_TRUE(replay.has_value());

@@ -402,7 +402,7 @@ TEST_F(LockoutReplay, DuplicatedRejectedResponseCountsOnce)
     send(bogus);
     EXPECT_EQ(server->database().at(4).consecutiveFailures(), 1u);
     EXPECT_FALSE(server->database().at(4).locked());
-    EXPECT_EQ(server->duplicateCompletions(), 1u);
+    EXPECT_EQ(server->sessions().totals().dupCompletions, 1u);
     EXPECT_EQ(server->reports().size(), 1u);
 
     // A genuinely fresh failure still advances the policy.

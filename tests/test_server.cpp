@@ -410,7 +410,7 @@ TEST_F(Integration, ReplayedResponseNeverGrantsFreshAccess)
 
     EXPECT_EQ(server->reports().size(), reports_before);
     EXPECT_EQ(server->database().at(42).accepted(), accepts_before);
-    EXPECT_EQ(server->duplicateCompletions(), 1u);
+    EXPECT_EQ(server->sessions().totals().dupCompletions, 1u);
 
     // A replay of a nonce the server has never completed still gets
     // a hard error.

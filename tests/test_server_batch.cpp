@@ -13,8 +13,9 @@
  * must be identical whether driven one frame per batch, through
  * whole-round batches on one thread, or on eight.
  *
- * Smaller suites cover the per-shard stats surface and the
- * per-component log-level overrides.
+ * Smaller suites cover the per-shard stats surface, a golden of the
+ * full stats dump after a scripted mixed flow over the loopback
+ * transport, and the per-component log-level overrides.
  */
 
 #include <cstdint>
@@ -25,18 +26,26 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/remap.hpp"
 #include "crypto/fuzzy_extractor.hpp"
+#include "firmware/client.hpp"
 #include "mc/mapgen.hpp"
+#include "net/device_agent.hpp"
 #include "server/server.hpp"
+#include "substrate/config.hpp"
+#include "substrate/registry.hpp"
 #include "util/logging.hpp"
 
 namespace core = authenticache::core;
+namespace fw = authenticache::firmware;
 namespace mc = authenticache::mc;
+namespace net = authenticache::net;
+namespace sub = authenticache::substrate;
 namespace proto = authenticache::protocol;
 namespace srv = authenticache::server;
 namespace crypto = authenticache::crypto;
@@ -273,10 +282,10 @@ fingerprint(const Harness &h, bool include_wire = true)
        << " evicted=" << h.server.sessionsEvicted()
        << " expired=" << h.server.sessionsExpired()
        << " dupReq=" << h.server.duplicateRequests()
-       << " dupDone=" << h.server.duplicateCompletions()
+       << " dupDone=" << h.server.sessions().totals().dupCompletions
        << " remapsOk=" << h.server.remapsCommitted()
        << " remapsBad=" << h.server.remapsRejected()
-       << " lockouts=" << h.server.lockouts() << "\n";
+       << " lockouts=" << h.server.sessions().totals().lockouts << "\n";
     for (const auto &r : h.server.reports()) {
         os << "report dev=" << r.deviceId;
         // Nonces tag the owning shard in their low bits, so they (and
@@ -573,4 +582,232 @@ TEST(ComponentLogging, QueryReportsEffectiveLevel)
     EXPECT_EQ(util::logLevel("server.remap"), util::LogLevel::Info);
     EXPECT_EQ(util::logLevel("firmware"), util::LogLevel::Warn);
     util::clearComponentLogLevels();
+}
+
+// ---------------------------------------------------------------- //
+// Stats golden                                                     //
+// ---------------------------------------------------------------- //
+
+namespace {
+
+/** One real device on its own loopback connection. */
+struct GoldenDevice
+{
+    std::uint64_t id;
+    std::unique_ptr<sub::FingerprintSubstrate> chip;
+    fw::SimulatedMachine machine{4};
+    fw::AuthenticacheClient client;
+    net::LoopbackTransport::Client *link;
+    net::DeviceAgent agent;
+
+    static fw::ClientConfig clientConfig()
+    {
+        fw::ClientConfig cfg;
+        cfg.selfTestAttempts = 8;
+        return cfg;
+    }
+
+    /** Pinned to sram_vmin: the golden must not follow
+     *  AUTHENTICACHE_PLATFORM. */
+    static sub::PlatformConfig platform()
+    {
+        sub::PlatformConfig cfg;
+        cfg.cacheBytes = 64 * 1024;
+        return cfg;
+    }
+
+    GoldenDevice(std::uint64_t device_id,
+                 srv::AuthenticationServer &server,
+                 net::LoopbackTransport &transport,
+                 const util::SimClock &clock)
+        : id(device_id), chip(sub::makeSubstrate(platform(), id)),
+          client(*chip, machine, clientConfig()),
+          link(transport.connect()), agent(id, client, *link)
+    {
+        client.boot();
+        server.enroll(id, client, srv::defaultChallengeLevels(client, 2),
+                      {srv::defaultReservedLevel(client)});
+        agent.bindClock(&clock);
+    }
+};
+
+/**
+ * A scripted mixed flow over one LoopbackTransport -- accepted and
+ * rejected auths, a replayed response, a lockout, a remap commit, an
+ * expired session, a duplicate request and a shed frame, heartbeats
+ * with a step-up, admin revoke/unlock/remove -- rendered as the full
+ * StatsRegistry dump of the server and the transport.
+ */
+std::string
+mixedFlowStats(std::size_t threads)
+{
+    srv::ServerConfig cfg;
+    cfg.verifier.pIntra = 0.08;
+    cfg.lockoutThreshold = 2;
+    cfg.sessionShards = 2;
+    cfg.sessionTimeoutSteps = 8;
+    srv::AuthenticationServer server(cfg, 0x57A75);
+    util::SimClock clock;
+    server.bindClock(&clock);
+    util::ThreadPool pool(threads);
+    net::TransportConfig tcfg;
+    tcfg.globalInFlight = 2; // Three frames in one pump: one is shed.
+    net::LoopbackTransport transport(server.frontEnd(), tcfg);
+
+    GoldenDevice a(11, server, transport, clock);
+    GoldenDevice b(14, server, transport, clock);
+    GoldenDevice c(15, server, transport, clock);
+    net::LoopbackTransport::Client *rogue = transport.connect();
+
+    // Rogue-side exchange helper: pump, then read every reply.
+    auto exchange = [&] {
+        transport.pumpUntilIdle(pool);
+        return rogue->readMessages();
+    };
+    // One heartbeat-cadence step; a silent device misses its round.
+    auto step = [&](GoldenDevice &dev, bool answer) {
+        if (answer)
+            net::runExchange(transport, dev.agent, pool);
+        else
+            transport.pumpUntilIdle(pool);
+        clock.advance(1);
+        server.tickHeartbeats(dev.link->sink(dev.id));
+        server.tick();
+    };
+
+    // Accepted auth, then a committed remap.
+    a.agent.requestAuthentication();
+    net::runExchange(transport, a.agent, pool);
+    server.startRemap(11, a.link->sink(11));
+    net::runExchange(transport, a.agent, pool);
+
+    // Two rejected auths lock device 14; the second is replayed once.
+    for (int round = 0; round < 2; ++round) {
+        rogue->sendMessage(14, proto::AuthRequest{14});
+        auto replies = exchange();
+        const auto &ch = std::get<proto::ChallengeMsg>(replies.at(0).second);
+        util::BitVec wrong =
+            honestResponse(server.database().at(14), ch.challenge);
+        for (std::size_t i = 0; i < wrong.size(); ++i)
+            wrong.flip(i);
+        proto::ResponseMsg resp{ch.nonce, wrong};
+        rogue->sendMessage(14, resp);
+        if (round == 1)
+            rogue->sendMessage(14, resp);
+        exchange();
+    }
+    rogue->sendMessage(14, proto::AuthRequest{14});
+    exchange(); // "device locked"
+
+    // An unanswered challenge expires.
+    rogue->sendMessage(15, proto::AuthRequest{15});
+    exchange();
+    clock.advance(cfg.sessionTimeoutSteps + 1);
+    server.tick();
+
+    // Three requests in one pump: one opens, one is a duplicate, one
+    // is shed by the global in-flight budget.
+    for (std::uint64_t stream = 100; stream < 103; ++stream)
+        rogue->sendMessage(stream, proto::AuthRequest{15});
+    exchange();
+
+    // Heartbeats: clean rounds, missed rounds down to a step-up, then
+    // the step-up round answered.
+    server.startHeartbeat(11, a.link->sink(11));
+    for (int s = 0; s < 12; ++s)
+        step(a, true);
+    for (int s = 0; s < 8; ++s)
+        step(a, false);
+    for (int s = 0; s < 8; ++s)
+        step(a, true);
+
+    // Admin actions over live heartbeat sessions and refusals.
+    server.startHeartbeat(15, c.link->sink(15));
+    step(c, true);
+    server.revokeDevice(15);
+    server.startHeartbeat(15, c.link->sink(15)); // "device revoked"
+    server.startHeartbeat(14, b.link->sink(14)); // "device locked"
+    server.unlockDevice(15);
+    server.startHeartbeat(15, c.link->sink(15));
+    step(c, true);
+    server.removeDevice(15);
+    step(a, true);
+    transport.pumpUntilIdle(pool);
+
+    util::StatsRegistry registry;
+    srv::collectServerStats(server, registry);
+    transport.transportCore().collectStats(registry);
+    std::ostringstream os;
+    registry.dump(os);
+    return os.str();
+}
+
+/** mixedFlowStats()'s dump: every key and value of the three
+ *  collectors. */
+const char *const kMixedFlowStatsGolden =
+    "statistic                             value  \n"
+    "---------------------------------------------\n"
+    "server.authentications_accepted       1      \n"
+    "server.authentications_rejected       2      \n"
+    "server.devices                        2      \n"
+    "server.devices_locked                 1      \n"
+    "server.duplicate_completions          1      \n"
+    "server.duplicate_requests             1      \n"
+    "server.enrolled_error_lines           641    \n"
+    "server.lockouts                       1      \n"
+    "server.pending_sessions               0      \n"
+    "server.remaps_committed               1      \n"
+    "server.remaps_rejected                0      \n"
+    "server.session_shards                 2      \n"
+    "server.sessions_evicted               0      \n"
+    "server.sessions_expired               2      \n"
+    "server.shard0.cap_evictions           0      \n"
+    "server.shard0.dedup_hits              0      \n"
+    "server.shard0.gc_evictions            0      \n"
+    "server.shard0.heartbeats_active       0      \n"
+    "server.shard0.lockouts                1      \n"
+    "server.shard0.replay_cache_hits       1      \n"
+    "server.shard0.sessions_active         0      \n"
+    "server.shard0.trust_decays            0      \n"
+    "server.shard1.cap_evictions           0      \n"
+    "server.shard1.dedup_hits              1      \n"
+    "server.shard1.gc_evictions            2      \n"
+    "server.shard1.heartbeats_active       1      \n"
+    "server.shard1.lockouts                0      \n"
+    "server.shard1.replay_cache_hits       0      \n"
+    "server.shard1.sessions_active         0      \n"
+    "server.shard1.trust_decays            2      \n"
+    "server.transport.accepted             22     \n"
+    "server.transport.backpressure_stalls  0      \n"
+    "server.transport.batches              20     \n"
+    "server.transport.bytes_in             1156   \n"
+    "server.transport.bytes_out            42430  \n"
+    "server.transport.codec_errors         0      \n"
+    "server.transport.connections_closed   0      \n"
+    "server.transport.connections_live     4      \n"
+    "server.transport.connections_opened   4      \n"
+    "server.transport.dropped_on_close     0      \n"
+    "server.transport.frames_in            23     \n"
+    "server.transport.frames_out           36     \n"
+    "server.transport.queued               0      \n"
+    "server.transport.shed                 1      \n"
+    "server.transport.sinks_retired        9      \n"
+    "server.transport.slow_reader_drops    0      \n"
+    "server.trust.decays                   2      \n"
+    "server.trust.heartbeats_active        1      \n"
+    "server.trust.heartbeats_clean         8      \n"
+    "server.trust.heartbeats_failed        2      \n"
+    "server.trust.heartbeats_marginal      0      \n"
+    "server.trust.proactive_remaps         0      \n"
+    "server.trust.revocations              1      \n"
+    "server.trust.step_ups                 1      \n"
+    "server.trust.unlocks                  1      \n";
+
+} // namespace
+
+TEST(ServerStats, MixedFlowGolden)
+{
+    const std::string stats = mixedFlowStats(1);
+    EXPECT_EQ(stats, kMixedFlowStatsGolden);
+    EXPECT_EQ(mixedFlowStats(4), stats);
 }

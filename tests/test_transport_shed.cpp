@@ -378,7 +378,6 @@ TEST(TransportShed, ContinuationReserveProtectsInProgressWork)
     tcfg.perConnectionQueue = 64;
     tcfg.globalInFlight = 8;
     tcfg.continuationReserve = 4;
-    tcfg.classifyContinuation = net::isContinuationPayload;
     Rig rig(1, tcfg);
 
     net::TransportCore core(rig.server.frontEnd(), tcfg);
