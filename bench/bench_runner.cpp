@@ -12,7 +12,9 @@
  *    hardware-independent ratios (SIMD speedup over scalar). Also
  *    scalar primitives: the frame codec (wire encode and decode of a
  *    128-bit challenge, CRC-32 over 4 KiB), SipHash-2-4 of a u64,
- *    SHA-256 of 1 KiB and the Feistel coordinate permutation.
+ *    SHA-256 of 1 KiB and the Feistel coordinate permutation; and
+ *    server challenge generation on a device's first and later
+ *    challenges (cold and warm logical views).
  *
  *  - BENCH_server.json -- end-to-end batch front-end throughput
  *    (frames/s, per-batch p50/p99) at several thread counts, with
@@ -281,6 +283,76 @@ runScalarPrimitives(const core::CacheGeometry &geom, core::VddMv level_mv,
                                     std::move(p.ns)));
 }
 
+/**
+ * ChallengeGenerator::generate of a 128-bit challenge on a 1024-line
+ * device with 40 errors under a random map key: "cold" on record
+ * copies that have never generated, so the first use of the level
+ * builds its logical view, and "warm" on copies of records that have,
+ * which share the built view (perfbench's replay times only these).
+ * Each sample times one batch over fresh copies of the same records,
+ * so every pass draws the same challenges. Every batch is checked,
+ * untimed, against evaluate() over the physical map remapped by a
+ * LogicalRemap of the record's key.
+ */
+void
+runChallengeGenerate(std::vector<Series> &series)
+{
+    const core::CacheGeometry geom(64 * 1024);
+    const core::VddMv level_mv = 700;
+    constexpr std::size_t kRecords = 64;
+    constexpr std::size_t kBits = 128;
+    util::Rng rng(0xC01D);
+    std::vector<server::DeviceRecord> fresh;
+    std::vector<core::ErrorMap> oracle;
+    for (std::size_t i = 0; i < kRecords; ++i) {
+        server::DeviceRecord rec(
+            i, mc::randomErrorMap(geom, level_mv, 40, rng), {level_mv},
+            {});
+        crypto::Key256 key;
+        for (auto &b : key.bytes)
+            b = static_cast<std::uint8_t>(rng.next());
+        rec.setMapKey(key);
+        oracle.push_back(core::LogicalRemap(key, geom).mapErrorMap(
+            rec.physicalMap()));
+        fresh.push_back(std::move(rec));
+    }
+    server::ChallengeGenerator gen(util::Rng(1));
+    std::vector<server::DeviceRecord> warmed = fresh;
+    for (auto &rec : warmed)
+        gen.generate(rec, level_mv, kBits);
+
+    struct Config
+    {
+        const char *name;
+        const std::vector<server::DeviceRecord> *records;
+        std::vector<double> ns = {};
+    };
+    Config configs[] = {{"challenge_generate_cold_128bit", &fresh},
+                        {"challenge_generate_warm_128bit", &warmed}};
+    constexpr std::size_t kSamples = 200;
+    std::vector<server::GeneratedChallenge> out(kRecords);
+    for (std::size_t s = 0; s < kSamples; ++s) {
+        for (Config &c : configs) {
+            std::vector<server::DeviceRecord> copies = *c.records;
+            const auto t0 = Clock::now();
+            for (std::size_t i = 0; i < kRecords; ++i)
+                out[i] = gen.generate(copies[i], level_mv, kBits);
+            c.ns.push_back(nsSince(t0));
+            for (std::size_t i = 0; i < kRecords; ++i) {
+                if (out[i].expected !=
+                    core::evaluate(oracle[i], out[i].challenge)) {
+                    std::cerr << "FAIL: " << c.name << " diverged\n";
+                    std::exit(1);
+                }
+            }
+        }
+    }
+    for (Config &c : configs)
+        series.push_back(makeSeries(c.name,
+                                    util::simdLevelName(util::simdLevel()),
+                                    kRecords, std::move(c.ns)));
+}
+
 SuiteResult
 runHotpath()
 {
@@ -363,6 +435,7 @@ runHotpath()
             k->medianRatio(widest, util::SimdLevel::Scalar);
     }
     runScalarPrimitives(geom, level_mv, rng, out.series);
+    runChallengeGenerate(out.series);
     // The acceptance floor the compare script enforces on every run:
     // the widest challenge evaluation must hold >= 2x over scalar.
     out.floors["evaluate_simd_speedup"] = 2.0;

@@ -4,19 +4,29 @@
 #include <limits>
 
 #include "core/nearest_scan.hpp"
+#include "core/remap.hpp"
 
 namespace authenticache::core {
 
 namespace {
 
-/** The plane at @p level if it holds any error; else null. */
-const ErrorPlane *
-scannablePlane(const ErrorMap &map, VddMv level)
+/** One level's errors as the kernel reads them; none: count 0. */
+struct ErrorStream
+{
+    const std::uint32_t *sets = nullptr;
+    const std::uint32_t *ways = nullptr;
+    std::size_t count = 0;
+};
+
+/** The plane at @p level; empty when the map has none there. */
+ErrorStream
+streamAt(const ErrorMap &map, VddMv level)
 {
     if (!map.hasPlane(level))
-        return nullptr;
+        return {};
     const ErrorPlane &plane = map.plane(level);
-    return plane.errorCount() == 0 ? nullptr : &plane;
+    return {plane.errorSets().data(), plane.errorWays().data(),
+            plane.errorCount()};
 }
 
 /** Endpoint @p i of a challenge: bit i/2's a (even) or b (odd). */
@@ -27,25 +37,15 @@ endpointAt(const Challenge &challenge, std::size_t i)
     return (i % 2 == 0) ? bit.a : bit.b;
 }
 
-} // namespace
-
-std::uint64_t
-pointDistance(const ErrorMap &map, const ChallengePoint &point)
-{
-    const ErrorPlane *plane = scannablePlane(map, point.vddMv);
-    if (plane == nullptr)
-        return kInfiniteDistance;
-    std::uint32_t d = 0;
-    nearestDistancesSoA(plane->errorSets().data(),
-                        plane->errorWays().data(), plane->errorCount(),
-                        &point.line.set, &point.line.way, 1, &d,
-                        util::simdLevel());
-    return d;
-}
-
+/**
+ * Eq 8 over a whole challenge, each level's errors given by
+ * @p errors_at(level). The 2*bits endpoints are grouped by level and
+ * each level answers its group in one kernel call.
+ */
+template <typename ErrorsAt>
 Response
-evaluate(const ErrorMap &map, const Challenge &challenge,
-         util::SimdLevel level)
+evaluateGrouped(const Challenge &challenge, ErrorsAt errors_at,
+                util::SimdLevel level)
 {
     const std::size_t bits = challenge.size();
     const std::size_t npts = bits * 2;
@@ -74,12 +74,12 @@ evaluate(const ErrorMap &map, const Challenge &challenge,
     std::size_t first = 0;
     while (first < npts) {
         const VddMv vdd = endpointAt(challenge, first).vddMv;
-        const ErrorPlane *plane = nullptr;
+        ErrorStream errors;
         if (std::find(done.begin(), done.end(), vdd) == done.end()) {
             done.push_back(vdd);
-            plane = scannablePlane(map, vdd);
+            errors = errors_at(vdd);
         }
-        if (plane == nullptr) {
+        if (errors.count == 0) {
             ++first;
             continue;
         }
@@ -96,10 +96,8 @@ evaluate(const ErrorMap &map, const Challenge &challenge,
             order[m] = static_cast<std::uint32_t>(i);
             ++m;
         }
-        nearestDistancesSoA(plane->errorSets().data(),
-                            plane->errorWays().data(),
-                            plane->errorCount(), qsets, qways, m, qdist,
-                            level);
+        nearestDistancesSoA(errors.sets, errors.ways, errors.count, qsets,
+                            qways, m, qdist, level);
         for (std::size_t j = 0; j < m; ++j)
             dist[order[j]] = qdist[j];
         first = next;
@@ -114,10 +112,48 @@ evaluate(const ErrorMap &map, const Challenge &challenge,
     return Response::fromWords(std::move(words), bits);
 }
 
+} // namespace
+
+std::uint64_t
+pointDistance(const ErrorMap &map, const ChallengePoint &point)
+{
+    const ErrorStream errors = streamAt(map, point.vddMv);
+    if (errors.count == 0)
+        return kInfiniteDistance;
+    std::uint32_t d = 0;
+    nearestDistancesSoA(errors.sets, errors.ways, errors.count,
+                        &point.line.set, &point.line.way, 1, &d,
+                        util::simdLevel());
+    return d;
+}
+
+Response
+evaluate(const ErrorMap &map, const Challenge &challenge,
+         util::SimdLevel level)
+{
+    return evaluateGrouped(
+        challenge, [&](VddMv vdd) { return streamAt(map, vdd); }, level);
+}
+
 Response
 evaluate(const ErrorMap &map, const Challenge &challenge)
 {
     return evaluate(map, challenge, util::simdLevel());
+}
+
+Response
+evaluate(std::span<const LogicalPlane *const> planes,
+         const Challenge &challenge)
+{
+    auto errors_at = [&](VddMv vdd) {
+        for (const LogicalPlane *plane : planes) {
+            if (plane->level() == vdd)
+                return ErrorStream{plane->errorSets(), plane->errorWays(),
+                                   plane->errorCount()};
+        }
+        return ErrorStream{};
+    };
+    return evaluateGrouped(challenge, errors_at, util::simdLevel());
 }
 
 Challenge

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "core/error_map.hpp"
@@ -85,6 +86,18 @@ Response evaluate(const ErrorMap &map, const Challenge &challenge,
 
 /** Same, dispatched at the process-wide util::simdLevel(). */
 Response evaluate(const ErrorMap &map, const Challenge &challenge);
+
+class LogicalPlane;
+
+/**
+ * Same, against per-level logical views (core/remap.hpp), dispatched
+ * at util::simdLevel(): each endpoint is answered by the view of its
+ * level. A level with no view in @p planes, or whose view holds no
+ * error, is infinitely far, as a missing or empty ErrorMap plane is.
+ * Both overloads run one grouping and kernel loop.
+ */
+Response evaluate(std::span<const LogicalPlane *const> planes,
+                  const Challenge &challenge);
 
 /**
  * An empty type, kept only so that existing callers of the

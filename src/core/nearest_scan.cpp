@@ -195,14 +195,16 @@ nearestDistancesSoA(const std::uint32_t *sets,
     }
     // The vector bodies assume distances fit signed 32-bit lanes;
     // wider coordinates take the scalar path (no realistic geometry
-    // has them). The error stream is sorted by (set, way), so
-    // sets[n-1] bounds its sets; its ways are bounded by the
-    // geometry's, far below the limit. The queries come unsorted, so
-    // they are bounded directly.
-    std::uint32_t max_coord = sets[n - 1];
+    // has them). Every coordinate is checked, errors and queries
+    // alike, so neither stream needs any order. The limit is a power
+    // of two, so the OR of all coordinates reaches it exactly when
+    // one of them does.
+    std::uint32_t any = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        any |= sets[i] | ways[i];
     for (std::size_t j = 0; j < m; ++j)
-        max_coord = std::max({max_coord, qsets[j], qways[j]});
-    if (max_coord >= kCoordLimit)
+        any |= qsets[j] | qways[j];
+    if (any >= kCoordLimit)
         level = util::SimdLevel::Scalar;
     switch (std::min(level, util::detectedSimdLevel())) {
 #if AUTH_SIMD_X86

@@ -37,11 +37,10 @@ namespace authenticache::core {
 /**
  * Query-major nearest-error distances: for each j < m,
  * out_d[j] = min over i < n of |sets[i] - qsets[j]| +
- * |ways[i] - qways[j]|. The error stream is sorted by (set, way), as
- * ErrorPlane keeps it, so sets[n-1] bounds the sets; the queries may
- * come in any order. n == 0 writes UINT32_MAX ("no error") to every
- * output. @p level is clamped to the CPU's capability, and to scalar
- * when any coordinate reaches 2^29.
+ * |ways[i] - qways[j]|. Neither the error stream nor the queries need
+ * any order. n == 0 writes UINT32_MAX ("no error") to every output.
+ * @p level is clamped to the CPU's capability, and to scalar when any
+ * coordinate, of an error or a query, reaches 2^29.
  */
 void nearestDistancesSoA(const std::uint32_t *sets,
                          const std::uint32_t *ways, std::size_t n,

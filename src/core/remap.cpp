@@ -1,6 +1,18 @@
 #include "core/remap.hpp"
 
+#include <algorithm>
+
 namespace authenticache::core {
+
+crypto::FeistelPermutation
+levelPermutation(const crypto::Key256 &key, VddMv level,
+                 std::uint64_t lines)
+{
+    return crypto::FeistelPermutation(
+        crypto::deriveSipHashKey(key,
+                                 "remap-level-" + std::to_string(level)),
+        lines);
+}
 
 LogicalRemap::LogicalRemap(const crypto::Key256 &key,
                            const CacheGeometry &geometry)
@@ -12,14 +24,11 @@ const crypto::FeistelPermutation &
 LogicalRemap::permFor(VddMv level) const
 {
     auto it = perms.find(level);
-    if (it == perms.end()) {
-        crypto::SipHashKey sub = crypto::deriveSipHashKey(
-            rootKey, "remap-level-" + std::to_string(level));
+    if (it == perms.end())
         it = perms
                  .emplace(level,
-                          crypto::FeistelPermutation(sub, geom.lines()))
+                          levelPermutation(rootKey, level, geom.lines()))
                  .first;
-    }
     return it->second;
 }
 
@@ -70,6 +79,33 @@ LogicalRemap::unmapChallenge(const Challenge &logical) const
         physical.bits.push_back(out);
     }
     return physical;
+}
+
+LogicalPlane::LogicalPlane(const crypto::Key256 &key,
+                           const ErrorMap &physical, VddMv level)
+    : vdd(level)
+{
+    const ErrorPlane &plane = physical.plane(level);
+    const std::size_t n = plane.errorCount();
+    coords.resize(2 * n);
+    if (key == crypto::Key256::zero()) {
+        std::copy_n(plane.errorSets().data(), n, coords.data());
+        std::copy_n(plane.errorWays().data(), n, coords.data() + n);
+        return;
+    }
+    const CacheGeometry &geom = physical.geometry();
+    perm.emplace(levelPermutation(key, level, geom.lines()));
+    // Line-index order is (set, way) order.
+    std::vector<std::uint64_t> lines;
+    lines.reserve(n);
+    for (const auto &e : plane.errors())
+        lines.push_back(perm->map(geom.lineIndex(e)));
+    std::sort(lines.begin(), lines.end());
+    for (std::size_t i = 0; i < n; ++i) {
+        const LinePoint p = geom.pointOf(lines[i]);
+        coords[i] = p.set;
+        coords[n + i] = p.way;
+    }
 }
 
 } // namespace authenticache::core

@@ -10,6 +10,11 @@
  * independently derived subkey so planes permute independently. The
  * all-zero key yields the identity ("default") mapping used to
  * bootstrap the adaptive remap protocol of Sec 4.5.
+ *
+ * LogicalRemap is the whole-map view (the firmware client, the
+ * attacks, the benches); LogicalPlane is the server's compact view of
+ * one level. Both derive a level's permutation through
+ * levelPermutation(), so the two sides cannot drift apart.
  */
 
 #ifndef AUTH_CORE_REMAP_HPP
@@ -17,6 +22,8 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <vector>
 
 #include "core/challenge.hpp"
 #include "core/error_map.hpp"
@@ -24,6 +31,15 @@
 #include "crypto/key.hpp"
 
 namespace authenticache::core {
+
+/**
+ * The line-index permutation of voltage level @p level under map key
+ * @p key (meaningless for the zero key, which maps nothing): keyed by
+ * deriveSipHashKey(key, "remap-level-<level>") over @p lines lines.
+ */
+crypto::FeistelPermutation levelPermutation(const crypto::Key256 &key,
+                                            VddMv level,
+                                            std::uint64_t lines);
 
 class LogicalRemap
 {
@@ -69,6 +85,44 @@ class LogicalRemap
     bool identity;
     // Lazily built per-level permutations (hot path: one level/auth).
     mutable std::map<VddMv, crypto::FeistelPermutation> perms;
+};
+
+/**
+ * One voltage level of an error map in logical coordinates under a
+ * map key, as the server evaluates challenges against it: the level's
+ * permutation (none for the identity key) and its errors mapped
+ * through it, kept as sorted (set, way) structure-of-arrays -- the
+ * layout nearestDistancesSoA reads. It holds what
+ * LogicalRemap(key, geom).permutation(level) and
+ * mapErrorMap(physical).plane(level) would, without the bitmap, the
+ * point list or the per-level std::map. Immutable once built.
+ */
+class LogicalPlane
+{
+  public:
+    /** Throws std::out_of_range when @p physical has no such plane. */
+    LogicalPlane(const crypto::Key256 &key, const ErrorMap &physical,
+                 VddMv level);
+
+    VddMv level() const { return vdd; }
+
+    /** The level's permutation, or null for the identity key. */
+    const crypto::FeistelPermutation *permutation() const
+    {
+        return perm ? &*perm : nullptr;
+    }
+
+    std::size_t errorCount() const { return coords.size() / 2; }
+    const std::uint32_t *errorSets() const { return coords.data(); }
+    const std::uint32_t *errorWays() const
+    {
+        return coords.data() + errorCount();
+    }
+
+  private:
+    VddMv vdd;
+    std::optional<crypto::FeistelPermutation> perm;
+    std::vector<std::uint32_t> coords; ///< n sets, then n ways.
 };
 
 } // namespace authenticache::core

@@ -97,9 +97,10 @@ ChallengeGenerator::generate(DeviceRecord &record, core::VddMv level,
     if (std::find(levels.begin(), levels.end(), level) == levels.end())
         throw std::invalid_argument(
             "ChallengeGenerator: not a challenge level");
-    GeneratedChallenge out = draw(
-        record, level, bits, record.logicalRemap().permutation(level));
-    out.expected = core::evaluate(record.logicalMap(), out.challenge);
+    const core::LogicalPlane *view = &record.logicalPlane(level);
+    GeneratedChallenge out =
+        draw(record, level, bits, view->permutation());
+    out.expected = core::evaluate({&view, 1}, out.challenge);
     return out;
 }
 
@@ -134,15 +135,14 @@ ChallengeGenerator::generateMultiLevel(DeviceRecord &record,
                 "generateMultiLevel: missing error map plane");
     }
 
-    // One permutation per level (null: identity key) and one draw
-    // per level pair i <= j, resolved once. Every stream exists before
-    // any is referenced, so creating one cannot move another.
-    const core::LogicalRemap &remap = record.logicalRemap();
+    // One logical view per level and one draw per level pair i <= j,
+    // resolved once. Every stream exists before any is referenced, so
+    // creating one cannot move another.
     const std::size_t nl = levels.size();
-    std::vector<const crypto::FeistelPermutation *> perms;
-    perms.reserve(nl);
+    std::vector<const core::LogicalPlane *> views;
+    views.reserve(nl);
     for (auto level : levels) {
-        perms.push_back(remap.permutation(level));
+        views.push_back(&record.logicalPlane(level));
         for (auto other : levels)
             record.pairStream(level, other);
     }
@@ -177,15 +177,17 @@ ChallengeGenerator::generateMultiLevel(DeviceRecord &record,
             std::swap(la, lb);
             std::swap(a, b);
         }
+        const auto *perm_a = views[la]->permutation();
+        const auto *perm_b = views[lb]->permutation();
         bit.a = core::ChallengePoint{
-            geom.pointOf(perms[la] ? perms[la]->map(a) : a), levels[la]};
+            geom.pointOf(perm_a ? perm_a->map(a) : a), levels[la]};
         bit.b = core::ChallengePoint{
-            geom.pointOf(perms[lb] ? perms[lb]->map(b) : b), levels[lb]};
+            geom.pointOf(perm_b ? perm_b->map(b) : b), levels[lb]};
     }
     for (auto &stream : draws)
         stream.commit(out.retired);
 
-    out.expected = core::evaluate(record.logicalMap(), out.challenge);
+    out.expected = core::evaluate(views, out.challenge);
     return out;
 }
 

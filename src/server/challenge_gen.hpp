@@ -70,7 +70,8 @@ class ChallengeGenerator
     /**
      * Forwarder kept for callers that still pass an (empty)
      * core::EvalScratch; the scratch is unused. The expected response
-     * is always core::evaluate over the record's cached logical map.
+     * is always core::evaluate over the record's logical view of the
+     * level (DeviceRecord::logicalPlane).
      */
     GeneratedChallenge generate(DeviceRecord &record, core::VddMv level,
                                 std::size_t bits, util::Rng &rng,

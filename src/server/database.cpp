@@ -32,25 +32,20 @@ DeviceRecord::DeviceRecord(std::uint64_t device_id,
     }
 }
 
-const core::LogicalRemap &
-DeviceRecord::logicalRemap() const
+const core::LogicalPlane &
+DeviceRecord::logicalPlane(core::VddMv level) const
 {
-    if (!remapCache)
-        remapCache = std::make_shared<core::LogicalRemap>(
-            key, map.geometry());
-    return *remapCache;
-}
-
-const core::ErrorMap &
-DeviceRecord::logicalMap() const
-{
-    const core::LogicalRemap &remap = logicalRemap();
-    if (remap.isIdentity())
-        return map;
-    if (!logicalCache)
-        logicalCache = std::make_shared<core::ErrorMap>(
-            remap.mapErrorMap(map));
-    return *logicalCache;
+    const auto at = std::find(authLevels.begin(), authLevels.end(), level);
+    if (at == authLevels.end())
+        throw std::invalid_argument("DeviceRecord: not a challenge level");
+    if (!map.hasPlane(level))
+        throw std::invalid_argument(
+            "DeviceRecord: no error map at that level");
+    views.resize(authLevels.size());
+    auto &view = views[at - authLevels.begin()];
+    if (!view)
+        view = std::make_shared<const core::LogicalPlane>(key, map, level);
+    return *view;
 }
 
 std::uint64_t

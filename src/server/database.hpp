@@ -51,34 +51,28 @@ class DeviceRecord
 
     const crypto::Key256 &mapKey() const { return key; }
 
-    /** Rotate the map key; drops the cached logical views. */
+    /** Rotate the map key; drops the logical views. */
     void setMapKey(const crypto::Key256 &k)
     {
-        if (!(k == key)) {
-            remapCache.reset();
-            logicalCache.reset();
-        }
+        if (!(k == key))
+            views = {};
         key = k;
     }
 
     /**
-     * The coordinate permutation under the current map key, built on
-     * first use and cached until setMapKey(). Like the rest of the
-     * record's mutable state, callers synchronize externally (the
-     * session layer holds the device's shard mutex).
+     * Challenge level @p level in logical coordinates under the
+     * current map key: its permutation and its errors mapped through
+     * it (core::LogicalPlane), the view challenges are drawn through
+     * and evaluated against. Built on the first use of the level and
+     * never changed after; setMapKey() drops every level's view, and
+     * the physical map is immutable after enrollment, so key rotation
+     * is the only invalidation point. Record copies share the views.
+     * Throws std::invalid_argument when @p level is not a challenge
+     * level with a plane. Like the rest of the record's mutable
+     * state, callers synchronize externally (the session layer holds
+     * the device's shard mutex).
      */
-    const core::LogicalRemap &logicalRemap() const;
-
-    /**
-     * The device's error map in logical coordinates under the current
-     * map key -- the view challenges are evaluated against. Computed
-     * on first use and cached until the key rotates, which removes
-     * the full-map permutation from the per-challenge hot path. The
-     * identity key returns physicalMap() itself. The physical map is
-     * immutable after enrollment, so key rotation is the only
-     * invalidation point.
-     */
-    const core::ErrorMap &logicalMap() const;
+    const core::LogicalPlane &logicalPlane(core::VddMv level) const;
 
     /** Key of every pair stream (drawn at enrollment). */
     const PairSeed &pairSeed() const { return seed; }
@@ -175,11 +169,11 @@ class DeviceRecord
     std::vector<core::VddMv> authLevels;
     std::vector<core::VddMv> remapLevels;
     crypto::Key256 key;
-    // Cached views under `key`; shared_ptr keeps the record copyable
-    // (copies share the immutable cache until either side rotates,
-    // which swaps the pointer rather than mutating through it).
-    mutable std::shared_ptr<core::LogicalRemap> remapCache;
-    mutable std::shared_ptr<core::ErrorMap> logicalCache;
+    // logicalPlane()'s views under `key`, index-aligned with
+    // authLevels once any is built (null: not built yet). Copies
+    // share the immutable views until either side rotates, which
+    // drops its pointers rather than mutating through them.
+    mutable std::vector<std::shared_ptr<const core::LogicalPlane>> views;
     PairSeed seed;
     std::vector<PairStream> streams; ///< Sorted by level pair.
     std::uint64_t nAccepted = 0;

@@ -2,10 +2,12 @@
  * @file
  * The server's expected response must not depend on how it is
  * computed. ChallengeGenerator evaluates with the SIMD plane scan over
- * the record's cached logical map; these tests hold every generation
- * path to Eq 8 over per-endpoint nearestErrorBrute distances under a
- * random key, the identity key, two challenge levels, and after a key
- * rotation rebuilds the remap.
+ * the record's per-level logical views; these tests hold every
+ * generation path to Eq 8 over per-endpoint nearestErrorBrute
+ * distances on a map remapped independently of those views, under a
+ * random key, the identity key, two challenge levels, an empty plane,
+ * a 37-bit challenge, after a key rotation rebuilds the views, and on
+ * a record copy that shares them across the rotation.
  * Golden digests pin evaluate() bits and whole generated challenges,
  * including how pairs are drawn. The PairStream suite holds the
  * counter-indexed pair streams to exactly-once over whole small
@@ -65,17 +67,20 @@ makeRecord(std::size_t errors, std::uint64_t seed)
 }
 
 /**
- * The brute oracle over the record's current logical map: Eq 8 on
- * each endpoint's nearestErrorBrute distance, infinite when its level
- * has no plane or an empty one. (The *MatchesIndexed case names date
- * from an earlier indexed oracle; they are kept so test history
- * stays continuous.)
+ * The brute oracle over the record's map remapped under its current
+ * key by a fresh LogicalRemap (not the record's views): Eq 8 on each
+ * endpoint's nearestErrorBrute distance, infinite when its level has
+ * no plane or an empty one. (The *MatchesIndexed case names date from
+ * an earlier indexed oracle; they are kept so test history stays
+ * continuous.)
  */
 core::Response
 bruteExpected(const srv::DeviceRecord &record,
               const core::Challenge &challenge)
 {
-    const core::ErrorMap &map = record.logicalMap();
+    const core::ErrorMap map =
+        core::LogicalRemap(record.mapKey(), record.physicalMap().geometry())
+            .mapErrorMap(record.physicalMap());
     auto distance = [&](const core::ChallengePoint &p) {
         if (!map.hasPlane(p.vddMv))
             return core::kInfiniteDistance;
@@ -89,6 +94,33 @@ bruteExpected(const srv::DeviceRecord &record,
                             distance(challenge.bits[i].b)));
     }
     return response;
+}
+
+/**
+ * The record's view of @p level holds exactly what a fresh
+ * LogicalRemap under its key gives: the same errors in sorted (set,
+ * way) order and the same permutation.
+ */
+void
+expectViewMatchesRemap(const srv::DeviceRecord &record, core::VddMv level)
+{
+    const auto &geom = record.physicalMap().geometry();
+    const core::LogicalRemap remap(record.mapKey(), geom);
+    const core::ErrorPlane want =
+        remap.mapErrorMap(record.physicalMap()).plane(level);
+    const core::LogicalPlane &view = record.logicalPlane(level);
+    EXPECT_EQ(view.level(), level);
+    const std::size_t n = view.errorCount();
+    EXPECT_EQ(std::vector(view.errorSets(), view.errorSets() + n),
+              want.errorSets());
+    EXPECT_EQ(std::vector(view.errorWays(), view.errorWays() + n),
+              want.errorWays());
+    const auto *perm = view.permutation();
+    ASSERT_EQ(perm == nullptr, remap.isIdentity());
+    for (std::uint64_t line = 0; perm != nullptr && line < geom.lines();
+         line += 7)
+        EXPECT_EQ(perm->map(line),
+                  remap.permutation(level)->map(line));
 }
 
 } // namespace
@@ -112,7 +144,7 @@ TEST_P(ChallengeGenExpected, RandomKeySingleLevelMatchesIndexed)
 TEST_P(ChallengeGenExpected, IdentityKeyMatchesIndexed)
 {
     auto record = makeRecord(GetParam(), 4);
-    ASSERT_TRUE(record.logicalRemap().isIdentity());
+    ASSERT_EQ(record.mapKey(), crypto::Key256::zero());
     srv::ChallengeGenerator gen(Rng(5));
     for (int round = 0; round < 8; ++round) {
         auto out = gen.generate(record, 700, 128);
@@ -142,12 +174,12 @@ TEST_P(ChallengeGenExpected, KeyRotationUsesRebuiltRemap)
     auto before = gen.generate(record, 700, 64, rng);
     EXPECT_EQ(before.expected, bruteExpected(record, before.challenge));
 
-    // After the rotation the cached views must come from the new key:
-    // the logical map equals a fresh remap's, and both generation
-    // paths evaluate against it.
+    // After the rotation the views must come from the new key: each
+    // equals a fresh remap's, and both generation paths evaluate
+    // against them.
     record.setMapKey(keyFrom("after"));
-    core::LogicalRemap fresh(record.mapKey(), kGeom);
-    ASSERT_EQ(record.logicalMap(), fresh.mapErrorMap(record.physicalMap()));
+    expectViewMatchesRemap(record, 700);
+    expectViewMatchesRemap(record, 710);
     for (int round = 0; round < 4; ++round) {
         auto single = gen.generate(record, 710, 64, rng);
         EXPECT_EQ(single.expected,
@@ -156,6 +188,73 @@ TEST_P(ChallengeGenExpected, KeyRotationUsesRebuiltRemap)
         EXPECT_EQ(multi.expected,
                   bruteExpected(record, multi.challenge));
     }
+}
+
+TEST_P(ChallengeGenExpected, EmptyPlaneAnswersAllZero)
+{
+    // Level 720 has a plane but no error: both endpoints of every bit
+    // are infinitely far, and the tie answers 0.
+    Rng rng(14);
+    auto map = authenticache::mc::randomErrorMap(kGeom, 700, GetParam(),
+                                                 rng);
+    map.plane(720);
+    srv::DeviceRecord record(1, std::move(map), {700, 720}, {});
+    record.setMapKey(keyFrom("empty"));
+    expectViewMatchesRemap(record, 720);
+    EXPECT_EQ(record.logicalPlane(720).errorCount(), 0u);
+    srv::ChallengeGenerator gen(Rng(15));
+    for (int round = 0; round < 4; ++round) {
+        auto out = gen.generate(record, 720, 64, rng);
+        EXPECT_EQ(out.expected, core::Response(64));
+        EXPECT_EQ(out.expected, bruteExpected(record, out.challenge));
+        auto multi = gen.generateMultiLevel(record, 64, rng);
+        EXPECT_EQ(multi.expected, bruteExpected(record, multi.challenge));
+    }
+}
+
+TEST_P(ChallengeGenExpected, OddWidthMatchesIndexed)
+{
+    // 37 bits: a response that fills no whole word.
+    auto record = makeRecord(GetParam(), 16);
+    record.setMapKey(keyFrom("odd"));
+    srv::ChallengeGenerator gen(Rng(17));
+    Rng rng(18);
+    for (int round = 0; round < 4; ++round) {
+        auto single = gen.generate(record, 710, 37, rng);
+        ASSERT_EQ(single.expected.size(), 37u);
+        EXPECT_EQ(single.expected, bruteExpected(record, single.challenge));
+        auto multi = gen.generateMultiLevel(record, 37, rng);
+        EXPECT_EQ(multi.expected, bruteExpected(record, multi.challenge));
+    }
+}
+
+TEST_P(ChallengeGenExpected, CopyKeepsViewsAcrossRotation)
+{
+    // The copy is taken after both views are built, so it shares them;
+    // rotating the original must leave the copy on the old key and
+    // give the original views of the new one.
+    auto record = makeRecord(GetParam(), 19);
+    record.setMapKey(keyFrom("old"));
+    srv::ChallengeGenerator gen(Rng(20));
+    Rng rng(21);
+    gen.generateMultiLevel(record, 16, rng);
+    srv::DeviceRecord copy = record;
+    record.setMapKey(keyFrom("new"));
+    ASSERT_EQ(copy.mapKey(), keyFrom("old"));
+    for (int round = 0; round < 4; ++round) {
+        auto old_out = gen.generate(copy, 700, 64, rng);
+        EXPECT_EQ(old_out.expected, bruteExpected(copy, old_out.challenge));
+        auto new_out = gen.generate(record, 700, 64, rng);
+        EXPECT_EQ(new_out.expected,
+                  bruteExpected(record, new_out.challenge));
+        auto new_multi = gen.generateMultiLevel(record, 64, rng);
+        EXPECT_EQ(new_multi.expected,
+                  bruteExpected(record, new_multi.challenge));
+    }
+    expectViewMatchesRemap(copy, 700);
+    expectViewMatchesRemap(copy, 710);
+    expectViewMatchesRemap(record, 700);
+    expectViewMatchesRemap(record, 710);
 }
 
 // 40 errors per plane is the heartbeat fleet's density; 400 on 1024
@@ -400,10 +499,11 @@ recordPairs(const srv::DeviceRecord &record,
             const srv::GeneratedChallenge &g, bool reserved,
             std::set<Pair> &oracle)
 {
+    const core::LogicalRemap remap(record.mapKey(), kSmall);
     auto physical = [&](const core::ChallengePoint &p) {
         std::uint64_t line = kSmall.lineIndex(p.line);
         const auto *perm =
-            reserved ? nullptr : record.logicalRemap().permutation(p.vddMv);
+            reserved ? nullptr : remap.permutation(p.vddMv);
         return std::pair<std::uint64_t, std::uint64_t>{
             p.vddMv, perm != nullptr ? perm->unmap(line) : line};
     };

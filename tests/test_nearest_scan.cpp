@@ -352,6 +352,35 @@ TEST(NearestScan, DistancesKernelCoordLimitFallsBackToScalar)
     }
 }
 
+TEST(NearestScan, DistancesKernelUnsortedWideStreamFallsBackToScalar)
+{
+    // The wide coordinates (>= 2^29) are not last, in sets or in
+    // ways, so a bound read off the end of a sorted stream would miss
+    // them and pick a vector body. There the set 2^32 - 10 reads as
+    // -10 in a signed lane and looks nearer than every real error.
+    // Every width must give the scalar distances (no scalar sum
+    // wraps: each wide error pairs with small other coordinates).
+    const std::vector<std::uint32_t> sets = {90, 0xFFFFFFF6u, 150, 200,
+                                             75};
+    const std::vector<std::uint32_t> ways = {3, 1, 0xFFFFFF00u, 0, 6};
+    std::vector<std::uint32_t> qs, qw;
+    for (std::uint32_t q = 0; q < 19; ++q) {
+        qs.push_back(q * 7 % 100);
+        qw.push_back(q % 8);
+    }
+    std::vector<std::uint32_t> want(qs.size());
+    core::nearestDistancesSoA(sets.data(), ways.data(), sets.size(),
+                              qs.data(), qw.data(), qs.size(), want.data(),
+                              util::SimdLevel::Scalar);
+    for (util::SimdLevel level : util::supportedSimdLevels()) {
+        std::vector<std::uint32_t> out(qs.size());
+        core::nearestDistancesSoA(sets.data(), ways.data(), sets.size(),
+                                  qs.data(), qw.data(), qs.size(),
+                                  out.data(), level);
+        EXPECT_EQ(out, want) << "@" << util::simdLevelName(level);
+    }
+}
+
 TEST(NearestScan, EvaluateMatchesBruteAtEveryWidth)
 {
     // core::evaluate at each width against Eq 8 over brute distances,

@@ -477,12 +477,12 @@ std::vector<Pair>
 drainAllStreams(srv::DeviceRecord &record)
 {
     std::vector<Pair> out;
+    const core::LogicalRemap remap(record.mapKey(), kFixtureGeom);
     auto physical = [&](const core::ChallengeBit &bit, bool reserved) {
         auto line = [&](const core::ChallengePoint &p) {
             std::uint64_t l = kFixtureGeom.lineIndex(p.line);
             const auto *perm =
-                reserved ? nullptr
-                         : record.logicalRemap().permutation(p.vddMv);
+                reserved ? nullptr : remap.permutation(p.vddMv);
             return perm != nullptr ? perm->unmap(l) : l;
         };
         out.push_back(canonical(bit.a.vddMv, line(bit.a), bit.b.vddMv,
