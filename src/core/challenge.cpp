@@ -10,12 +10,11 @@ namespace authenticache::core {
 
 namespace {
 
-/** One level's errors as the kernel reads them; none: count 0. */
+/** One level's errors as the kernel reads them; none: empty. */
 struct ErrorStream
 {
-    const std::uint32_t *sets = nullptr;
-    const std::uint32_t *ways = nullptr;
-    std::size_t count = 0;
+    std::span<const std::uint32_t> sets;
+    std::span<const std::uint32_t> ways;
 };
 
 /** The plane at @p level; empty when the map has none there. */
@@ -25,8 +24,7 @@ streamAt(const ErrorMap &map, VddMv level)
     if (!map.hasPlane(level))
         return {};
     const ErrorPlane &plane = map.plane(level);
-    return {plane.errorSets().data(), plane.errorWays().data(),
-            plane.errorCount()};
+    return {plane.errorSets(), plane.errorWays()};
 }
 
 /** Endpoint @p i of a challenge: bit i/2's a (even) or b (odd). */
@@ -79,7 +77,7 @@ evaluateGrouped(const Challenge &challenge, ErrorsAt errors_at,
             done.push_back(vdd);
             errors = errors_at(vdd);
         }
-        if (errors.count == 0) {
+        if (errors.sets.empty()) {
             ++first;
             continue;
         }
@@ -96,8 +94,9 @@ evaluateGrouped(const Challenge &challenge, ErrorsAt errors_at,
             order[m] = static_cast<std::uint32_t>(i);
             ++m;
         }
-        nearestDistancesSoA(errors.sets, errors.ways, errors.count, qsets,
-                            qways, m, qdist, level);
+        nearestDistancesSoA(errors.sets.data(), errors.ways.data(),
+                            errors.sets.size(), qsets, qways, m, qdist,
+                            level);
         for (std::size_t j = 0; j < m; ++j)
             dist[order[j]] = qdist[j];
         first = next;
@@ -118,12 +117,12 @@ std::uint64_t
 pointDistance(const ErrorMap &map, const ChallengePoint &point)
 {
     const ErrorStream errors = streamAt(map, point.vddMv);
-    if (errors.count == 0)
+    if (errors.sets.empty())
         return kInfiniteDistance;
     std::uint32_t d = 0;
-    nearestDistancesSoA(errors.sets, errors.ways, errors.count,
-                        &point.line.set, &point.line.way, 1, &d,
-                        util::simdLevel());
+    nearestDistancesSoA(errors.sets.data(), errors.ways.data(),
+                        errors.sets.size(), &point.line.set,
+                        &point.line.way, 1, &d, util::simdLevel());
     return d;
 }
 
@@ -148,8 +147,7 @@ evaluate(std::span<const LogicalPlane *const> planes,
     auto errors_at = [&](VddMv vdd) {
         for (const LogicalPlane *plane : planes) {
             if (plane->level() == vdd)
-                return ErrorStream{plane->errorSets(), plane->errorWays(),
-                                   plane->errorCount()};
+                return ErrorStream{plane->errorSets(), plane->errorWays()};
         }
         return ErrorStream{};
     };

@@ -2,23 +2,24 @@
  * @file
  * The Authenticache error map: the 3D structure of Figure 4.
  *
- * Each supply-voltage level owns a bit plane over the cache's
- * (set, way) coordinates; a set bit marks a line that reports
- * correctable ECC errors at that voltage. Planes are sparse (tens to
- * hundreds of errors in tens of thousands of lines), so each plane
- * stores a sorted list of error coordinates plus a bitmap for O(1)
- * membership.
+ * Each supply-voltage level owns an error plane over the cache's
+ * (set, way) coordinates: the lines that report correctable ECC
+ * errors at that voltage. Planes are sparse (tens to hundreds of
+ * errors in tens of thousands of lines), so each plane stores only
+ * its sorted error coordinates, as one structure-of-arrays buffer
+ * (SortedPoints); membership is a binary search.
  */
 
 #ifndef AUTH_CORE_ERROR_MAP_HPP
 #define AUTH_CORE_ERROR_MAP_HPP
 
 #include <cstdint>
-#include <map>
+#include <ranges>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "sim/geometry.hpp"
-#include "util/bitvec.hpp"
 
 namespace authenticache::core {
 
@@ -28,55 +29,117 @@ using sim::LinePoint;
 /** Supply voltage level in millivolts, the z axis of the map. */
 using VddMv = std::uint32_t;
 
+/**
+ * A sorted, duplicate-free set of plane points in one buffer: n set
+ * coordinates, then n way coordinates, in (set, way) order -- which
+ * is line-index order. This is the stream the query-major
+ * nearest-error kernel (core/nearest_scan.hpp) reads with no
+ * transpose. ErrorPlane and LogicalPlane (core/remap.hpp) each hold
+ * one.
+ */
+class SortedPoints
+{
+  public:
+    SortedPoints() = default;
+
+    /**
+     * The points at @p lines, line indices of @p geom in any order
+     * and with duplicates, in one sort-and-dedup pass. Throws
+     * std::out_of_range on an index outside @p geom.
+     */
+    SortedPoints(std::vector<std::uint64_t> lines,
+                 const CacheGeometry &geom);
+
+    std::size_t size() const { return coords.size() / 2; }
+
+    std::span<const std::uint32_t> sets() const
+    {
+        return {coords.data(), size()};
+    }
+    std::span<const std::uint32_t> ways() const
+    {
+        return {coords.data() + size(), size()};
+    }
+
+    LinePoint operator[](std::size_t i) const
+    {
+        return {coords[i], coords[size() + i]};
+    }
+
+    /** Index of the first point not below @p p (size() if none). */
+    std::size_t lowerBound(const LinePoint &p) const;
+
+    /** Insert @p p at index @p at (callers keep the order). */
+    void insert(std::size_t at, const LinePoint &p);
+
+    void erase(std::size_t at);
+
+    bool operator==(const SortedPoints &) const = default;
+
+  private:
+    std::vector<std::uint32_t> coords; ///< n sets, then n ways.
+};
+
 /** One voltage level's error plane. */
 class ErrorPlane
 {
   public:
     explicit ErrorPlane(const CacheGeometry &geometry);
 
-    /** Mark a line as erroneous; idempotent. */
+    /**
+     * Mark a line as erroneous; idempotent. add, remove and contains
+     * throw std::out_of_range for a point outside the geometry.
+     */
     void add(const LinePoint &p);
+
+    /**
+     * Mark every line of @p points (any order, duplicates allowed) in
+     * one sort-and-dedup pass. On an out-of-range point it throws
+     * std::out_of_range and leaves the plane unchanged.
+     */
+    void addAll(std::span<const LinePoint> points);
 
     /** Unmark a line; idempotent. */
     void remove(const LinePoint &p);
 
     bool contains(const LinePoint &p) const;
 
-    /** Error coordinates in sorted (set, way) order. */
-    const std::vector<LinePoint> &errors() const { return list; }
+    /**
+     * The errors in sorted (set, way) order: a random-access view
+     * that yields LinePoint values and allocates nothing. It reads
+     * the plane in place, so it is valid until the plane changes or
+     * moves (see ErrorMap::plane).
+     */
+    auto errors() const
+    {
+        return std::views::iota(std::uint32_t{0},
+                                static_cast<std::uint32_t>(errorCount())) |
+               std::views::transform(
+                   [this](std::uint32_t i) { return points[i]; });
+    }
 
     /**
-     * Structure-of-arrays mirror of errors(): the set (and way)
-     * coordinates in the same sorted order, kept in sync by
-     * add/remove. This is the layout the query-major nearest-error
-     * kernel (core/nearest_scan.hpp) consumes -- one contiguous stream
-     * per coordinate, each error broadcast across a vector of queries.
+     * The set (and way) coordinates of errors(), in the same order:
+     * the streams the nearest-error kernel reads.
      */
-    const std::vector<std::uint32_t> &errorSets() const
+    std::span<const std::uint32_t> errorSets() const
     {
-        return soaSets;
+        return points.sets();
     }
-    const std::vector<std::uint32_t> &errorWays() const
+    std::span<const std::uint32_t> errorWays() const
     {
-        return soaWays;
+        return points.ways();
     }
 
-    std::size_t errorCount() const { return list.size(); }
+    std::size_t errorCount() const { return points.size(); }
 
     const CacheGeometry &geometry() const { return geom; }
 
-    bool operator==(const ErrorPlane &other) const
-    {
-        return geom == other.geom && list == other.list;
-    }
+    bool operator==(const ErrorPlane &) const = default;
 
   private:
     CacheGeometry geom;
-    std::vector<LinePoint> list; // Sorted.
-    // SoA mirror of list, same order (see errorSets/errorWays).
-    std::vector<std::uint32_t> soaSets;
-    std::vector<std::uint32_t> soaWays;
-    util::BitVec bitmap;
+    SortedPoints points;
 };
 
 /** Multi-voltage error map. */
@@ -87,31 +150,40 @@ class ErrorMap
 
     const CacheGeometry &geometry() const { return geom; }
 
-    /** Get (or create) the plane at a voltage level. */
+    /**
+     * Get (or create) the plane at a voltage level. The planes live
+     * in one level-sorted vector, so creating a plane invalidates
+     * every reference, pointer and errors() view into the map's other
+     * planes: create all levels before holding on to any plane.
+     */
     ErrorPlane &plane(VddMv level);
 
     /** Read-only plane access; throws if the level is absent. */
     const ErrorPlane &plane(VddMv level) const;
 
-    bool hasPlane(VddMv level) const { return planes.count(level) > 0; }
+    bool hasPlane(VddMv level) const;
 
     /** All recorded voltage levels, ascending. */
     std::vector<VddMv> levels() const;
 
-    /** Record a whole sweep result at one voltage. */
-    void addSweep(VddMv level, const std::vector<LinePoint> &lines);
+    /**
+     * Record a whole sweep result at one voltage, in one
+     * sort-and-dedup pass (ErrorPlane::addAll).
+     */
+    void addSweep(VddMv level, std::span<const LinePoint> lines);
 
     /** Total errors across all planes. */
     std::size_t totalErrors() const;
 
-    bool operator==(const ErrorMap &other) const
-    {
-        return geom == other.geom && planes == other.planes;
-    }
+    bool operator==(const ErrorMap &) const = default;
 
   private:
+    /** The first plane at or above @p level. */
+    std::vector<std::pair<VddMv, ErrorPlane>>::const_iterator
+    lowerBound(VddMv level) const;
+
     CacheGeometry geom;
-    std::map<VddMv, ErrorPlane> planes;
+    std::vector<std::pair<VddMv, ErrorPlane>> planes; ///< By level.
 };
 
 /**

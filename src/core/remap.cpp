@@ -1,6 +1,6 @@
 #include "core/remap.hpp"
 
-#include <algorithm>
+#include <stdexcept>
 
 namespace authenticache::core {
 
@@ -55,10 +55,10 @@ LogicalRemap::mapErrorMap(const ErrorMap &physical) const
         return physical;
     ErrorMap logical(geom);
     for (VddMv level : physical.levels()) {
-        const ErrorPlane &phys = physical.plane(level);
-        ErrorPlane &log = logical.plane(level);
-        for (const auto &e : phys.errors())
-            log.add(map(e, level));
+        std::vector<LinePoint> mapped;
+        for (const auto &e : physical.plane(level).errors())
+            mapped.push_back(map(e, level));
+        logical.addSweep(level, mapped);
     }
     return logical;
 }
@@ -81,31 +81,33 @@ LogicalRemap::unmapChallenge(const Challenge &logical) const
     return physical;
 }
 
+namespace {
+
+/** @p key, refused when it is the identity (which has no view). */
+const crypto::Key256 &
+viewKey(const crypto::Key256 &key)
+{
+    if (key == crypto::Key256::zero())
+        throw std::invalid_argument(
+            "LogicalPlane: the identity key has no logical view");
+    return key;
+}
+
+} // namespace
+
 LogicalPlane::LogicalPlane(const crypto::Key256 &key,
                            const ErrorMap &physical, VddMv level)
-    : vdd(level)
+    : vdd(level),
+      perm(levelPermutation(viewKey(key), level,
+                            physical.geometry().lines()))
 {
-    const ErrorPlane &plane = physical.plane(level);
-    const std::size_t n = plane.errorCount();
-    coords.resize(2 * n);
-    if (key == crypto::Key256::zero()) {
-        std::copy_n(plane.errorSets().data(), n, coords.data());
-        std::copy_n(plane.errorWays().data(), n, coords.data() + n);
-        return;
-    }
     const CacheGeometry &geom = physical.geometry();
-    perm.emplace(levelPermutation(key, level, geom.lines()));
-    // Line-index order is (set, way) order.
+    const ErrorPlane &plane = physical.plane(level);
     std::vector<std::uint64_t> lines;
-    lines.reserve(n);
+    lines.reserve(plane.errorCount());
     for (const auto &e : plane.errors())
-        lines.push_back(perm->map(geom.lineIndex(e)));
-    std::sort(lines.begin(), lines.end());
-    for (std::size_t i = 0; i < n; ++i) {
-        const LinePoint p = geom.pointOf(lines[i]);
-        coords[i] = p.set;
-        coords[n + i] = p.way;
-    }
+        lines.push_back(perm.map(geom.lineIndex(e)));
+    points = SortedPoints(std::move(lines), geom);
 }
 
 } // namespace authenticache::core

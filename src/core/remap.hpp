@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "core/challenge.hpp"
@@ -89,40 +88,42 @@ class LogicalRemap
 
 /**
  * One voltage level of an error map in logical coordinates under a
- * map key, as the server evaluates challenges against it: the level's
- * permutation (none for the identity key) and its errors mapped
- * through it, kept as sorted (set, way) structure-of-arrays -- the
- * layout nearestDistancesSoA reads. It holds what
- * LogicalRemap(key, geom).permutation(level) and
- * mapErrorMap(physical).plane(level) would, without the bitmap, the
- * point list or the per-level std::map. Immutable once built.
+ * (non-identity) map key, as the server evaluates challenges against
+ * it: the level's permutation and its errors mapped through it, as
+ * one SortedPoints stream -- the layout nearestDistancesSoA reads. It
+ * holds what LogicalRemap(key, geom).permutation(level) and
+ * mapErrorMap(physical).plane(level) would, without the per-level
+ * std::map or the plane's geometry. The identity key has no view:
+ * there the logical plane is the physical one. Immutable once built.
  */
 class LogicalPlane
 {
   public:
-    /** Throws std::out_of_range when @p physical has no such plane. */
+    /**
+     * Throws std::out_of_range when @p physical has no such plane and
+     * std::invalid_argument for Key256::zero().
+     */
     LogicalPlane(const crypto::Key256 &key, const ErrorMap &physical,
                  VddMv level);
 
     VddMv level() const { return vdd; }
 
-    /** The level's permutation, or null for the identity key. */
-    const crypto::FeistelPermutation *permutation() const
-    {
-        return perm ? &*perm : nullptr;
-    }
+    const crypto::FeistelPermutation &permutation() const { return perm; }
 
-    std::size_t errorCount() const { return coords.size() / 2; }
-    const std::uint32_t *errorSets() const { return coords.data(); }
-    const std::uint32_t *errorWays() const
+    std::size_t errorCount() const { return points.size(); }
+    std::span<const std::uint32_t> errorSets() const
     {
-        return coords.data() + errorCount();
+        return points.sets();
+    }
+    std::span<const std::uint32_t> errorWays() const
+    {
+        return points.ways();
     }
 
   private:
     VddMv vdd;
-    std::optional<crypto::FeistelPermutation> perm;
-    std::vector<std::uint32_t> coords; ///< n sets, then n ways.
+    crypto::FeistelPermutation perm;
+    SortedPoints points;
 };
 
 } // namespace authenticache::core

@@ -6,9 +6,12 @@ core::ErrorPlane
 randomPlane(const core::CacheGeometry &geom, std::size_t errors,
             util::Rng &rng)
 {
-    core::ErrorPlane plane(geom);
+    std::vector<core::LinePoint> points;
+    points.reserve(errors);
     for (auto idx : rng.sampleDistinct(geom.lines(), errors))
-        plane.add(geom.pointOf(idx));
+        points.push_back(geom.pointOf(idx));
+    core::ErrorPlane plane(geom);
+    plane.addAll(points);
     return plane;
 }
 
@@ -17,8 +20,7 @@ randomErrorMap(const core::CacheGeometry &geom, core::VddMv level,
                std::size_t errors, util::Rng &rng)
 {
     core::ErrorMap map(geom);
-    for (auto idx : rng.sampleDistinct(geom.lines(), errors))
-        map.plane(level).add(geom.pointOf(idx));
+    map.plane(level) = randomPlane(geom, errors, rng);
     return map;
 }
 

@@ -45,11 +45,7 @@ applyNoise(const core::ErrorMap &enrolled, const NoiseProfile &profile,
 {
     core::ErrorMap out(enrolled.geometry());
     for (auto level : enrolled.levels()) {
-        core::ErrorPlane noisy =
-            applyNoise(enrolled.plane(level), profile, rng);
-        for (const auto &e : noisy.errors())
-            out.plane(level).add(e);
-        out.plane(level); // Ensure the plane exists even if empty.
+        out.plane(level) = applyNoise(enrolled.plane(level), profile, rng);
     }
     return out;
 }

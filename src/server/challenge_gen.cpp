@@ -90,6 +90,15 @@ ChallengeGenerator::draw(DeviceRecord &record, core::VddMv level,
 }
 
 GeneratedChallenge
+ChallengeGenerator::drawPhysical(DeviceRecord &record, core::VddMv level,
+                                 std::size_t bits)
+{
+    GeneratedChallenge out = draw(record, level, bits, nullptr);
+    out.expected = core::evaluate(record.physicalMap(), out.challenge);
+    return out;
+}
+
+GeneratedChallenge
 ChallengeGenerator::generate(DeviceRecord &record, core::VddMv level,
                              std::size_t bits, util::Rng &)
 {
@@ -97,9 +106,13 @@ ChallengeGenerator::generate(DeviceRecord &record, core::VddMv level,
     if (std::find(levels.begin(), levels.end(), level) == levels.end())
         throw std::invalid_argument(
             "ChallengeGenerator: not a challenge level");
+    // The identity key has no logical view: the physical plane is the
+    // logical one.
+    if (record.mapKey() == crypto::Key256::zero())
+        return drawPhysical(record, level, bits);
     const core::LogicalPlane *view = &record.logicalPlane(level);
     GeneratedChallenge out =
-        draw(record, level, bits, view->permutation());
+        draw(record, level, bits, &view->permutation());
     out.expected = core::evaluate({&view, 1}, out.challenge);
     return out;
 }
@@ -135,14 +148,17 @@ ChallengeGenerator::generateMultiLevel(DeviceRecord &record,
                 "generateMultiLevel: missing error map plane");
     }
 
-    // One logical view per level and one draw per level pair i <= j,
-    // resolved once. Every stream exists before any is referenced, so
-    // creating one cannot move another.
+    // One logical view per level (none under the identity key, whose
+    // logical planes are the physical ones) and one draw per level
+    // pair i <= j, resolved once. Every stream exists before any is
+    // referenced, so creating one cannot move another.
+    const bool identity = record.mapKey() == crypto::Key256::zero();
     const std::size_t nl = levels.size();
     std::vector<const core::LogicalPlane *> views;
     views.reserve(nl);
     for (auto level : levels) {
-        views.push_back(&record.logicalPlane(level));
+        if (!identity)
+            views.push_back(&record.logicalPlane(level));
         for (auto other : levels)
             record.pairStream(level, other);
     }
@@ -177,17 +193,19 @@ ChallengeGenerator::generateMultiLevel(DeviceRecord &record,
             std::swap(la, lb);
             std::swap(a, b);
         }
-        const auto *perm_a = views[la]->permutation();
-        const auto *perm_b = views[lb]->permutation();
-        bit.a = core::ChallengePoint{
-            geom.pointOf(perm_a ? perm_a->map(a) : a), levels[la]};
-        bit.b = core::ChallengePoint{
-            geom.pointOf(perm_b ? perm_b->map(b) : b), levels[lb]};
+        if (!identity) {
+            a = views[la]->permutation().map(a);
+            b = views[lb]->permutation().map(b);
+        }
+        bit.a = core::ChallengePoint{geom.pointOf(a), levels[la]};
+        bit.b = core::ChallengePoint{geom.pointOf(b), levels[lb]};
     }
     for (auto &stream : draws)
         stream.commit(out.retired);
 
-    out.expected = core::evaluate(views, out.challenge);
+    out.expected = identity
+                       ? core::evaluate(record.physicalMap(), out.challenge)
+                       : core::evaluate(views, out.challenge);
     return out;
 }
 
@@ -216,12 +234,8 @@ ChallengeGenerator::generateReserved(DeviceRecord &record,
     if (std::find(levels.begin(), levels.end(), level) == levels.end())
         throw std::invalid_argument(
             "ChallengeGenerator: not a reserved level");
-    // Reserved-level challenges use the identity mapping, so the
-    // expected response is evaluated directly on the physical map.
-    GeneratedChallenge out = draw(record, level, bits, nullptr);
-    out.expected =
-        core::evaluate(record.physicalMap(), out.challenge);
-    return out;
+    // Reserved-level challenges use the identity mapping.
+    return drawPhysical(record, level, bits);
 }
 
 GeneratedChallenge

@@ -70,8 +70,10 @@ class ChallengeGenerator
     /**
      * Forwarder kept for callers that still pass an (empty)
      * core::EvalScratch; the scratch is unused. The expected response
-     * is always core::evaluate over the record's logical view of the
-     * level (DeviceRecord::logicalPlane).
+     * is core::evaluate over the record's logical view of the level
+     * (DeviceRecord::logicalPlane), or over the physical map under
+     * the identity key, which draws with no permutation and builds no
+     * view.
      */
     GeneratedChallenge generate(DeviceRecord &record, core::VddMv level,
                                 std::size_t bits, util::Rng &rng,
@@ -123,6 +125,15 @@ class ChallengeGenerator
     static GeneratedChallenge draw(DeviceRecord &record,
                                    core::VddMv level, std::size_t bits,
                                    const crypto::FeistelPermutation *perm);
+
+    /**
+     * draw() under the identity mapping, with the expected response
+     * evaluated on the physical map: reserved levels, and challenge
+     * levels under the identity key.
+     */
+    static GeneratedChallenge drawPhysical(DeviceRecord &record,
+                                           core::VddMv level,
+                                           std::size_t bits);
 
     util::Rng ownRng; ///< Backs the legacy no-Rng overloads only.
 };

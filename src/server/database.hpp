@@ -68,9 +68,10 @@ class DeviceRecord
      * the physical map is immutable after enrollment, so key rotation
      * is the only invalidation point. Record copies share the views.
      * Throws std::invalid_argument when @p level is not a challenge
-     * level with a plane. Like the rest of the record's mutable
-     * state, callers synchronize externally (the session layer holds
-     * the device's shard mutex).
+     * level with a plane, and under the identity key, which has no
+     * view (its logical planes are the physical ones). Like the rest
+     * of the record's mutable state, callers synchronize externally
+     * (the session layer holds the device's shard mutex).
      */
     const core::LogicalPlane &logicalPlane(core::VddMv level) const;
 

@@ -264,15 +264,18 @@ decodeErrorMap(protocol::ByteReader &r)
         std::uint64_t count = r.getU64();
         if (count > map.geometry().lines())
             throw protocol::DecodeError("error count exceeds cache");
-        auto &plane = map.plane(level);
+        // Each point takes 8 bytes, so the input bounds the reserve.
+        std::vector<sim::LinePoint> points;
+        points.reserve(std::min<std::uint64_t>(count, r.remaining() / 8));
         for (std::uint64_t k = 0; k < count; ++k) {
             sim::LinePoint p;
             p.set = r.getU32();
             p.way = r.getU32();
             if (!map.geometry().contains(p))
                 throw protocol::DecodeError("error outside cache");
-            plane.add(p);
+            points.push_back(p);
         }
+        map.addSweep(level, points);
     }
     return map;
 }

@@ -110,16 +110,11 @@ expectViewMatchesRemap(const srv::DeviceRecord &record, core::VddMv level)
         remap.mapErrorMap(record.physicalMap()).plane(level);
     const core::LogicalPlane &view = record.logicalPlane(level);
     EXPECT_EQ(view.level(), level);
-    const std::size_t n = view.errorCount();
-    EXPECT_EQ(std::vector(view.errorSets(), view.errorSets() + n),
-              want.errorSets());
-    EXPECT_EQ(std::vector(view.errorWays(), view.errorWays() + n),
-              want.errorWays());
-    const auto *perm = view.permutation();
-    ASSERT_EQ(perm == nullptr, remap.isIdentity());
-    for (std::uint64_t line = 0; perm != nullptr && line < geom.lines();
-         line += 7)
-        EXPECT_EQ(perm->map(line),
+    EXPECT_TRUE(std::ranges::equal(view.errorSets(), want.errorSets()));
+    EXPECT_TRUE(std::ranges::equal(view.errorWays(), want.errorWays()));
+    ASSERT_FALSE(remap.isIdentity());
+    for (std::uint64_t line = 0; line < geom.lines(); line += 7)
+        EXPECT_EQ(view.permutation().map(line),
                   remap.permutation(level)->map(line));
 }
 
@@ -151,7 +146,14 @@ TEST_P(ChallengeGenExpected, IdentityKeyMatchesIndexed)
         EXPECT_EQ(out.expected, bruteExpected(record, out.challenge));
         EXPECT_EQ(out.expected,
                   core::evaluate(record.physicalMap(), out.challenge));
+        auto multi = gen.generateMultiLevel(record, 64);
+        EXPECT_EQ(multi.expected, bruteExpected(record, multi.challenge));
     }
+    // Neither path built a view: the identity key has none.
+    EXPECT_THROW(record.logicalPlane(700), std::invalid_argument);
+    EXPECT_THROW(core::LogicalPlane(crypto::Key256::zero(),
+                                    record.physicalMap(), 710),
+                 std::invalid_argument);
 }
 
 TEST_P(ChallengeGenExpected, MultiLevelMatchesIndexed)

@@ -5,7 +5,10 @@
  * CRP capacity math.
  */
 
+#include <algorithm>
 #include <set>
+#include <span>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -60,7 +63,7 @@ TEST(ErrorPlane, ErrorsStaySorted)
     plane.add({9, 1});
     plane.add({2, 7});
     plane.add({2, 3});
-    auto &errors = plane.errors();
+    const auto errors = plane.errors();
     ASSERT_EQ(errors.size(), 3u);
     EXPECT_TRUE(std::is_sorted(errors.begin(), errors.end()));
 }
@@ -84,6 +87,135 @@ TEST(ErrorMap, AddSweepBulkInsert)
     std::vector<sim::LinePoint> lines{{1, 0}, {5, 5}, {1, 0}};
     map.addSweep(700, lines);
     EXPECT_EQ(map.plane(700).errorCount(), 2u);
+}
+
+namespace {
+
+/**
+ * @p plane holds exactly @p want, in (set, way) order, in every view:
+ * errors(), its operator[], the two coordinate spans, and equality
+ * with the same points built in one bulk pass.
+ */
+void
+expectPlaneHolds(const core::ErrorPlane &plane,
+                 const std::set<sim::LinePoint> &want)
+{
+    const std::vector<sim::LinePoint> points(want.begin(), want.end());
+    ASSERT_EQ(plane.errorCount(), points.size());
+    ASSERT_EQ(plane.errorSets().size(), points.size());
+    ASSERT_EQ(plane.errorWays().size(), points.size());
+    EXPECT_TRUE(std::ranges::equal(plane.errors(), points));
+    const auto errors = plane.errors();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(errors[i], points[i]);
+        EXPECT_EQ(plane.errorSets()[i], points[i].set);
+        EXPECT_EQ(plane.errorWays()[i], points[i].way);
+    }
+    core::ErrorPlane bulk(plane.geometry());
+    bulk.addAll(points);
+    EXPECT_EQ(plane, bulk);
+}
+
+} // namespace
+
+/** Cache sizes of 1024 and 65 536 lines. */
+class ErrorPlaneOracle : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(ErrorPlaneOracle, RandomOpsMatchSet)
+{
+    const sim::CacheGeometry geom(GetParam());
+    Rng rng(geom.lines());
+    // A small pool makes repeats common: adds of present lines and
+    // removes of absent ones. It holds both corners and two points
+    // just outside the cache.
+    std::vector<sim::LinePoint> pool{{0, 0},
+                                     geom.pointOf(geom.lines() - 1),
+                                     {geom.sets(), 0},
+                                     {0, geom.ways()}};
+    while (pool.size() < 40)
+        pool.push_back(geom.pointOf(rng.nextBelow(geom.lines())));
+
+    core::ErrorPlane plane(geom);
+    std::set<sim::LinePoint> want;
+    for (int step = 0; step < 600; ++step) {
+        const sim::LinePoint p = pool[rng.nextBelow(pool.size())];
+        const auto op = rng.nextBelow(3);
+        if (!geom.contains(p)) {
+            EXPECT_THROW(op == 0   ? plane.add(p)
+                         : op == 1 ? plane.remove(p)
+                                   : (void)plane.contains(p),
+                         std::out_of_range);
+            const std::vector<sim::LinePoint> batch{pool[0], p};
+            EXPECT_THROW(plane.addAll(batch), std::out_of_range);
+        } else if (op == 0) {
+            plane.add(p);
+            want.insert(p);
+        } else if (op == 1) {
+            plane.remove(p);
+            want.erase(p);
+        } else {
+            EXPECT_EQ(plane.contains(p), want.count(p) > 0);
+        }
+        expectPlaneHolds(plane, want);
+    }
+}
+
+TEST_P(ErrorPlaneOracle, AddSweepEqualsOneByOne)
+{
+    const sim::CacheGeometry geom(GetParam());
+    Rng rng(geom.lines() + 1);
+    // Unsorted draws, every third one repeated later in the sweep.
+    std::vector<sim::LinePoint> sweep;
+    for (int i = 0; i < 300; ++i) {
+        sweep.push_back(geom.pointOf(rng.nextBelow(geom.lines())));
+        if (i % 3 == 0)
+            sweep.push_back(sweep[rng.nextBelow(sweep.size())]);
+    }
+    const std::size_t half = sweep.size() / 2;
+    core::ErrorMap bulk(geom), single(geom);
+    std::set<sim::LinePoint> want;
+    // Two sweeps: the second merges into the plane the first made.
+    for (auto part : {std::span(sweep).first(half),
+                      std::span(sweep).subspan(half)}) {
+        bulk.addSweep(700, part);
+        for (const auto &p : part) {
+            single.plane(700).add(p);
+            want.insert(p);
+        }
+        EXPECT_EQ(bulk, single);
+        expectPlaneHolds(std::as_const(bulk).plane(700), want);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Lines, ErrorPlaneOracle,
+                         ::testing::Values(64 * 1024,
+                                           4 * 1024 * 1024));
+
+TEST(ErrorMap, LevelsStayAscendingAndEqualityIgnoresInsertOrder)
+{
+    const std::vector<core::VddMv> order{710, 680, 730, 690, 700, 680};
+    core::ErrorMap forward(kSmall), backward(kSmall);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        forward.plane(order[i]).add(kSmall.pointOf(i));
+        const auto levels = forward.levels();
+        EXPECT_TRUE(std::is_sorted(levels.begin(), levels.end()));
+    }
+    for (std::size_t i = order.size(); i-- > 0;)
+        backward.plane(order[i]).add(kSmall.pointOf(i));
+    EXPECT_EQ(forward.levels(),
+              (std::vector<core::VddMv>{680, 690, 700, 710, 730}));
+    EXPECT_EQ(std::as_const(forward).plane(680).errorCount(), 2u);
+    EXPECT_EQ(forward, backward);
+    for (core::VddMv missing : {0u, 685u, 740u}) {
+        EXPECT_FALSE(forward.hasPlane(missing));
+        EXPECT_THROW(std::as_const(forward).plane(missing),
+                     std::out_of_range);
+    }
+    // An extra plane, even an empty one, makes the maps differ.
+    backward.plane(720);
+    EXPECT_NE(forward, backward);
 }
 
 TEST(Nearest, BruteOnKnownPlane)

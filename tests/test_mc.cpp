@@ -70,7 +70,7 @@ TEST(Noise, ZeroProfileIsIdentity)
     Rng rng(4);
     auto plane = mc::randomPlane(kGeom, 40, rng);
     auto noisy = mc::applyNoise(plane, mc::NoiseProfile{}, rng);
-    EXPECT_EQ(noisy.errors(), plane.errors());
+    EXPECT_EQ(noisy, plane);
 }
 
 TEST(Noise, InjectionAddsExactCount)
