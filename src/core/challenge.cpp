@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 
 #include "core/nearest_scan.hpp"
 #include "core/remap.hpp"
@@ -10,11 +11,14 @@ namespace authenticache::core {
 
 namespace {
 
-/** One level's errors as the kernel reads them; none: empty. */
+/**
+ * One level's errors as line indices, and the ways that split them
+ * into (set, way); none: empty.
+ */
 struct ErrorStream
 {
-    std::span<const std::uint32_t> sets;
-    std::span<const std::uint32_t> ways;
+    std::span<const std::uint32_t> lines;
+    std::uint32_t ways = 0;
 };
 
 /** The plane at @p level; empty when the map has none there. */
@@ -24,7 +28,7 @@ streamAt(const ErrorMap &map, VddMv level)
     if (!map.hasPlane(level))
         return {};
     const ErrorPlane &plane = map.plane(level);
-    return {plane.errorSets(), plane.errorWays()};
+    return {plane.errorLines(), plane.geometry().ways()};
 }
 
 /** Endpoint @p i of a challenge: bit i/2's a (even) or b (odd). */
@@ -54,8 +58,9 @@ evaluateGrouped(const Challenge &challenge, ErrorsAt errors_at,
     // kernel's domain, where UINT32_MAX means "no error": a point
     // whose level has no plane, or an empty one, keeps it. No real
     // distance reaches it: that would take coordinates near 2^31.
-    std::vector<std::uint32_t> buf(5 * npts);
-    std::uint32_t *dist = buf.data();
+    // Only the distances are initialised; staging is written first.
+    const auto buf = std::make_unique_for_overwrite<std::uint32_t[]>(5 * npts);
+    std::uint32_t *dist = buf.get();
     std::uint32_t *qsets = dist + npts;
     std::uint32_t *qways = qsets + npts;
     std::uint32_t *qdist = qways + npts;
@@ -77,7 +82,7 @@ evaluateGrouped(const Challenge &challenge, ErrorsAt errors_at,
             done.push_back(vdd);
             errors = errors_at(vdd);
         }
-        if (errors.sets.empty()) {
+        if (errors.lines.empty()) {
             ++first;
             continue;
         }
@@ -94,9 +99,8 @@ evaluateGrouped(const Challenge &challenge, ErrorsAt errors_at,
             order[m] = static_cast<std::uint32_t>(i);
             ++m;
         }
-        nearestDistancesSoA(errors.sets.data(), errors.ways.data(),
-                            errors.sets.size(), qsets, qways, m, qdist,
-                            level);
+        nearestDistancesLines(errors.lines, errors.ways, qsets, qways, m,
+                              qdist, level);
         for (std::size_t j = 0; j < m; ++j)
             dist[order[j]] = qdist[j];
         first = next;
@@ -117,12 +121,11 @@ std::uint64_t
 pointDistance(const ErrorMap &map, const ChallengePoint &point)
 {
     const ErrorStream errors = streamAt(map, point.vddMv);
-    if (errors.sets.empty())
+    if (errors.lines.empty())
         return kInfiniteDistance;
     std::uint32_t d = 0;
-    nearestDistancesSoA(errors.sets.data(), errors.ways.data(),
-                        errors.sets.size(), &point.line.set,
-                        &point.line.way, 1, &d, util::simdLevel());
+    nearestDistancesLines(errors.lines, errors.ways, &point.line.set,
+                          &point.line.way, 1, &d, util::simdLevel());
     return d;
 }
 
@@ -147,7 +150,7 @@ evaluate(std::span<const LogicalPlane *const> planes,
     auto errors_at = [&](VddMv vdd) {
         for (const LogicalPlane *plane : planes) {
             if (plane->level() == vdd)
-                return ErrorStream{plane->errorSets(), plane->errorWays()};
+                return ErrorStream{plane->errorLines(), plane->ways()};
         }
         return ErrorStream{};
     };

@@ -6,87 +6,56 @@
 
 namespace authenticache::core {
 
-SortedPoints::SortedPoints(std::vector<std::uint64_t> lines,
-                           const CacheGeometry &geom)
+ErrorPlane::ErrorPlane(const CacheGeometry &geometry) : geom(geometry)
 {
-    std::sort(lines.begin(), lines.end());
-    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-    const std::size_t n = lines.size();
-    coords.resize(2 * n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const LinePoint p = geom.pointOf(lines[i]);
-        coords[i] = p.set;
-        coords[n + i] = p.way;
-    }
+    if (geom.lines() > kMaxPlaneLines)
+        throw std::invalid_argument(
+            "ErrorPlane: geometry above 2^32 lines");
 }
 
-std::size_t
-SortedPoints::lowerBound(const LinePoint &p) const
+std::uint32_t
+ErrorPlane::indexOf(const LinePoint &p) const
 {
-    std::size_t lo = 0, hi = size();
-    while (lo < hi) {
-        const std::size_t mid = lo + (hi - lo) / 2;
-        if ((*this)[mid] < p)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo;
+    // The constructor's limit makes every index fit 32 bits.
+    return static_cast<std::uint32_t>(geom.lineIndex(p));
 }
-
-void
-SortedPoints::insert(std::size_t at, const LinePoint &p)
-{
-    const auto n = static_cast<std::ptrdiff_t>(size());
-    const auto i = static_cast<std::ptrdiff_t>(at);
-    coords.insert(coords.begin() + n + i, p.way);
-    coords.insert(coords.begin() + i, p.set);
-}
-
-void
-SortedPoints::erase(std::size_t at)
-{
-    const auto n = static_cast<std::ptrdiff_t>(size());
-    const auto i = static_cast<std::ptrdiff_t>(at);
-    coords.erase(coords.begin() + n + i);
-    coords.erase(coords.begin() + i);
-}
-
-ErrorPlane::ErrorPlane(const CacheGeometry &geometry) : geom(geometry) {}
 
 void
 ErrorPlane::add(const LinePoint &p)
 {
-    if (!contains(p))
-        points.insert(points.lowerBound(p), p);
+    const std::uint32_t line = indexOf(p);
+    const auto at = std::lower_bound(lines.begin(), lines.end(), line);
+    if (at == lines.end() || *at != line)
+        lines.insert(at, line);
 }
 
 void
-ErrorPlane::addAll(std::span<const LinePoint> more)
+ErrorPlane::addAll(std::span<const LinePoint> points)
 {
-    std::vector<std::uint64_t> lines;
-    lines.reserve(errorCount() + more.size());
-    for (const auto &e : errors())
-        lines.push_back(geom.lineIndex(e));
-    for (const auto &p : more)
-        lines.push_back(geom.lineIndex(p));
-    points = SortedPoints(std::move(lines), geom);
+    std::vector<std::uint32_t> merged;
+    merged.reserve(lines.size() + points.size());
+    merged.assign(lines.begin(), lines.end());
+    for (const auto &p : points)
+        merged.push_back(indexOf(p));
+    std::sort(merged.begin(), merged.end());
+    // A fresh vector, so the plane's buffer is exactly its size.
+    lines = std::vector<std::uint32_t>(
+        merged.begin(), std::unique(merged.begin(), merged.end()));
 }
 
 void
 ErrorPlane::remove(const LinePoint &p)
 {
-    if (contains(p))
-        points.erase(points.lowerBound(p));
+    const std::uint32_t line = indexOf(p);
+    const auto at = std::lower_bound(lines.begin(), lines.end(), line);
+    if (at != lines.end() && *at == line)
+        lines.erase(at);
 }
 
 bool
 ErrorPlane::contains(const LinePoint &p) const
 {
-    if (!geom.contains(p))
-        throw std::out_of_range("ErrorPlane: point outside cache");
-    const std::size_t at = points.lowerBound(p);
-    return at < points.size() && points[at] == p;
+    return std::binary_search(lines.begin(), lines.end(), indexOf(p));
 }
 
 ErrorMap::ErrorMap(const CacheGeometry &geometry) : geom(geometry) {}
@@ -183,12 +152,12 @@ combineErrorMaps(const std::vector<ErrorMap> &maps,
 
     for (const auto &[level, _] : levels) {
         // Count per-line occurrences across captures.
-        std::map<std::uint64_t, std::size_t> counts;
+        std::map<std::uint32_t, std::size_t> counts;
         for (const auto &m : maps) {
             if (!m.hasPlane(level))
                 continue;
-            for (const auto &e : m.plane(level).errors())
-                ++counts[geom.lineIndex(e)];
+            for (const std::uint32_t line : m.plane(level).errorLines())
+                ++counts[line];
         }
         std::vector<LinePoint> kept;
         for (const auto &[line, count] : counts) {

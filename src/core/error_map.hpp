@@ -6,8 +6,9 @@
  * (set, way) coordinates: the lines that report correctable ECC
  * errors at that voltage. Planes are sparse (tens to hundreds of
  * errors in tens of thousands of lines), so each plane stores only
- * its sorted error coordinates, as one structure-of-arrays buffer
- * (SortedPoints); membership is a binary search.
+ * its errors' line indices (set * ways + way), ascending -- which is
+ * (set, way) order -- in one exactly sized vector of 32-bit values;
+ * membership is a binary search.
  */
 
 #ifndef AUTH_CORE_ERROR_MAP_HPP
@@ -30,60 +31,20 @@ using sim::LinePoint;
 using VddMv = std::uint32_t;
 
 /**
- * A sorted, duplicate-free set of plane points in one buffer: n set
- * coordinates, then n way coordinates, in (set, way) order -- which
- * is line-index order. This is the stream the query-major
- * nearest-error kernel (core/nearest_scan.hpp) reads with no
- * transpose. ErrorPlane and LogicalPlane (core/remap.hpp) each hold
- * one.
+ * Most lines an error plane can address: each error is stored as a
+ * 32-bit line index. It is also the Feistel permutation's domain
+ * limit (crypto/feistel.hpp), so no keyed geometry is larger.
  */
-class SortedPoints
-{
-  public:
-    SortedPoints() = default;
-
-    /**
-     * The points at @p lines, line indices of @p geom in any order
-     * and with duplicates, in one sort-and-dedup pass. Throws
-     * std::out_of_range on an index outside @p geom.
-     */
-    SortedPoints(std::vector<std::uint64_t> lines,
-                 const CacheGeometry &geom);
-
-    std::size_t size() const { return coords.size() / 2; }
-
-    std::span<const std::uint32_t> sets() const
-    {
-        return {coords.data(), size()};
-    }
-    std::span<const std::uint32_t> ways() const
-    {
-        return {coords.data() + size(), size()};
-    }
-
-    LinePoint operator[](std::size_t i) const
-    {
-        return {coords[i], coords[size() + i]};
-    }
-
-    /** Index of the first point not below @p p (size() if none). */
-    std::size_t lowerBound(const LinePoint &p) const;
-
-    /** Insert @p p at index @p at (callers keep the order). */
-    void insert(std::size_t at, const LinePoint &p);
-
-    void erase(std::size_t at);
-
-    bool operator==(const SortedPoints &) const = default;
-
-  private:
-    std::vector<std::uint32_t> coords; ///< n sets, then n ways.
-};
+inline constexpr std::uint64_t kMaxPlaneLines = std::uint64_t{1} << 32;
 
 /** One voltage level's error plane. */
 class ErrorPlane
 {
   public:
+    /**
+     * Throws std::invalid_argument when @p geometry has more than
+     * kMaxPlaneLines lines.
+     */
     explicit ErrorPlane(const CacheGeometry &geometry);
 
     /**
@@ -106,40 +67,36 @@ class ErrorPlane
 
     /**
      * The errors in sorted (set, way) order: a random-access view
-     * that yields LinePoint values and allocates nothing. It reads
-     * the plane in place, so it is valid until the plane changes or
-     * moves (see ErrorMap::plane).
+     * that decodes errorLines() into LinePoint values and allocates
+     * nothing. It reads the plane in place, so it is valid until the
+     * plane changes or moves (see ErrorMap::plane).
      */
     auto errors() const
     {
         return std::views::iota(std::uint32_t{0},
                                 static_cast<std::uint32_t>(errorCount())) |
                std::views::transform(
-                   [this](std::uint32_t i) { return points[i]; });
+                   [this](std::uint32_t i) { return geom.pointOf(lines[i]); });
     }
 
     /**
-     * The set (and way) coordinates of errors(), in the same order:
-     * the streams the nearest-error kernel reads.
+     * The errors' line indices, ascending: the stream the
+     * nearest-error kernel reads (nearestDistancesLines).
      */
-    std::span<const std::uint32_t> errorSets() const
-    {
-        return points.sets();
-    }
-    std::span<const std::uint32_t> errorWays() const
-    {
-        return points.ways();
-    }
+    std::span<const std::uint32_t> errorLines() const { return lines; }
 
-    std::size_t errorCount() const { return points.size(); }
+    std::size_t errorCount() const { return lines.size(); }
 
     const CacheGeometry &geometry() const { return geom; }
 
     bool operator==(const ErrorPlane &) const = default;
 
   private:
+    /** lineIndex(p); throws std::out_of_range outside the geometry. */
+    std::uint32_t indexOf(const LinePoint &p) const;
+
     CacheGeometry geom;
-    SortedPoints points;
+    std::vector<std::uint32_t> lines; ///< Ascending, no duplicates.
 };
 
 /** Multi-voltage error map. */

@@ -1,7 +1,10 @@
 #include "core/nearest_scan.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <limits>
+#include <vector>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define AUTH_SIMD_X86 1
@@ -219,6 +222,57 @@ nearestDistancesSoA(const std::uint32_t *sets,
         distancesScalar(sets, ways, n, qsets, qways, m, out_d);
         return;
     }
+}
+
+void
+nearestDistancesLines(std::span<const std::uint32_t> lines,
+                      std::uint32_t ways, const std::uint32_t *qsets,
+                      const std::uint32_t *qways, std::size_t m,
+                      std::uint32_t *out_d, util::SimdLevel level)
+{
+    // Planes hold tens of errors: the scratch lives on the stack up to
+    // kStackErrors of them.
+    constexpr std::size_t kStackErrors = 256;
+    const std::size_t n = lines.size();
+    std::array<std::uint32_t, 2 * kStackErrors> stack;
+    std::vector<std::uint32_t> heap;
+    std::uint32_t *sets = stack.data();
+    if (n > kStackErrors) {
+        heap.resize(2 * n);
+        sets = heap.data();
+    }
+    std::uint32_t *wayOf = sets + n;
+    const std::uint32_t *src = lines.data();
+    std::size_t i = 0;
+    if ((ways & (ways - 1)) == 0) {
+        // A power-of-two way count (every shipped geometry; ways >= 1):
+        // shift and mask, four lines per SSE2 step where there is one.
+        const int shift = std::countr_zero(ways);
+#if AUTH_SIMD_X86
+        const __m128i count = _mm_cvtsi32_si128(shift);
+        const __m128i mask = _mm_set1_epi32(static_cast<int>(ways - 1));
+        for (; i + 4 <= n; i += 4) {
+            const __m128i v = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(src + i));
+            _mm_storeu_si128(reinterpret_cast<__m128i *>(sets + i),
+                             _mm_srl_epi32(v, count));
+            _mm_storeu_si128(reinterpret_cast<__m128i *>(wayOf + i),
+                             _mm_and_si128(v, mask));
+        }
+#endif
+        for (; i < n; ++i) {
+            const std::uint32_t line = src[i];
+            sets[i] = line >> shift;
+            wayOf[i] = line & (ways - 1);
+        }
+    } else {
+        for (; i < n; ++i) {
+            const std::uint32_t line = src[i];
+            sets[i] = line / ways;
+            wayOf[i] = line % ways;
+        }
+    }
+    nearestDistancesSoA(sets, wayOf, n, qsets, qways, m, out_d, level);
 }
 
 } // namespace authenticache::core

@@ -6,14 +6,19 @@
  * Monte Carlo estimators (src/mc).
  *
  * nearestDistancesSoA answers many query points against one plane's
- * error stream in structure-of-arrays form (ErrorPlane::errorSets /
- * errorWays): queries in the lanes (8 per AVX2 vector, 4 per SSE2
+ * errors in structure-of-arrays form (a set array and a way array):
+ * queries in the lanes (8 per AVX2 vector, 4 per SSE2
  * vector, two vectors per pass), each error point broadcast in turn,
  * and a running unsigned minimum per lane. It returns distances only
  * -- no argmin and no cross-lane reduction -- because a response bit
  * (Eq 8) reads nothing but the two distances, so no tie rule can
  * change it. Results are identical at every width; the tests hold
  * every width to nearestErrorBrute.
+ *
+ * Planes store their errors as one stream of line indices
+ * (ErrorPlane::errorLines, LogicalPlane::errorLines);
+ * nearestDistancesLines splits that stream into the two arrays once
+ * per call and runs the kernel.
  *
  * Callers batch: one call per plane over every query they have for
  * it. The vector bodies only pay off across a block of queries; one
@@ -29,6 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "util/simd.hpp"
 
@@ -47,6 +53,18 @@ void nearestDistancesSoA(const std::uint32_t *sets,
                          const std::uint32_t *qsets,
                          const std::uint32_t *qways, std::size_t m,
                          std::uint32_t *out_d, util::SimdLevel level);
+
+/**
+ * nearestDistancesSoA against an error stream of line indices
+ * (set * @p ways + way, any order), as ErrorPlane::errorLines and
+ * LogicalPlane::errorLines hold it: the stream is split into set and
+ * way scratch once, then the kernel answers all @p m queries.
+ */
+void nearestDistancesLines(std::span<const std::uint32_t> lines,
+                           std::uint32_t ways,
+                           const std::uint32_t *qsets,
+                           const std::uint32_t *qways, std::size_t m,
+                           std::uint32_t *out_d, util::SimdLevel level);
 
 } // namespace authenticache::core
 

@@ -1,5 +1,6 @@
 #include "core/remap.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace authenticache::core {
@@ -97,17 +98,18 @@ viewKey(const crypto::Key256 &key)
 
 LogicalPlane::LogicalPlane(const crypto::Key256 &key,
                            const ErrorMap &physical, VddMv level)
-    : vdd(level),
+    : vdd(level), numWays(physical.geometry().ways()),
       perm(levelPermutation(viewKey(key), level,
                             physical.geometry().lines()))
 {
-    const CacheGeometry &geom = physical.geometry();
-    const ErrorPlane &plane = physical.plane(level);
-    std::vector<std::uint64_t> lines;
-    lines.reserve(plane.errorCount());
-    for (const auto &e : plane.errors())
-        lines.push_back(perm.map(geom.lineIndex(e)));
-    points = SortedPoints(std::move(lines), geom);
+    // A bijection maps distinct lines to distinct lines: sorting is
+    // all it takes.
+    const std::span<const std::uint32_t> physicalLines =
+        physical.plane(level).errorLines();
+    lines.reserve(physicalLines.size());
+    for (const std::uint32_t line : physicalLines)
+        lines.push_back(static_cast<std::uint32_t>(perm.map(line)));
+    std::sort(lines.begin(), lines.end());
 }
 
 } // namespace authenticache::core

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "core/challenge.hpp"
@@ -89,12 +90,13 @@ class LogicalRemap
 /**
  * One voltage level of an error map in logical coordinates under a
  * (non-identity) map key, as the server evaluates challenges against
- * it: the level's permutation and its errors mapped through it, as
- * one SortedPoints stream -- the layout nearestDistancesSoA reads. It
- * holds what LogicalRemap(key, geom).permutation(level) and
- * mapErrorMap(physical).plane(level) would, without the per-level
- * std::map or the plane's geometry. The identity key has no view:
- * there the logical plane is the physical one. Immutable once built.
+ * it: the level's permutation and its errors' logical line indices,
+ * ascending -- the stream nearestDistancesLines reads. It holds what
+ * LogicalRemap(key, geom).permutation(level) and
+ * mapErrorMap(physical).plane(level).errorLines() would, without the
+ * per-level std::map or the plane's geometry (only its way count).
+ * The identity key has no view: there the logical plane is the
+ * physical one. Immutable once built.
  */
 class LogicalPlane
 {
@@ -108,22 +110,21 @@ class LogicalPlane
 
     VddMv level() const { return vdd; }
 
+    /** The geometry's way count, which splits a line index. */
+    std::uint32_t ways() const { return numWays; }
+
     const crypto::FeistelPermutation &permutation() const { return perm; }
 
-    std::size_t errorCount() const { return points.size(); }
-    std::span<const std::uint32_t> errorSets() const
-    {
-        return points.sets();
-    }
-    std::span<const std::uint32_t> errorWays() const
-    {
-        return points.ways();
-    }
+    std::size_t errorCount() const { return lines.size(); }
+
+    /** The errors' logical line indices, ascending. */
+    std::span<const std::uint32_t> errorLines() const { return lines; }
 
   private:
     VddMv vdd;
+    std::uint32_t numWays; // Fills what would be padding after vdd.
     crypto::FeistelPermutation perm;
-    SortedPoints points;
+    std::vector<std::uint32_t> lines;
 };
 
 } // namespace authenticache::core

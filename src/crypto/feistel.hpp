@@ -27,8 +27,10 @@ namespace authenticache::crypto {
  * Keyed bijection over [0, domain). Both directions are O(rounds)
  * table lookups amortized; cycle walking visits out-of-range points of
  * the covering power-of-two domain but never more than a few in
- * expectation. The round table holds rounds * 2^halfBits 16-bit
- * values: 384 B at 1024 lines, 3 KB at 65 536 lines.
+ * expectation. The round table holds rounds * 2^halfBits values of
+ * halfBits bits each, one byte per value up to halfBits = 8 (every
+ * domain up to 65 536 lines) and two bytes above: 192 B at 1024
+ * lines, 1.5 KB at 65 536 lines.
  */
 class FeistelPermutation
 {
@@ -53,19 +55,22 @@ class FeistelPermutation
     std::uint64_t domain() const { return domainSize; }
 
   private:
-    std::uint64_t permuteOnce(std::uint64_t x) const;
-    std::uint64_t unpermuteOnce(std::uint64_t y) const;
-    std::uint64_t roundValue(unsigned round, std::uint64_t half) const
-    {
-        return table[(static_cast<std::uint64_t>(round) << halfBits) |
-                     half];
-    }
+    // Entry is the round table's entry type (std::uint8_t or
+    // std::uint16_t), fixed per permutation, so map and unmap choose
+    // it once per call rather than once per round.
+    template <typename Entry>
+    std::uint64_t mapWith(std::uint64_t x) const;
+    template <typename Entry>
+    std::uint64_t unmapWith(std::uint64_t y) const;
+    template <typename Entry>
+    std::uint64_t roundValue(unsigned round, std::uint64_t half) const;
 
     std::uint64_t domainSize;
     unsigned rounds;
     unsigned halfBits; // Bits per Feistel half of the covering domain.
-    // Masked SipHash round function, indexed (round << halfBits) | half.
-    std::vector<std::uint16_t> table;
+    // Masked SipHash round function, indexed (round << halfBits) | half:
+    // one byte per entry when halfBits <= 8, else two in host order.
+    std::vector<std::uint8_t> table;
 };
 
 } // namespace authenticache::crypto

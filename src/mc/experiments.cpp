@@ -49,10 +49,10 @@ struct Queries
     distancesOn(const core::ErrorPlane &plane) const
     {
         std::vector<std::uint32_t> d(sets.size());
-        core::nearestDistancesSoA(
-            plane.errorSets().data(), plane.errorWays().data(),
-            plane.errorCount(), sets.data(), ways.data(), sets.size(),
-            d.data(), util::simdLevel());
+        core::nearestDistancesLines(plane.errorLines(),
+                                    plane.geometry().ways(), sets.data(),
+                                    ways.data(), sets.size(), d.data(),
+                                    util::simdLevel());
         return d;
     }
 

@@ -259,6 +259,8 @@ decodeErrorMap(protocol::ByteReader &r)
     std::uint32_t levels = r.getU32();
     if (levels > 4096)
         throw protocol::DecodeError("too many map levels");
+    if (levels > 0 && map.geometry().lines() > core::kMaxPlaneLines)
+        throw protocol::DecodeError("geometry too large for a plane");
     for (std::uint32_t i = 0; i < levels; ++i) {
         core::VddMv level = r.getU32();
         std::uint64_t count = r.getU64();

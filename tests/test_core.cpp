@@ -93,8 +93,8 @@ namespace {
 
 /**
  * @p plane holds exactly @p want, in (set, way) order, in every view:
- * errors(), its operator[], the two coordinate spans, and equality
- * with the same points built in one bulk pass.
+ * errors(), its operator[], the line-index stream, and equality with
+ * the same points built in one bulk pass.
  */
 void
 expectPlaneHolds(const core::ErrorPlane &plane,
@@ -102,14 +102,13 @@ expectPlaneHolds(const core::ErrorPlane &plane,
 {
     const std::vector<sim::LinePoint> points(want.begin(), want.end());
     ASSERT_EQ(plane.errorCount(), points.size());
-    ASSERT_EQ(plane.errorSets().size(), points.size());
-    ASSERT_EQ(plane.errorWays().size(), points.size());
+    ASSERT_EQ(plane.errorLines().size(), points.size());
     EXPECT_TRUE(std::ranges::equal(plane.errors(), points));
     const auto errors = plane.errors();
     for (std::size_t i = 0; i < points.size(); ++i) {
         EXPECT_EQ(errors[i], points[i]);
-        EXPECT_EQ(plane.errorSets()[i], points[i].set);
-        EXPECT_EQ(plane.errorWays()[i], points[i].way);
+        EXPECT_EQ(plane.errorLines()[i],
+                  plane.geometry().lineIndex(points[i]));
     }
     core::ErrorPlane bulk(plane.geometry());
     bulk.addAll(points);
@@ -117,6 +116,29 @@ expectPlaneHolds(const core::ErrorPlane &plane,
 }
 
 } // namespace
+
+TEST(ErrorPlane, RejectsGeometryAboveTwoToThe32Lines)
+{
+    // A line index is 32 bits: 2^32 lines fit, 2^33 do not, whether
+    // the plane is built directly or through its map.
+    const sim::CacheGeometry fits(std::uint64_t{1} << 38, 64, 16);
+    ASSERT_EQ(fits.lines(), std::uint64_t{1} << 32);
+    core::ErrorPlane plane(fits);
+    const sim::LinePoint last = fits.pointOf(fits.lines() - 1);
+    plane.add(last);
+    plane.add({0, 0});
+    EXPECT_TRUE(plane.contains(last));
+    EXPECT_EQ(plane.errorLines().back(), 0xFFFFFFFFu);
+    EXPECT_TRUE(std::ranges::equal(
+        plane.errors(), std::vector<sim::LinePoint>{{0, 0}, last}));
+
+    const sim::CacheGeometry above(std::uint64_t{1} << 39, 64, 8);
+    ASSERT_EQ(above.lines(), std::uint64_t{1} << 33);
+    EXPECT_THROW(core::ErrorPlane{above}, std::invalid_argument);
+    core::ErrorMap map(above);
+    EXPECT_THROW(map.plane(700), std::invalid_argument);
+    EXPECT_FALSE(map.hasPlane(700));
+}
 
 /** Cache sizes of 1024 and 65 536 lines. */
 class ErrorPlaneOracle : public ::testing::TestWithParam<std::uint64_t>

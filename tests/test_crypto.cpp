@@ -220,8 +220,10 @@ TEST_P(FeistelGoldenVectors, MapAndUnmapMatchRecordedValues)
     // Recorded from the per-call SipHash round function. A round
     // table that still permutes but computes different values (wrong
     // round index, domain tweak or mask) fails here, where the
-    // bijection tests above would pass. 1000 and 5000 exercise cycle
-    // walking; 1024 and 65536 are exact powers of four.
+    // bijection tests above would pass. 1000, 5000 and 65537 exercise
+    // cycle walking; 1024, 65536 and 2^20 are exact powers of four.
+    // 65537 and 2^20 have 9- and 10-bit halves, so their round tables
+    // take two bytes per entry where the others take one.
     const FeistelGolden &g = GetParam();
     c::FeistelPermutation perm(
         c::SipHashKey{0x0706050403020100ull, 0x0F0E0D0C0B0A0908ull},
@@ -270,7 +272,29 @@ INSTANTIATE_TEST_SUITE_P(
             {32540, 14756, 65297, 24067, 4526,  63639, 32192, 35598,
              11845, 15821, 47973, 59079, 61241, 32075, 50550, 8084,
              11861, 46532, 18005, 56899, 33013, 55980, 27130, 19051,
-             12127, 9855,  62024, 16994, 8742,  36374, 23952, 16796}}),
+             12127, 9855,  62024, 16994, 8742,  36374, 23952, 16796}},
+        FeistelGolden{
+            65537,
+            {4913,  59212, 22759, 1044,  31001, 58852, 61470, 60247,
+             57062, 58523, 32884, 24743, 7106,  44286, 13856, 26893,
+             64038, 28864, 27473, 56097, 61859, 52661, 46629, 31062,
+             62355, 2303,  22586, 63778, 16831, 19482, 40868, 53479},
+            {60756, 51807, 23606, 36150, 27166, 43175, 59252, 3426,
+             1052,  7953,  16795, 19069, 60920, 19896, 47845, 40702,
+             8596,  14677, 13375, 40694, 58589, 50300, 23507, 31164,
+             51713, 12069, 8118,  25778, 28437, 25654, 39303, 37603}},
+        FeistelGolden{
+            1u << 20,
+            {203797, 746084, 551047, 997583,  614943, 161329, 722511,
+             619224, 15341,  841470, 619565,  401801, 307440, 458669,
+             502875, 1023468, 283575, 319196, 711973, 57298,  313755,
+             873736, 924500, 299077, 651386,  269897, 716993, 414404,
+             499181, 977917, 591064, 314399},
+            {956163, 980696, 658123, 573414,  356002, 920039, 647218,
+             974014, 1029884, 21567, 578155,  742453, 266477, 150091,
+             531841, 911214, 143206, 164681,  207031, 761805, 264884,
+             757084, 573986, 960075, 212541,  41897,  461169, 679563,
+             863262, 976308, 446945, 99292}}),
     [](const ::testing::TestParamInfo<FeistelGolden> &param) {
         return "Domain" + std::to_string(param.param.domain);
     });

@@ -4,9 +4,10 @@
  * stores each device's error map instead of a CRP table because the
  * map is compact (paper Sec 2.1, 4.2), so these hold that compactness
  * to a ratcheted ceiling: glibc mallinfo2() in-use bytes, averaged
- * over many records of one challenge level at 1024 lines with 40
- * errors. The cases need glibc's allocator and skip under a
- * sanitizer, whose allocator glibc's counters do not see.
+ * over many records of one challenge level with 40 errors, at 1024
+ * lines and, for the keyed view, also at the shipped configs' 65 536.
+ * The cases need glibc's allocator and skip under a sanitizer, whose
+ * allocator glibc's counters do not see.
  */
 
 #include <cstddef>
@@ -44,6 +45,7 @@ constexpr std::size_t kRecords = 20000;
 constexpr std::size_t kErrors = 40;
 constexpr core::VddMv kLevel = 700;
 const core::CacheGeometry kGeom(64 * 1024); // 1024 lines.
+const core::CacheGeometry kShipped(4 * 1024 * 1024); // 65 536 lines.
 
 /** Heap bytes in use, or 0 where mallinfo2 is unavailable. */
 std::size_t
@@ -83,19 +85,38 @@ class RecordFootprint : public ::testing::Test
 
     /** kRecords records of one level, each with its own map. */
     static std::vector<srv::DeviceRecord>
-    makeRecords()
+    makeRecords(const core::CacheGeometry &geom = kGeom)
     {
         std::vector<srv::DeviceRecord> records;
         records.reserve(kRecords);
         for (std::size_t id = 0; id < kRecords; ++id) {
             Rng rng = Rng::forStream(0xF007, id);
             records.emplace_back(
-                id, authenticache::mc::randomErrorMap(kGeom, kLevel,
+                id, authenticache::mc::randomErrorMap(geom, kLevel,
                                                       kErrors, rng),
                 std::vector<core::VddMv>{kLevel},
                 std::vector<core::VddMv>{});
         }
         return records;
+    }
+
+    /**
+     * Heap bytes per record of a keyed view of @p records' level. The
+     * stream exists already; the rotation drops nothing built yet, so
+     * the next challenge's bytes are the level's view and its slot.
+     */
+    std::size_t
+    keyedViewBytes(std::vector<srv::DeviceRecord> &records)
+    {
+        for (auto &record : records)
+            gen.generate(record, kLevel, 128);
+        for (auto &record : records)
+            record.setMapKey(
+                crypto::Key256::fromDigest(crypto::Sha256::hash(
+                    "footprint-" + std::to_string(record.deviceId()))));
+        return bytesPerRecord(records, [&](auto &record) {
+            gen.generate(record, kLevel, 128);
+        });
     }
 
     srv::ChallengeGenerator gen{Rng(1)};
@@ -117,7 +138,7 @@ TEST_F(RecordFootprint, EnrolledRecord)
     }
     const std::size_t per = (heapInUse() - before) / kRecords;
     RecordProperty("bytes_per_record", static_cast<int>(per));
-    EXPECT_LE(per, 800u);
+    EXPECT_LE(per, 590u);
 }
 
 TEST_F(RecordFootprint, IdentityKeyFirstChallenge)
@@ -134,17 +155,18 @@ TEST_F(RecordFootprint, IdentityKeyFirstChallenge)
 
 TEST_F(RecordFootprint, KeyedLogicalView)
 {
-    // The stream exists already; the rotation drops nothing built yet,
-    // so the next challenge's bytes are the level's view and its slot.
     auto records = makeRecords();
-    for (auto &record : records)
-        gen.generate(record, kLevel, 128);
-    for (auto &record : records)
-        record.setMapKey(crypto::Key256::fromDigest(crypto::Sha256::hash(
-            "footprint-" + std::to_string(record.deviceId()))));
-    const std::size_t per = bytesPerRecord(records, [&](auto &record) {
-        gen.generate(record, kLevel, 128);
-    });
+    const std::size_t per = keyedViewBytes(records);
     RecordProperty("bytes_per_record", static_cast<int>(per));
-    EXPECT_LE(per, 900u);
+    EXPECT_LE(per, 560u);
+}
+
+TEST_F(RecordFootprint, KeyedLogicalViewShippedGeometry)
+{
+    // At 65 536 lines the round table (6 rounds x 256 one-byte
+    // entries) is most of the view.
+    auto records = makeRecords(kShipped);
+    const std::size_t per = keyedViewBytes(records);
+    RecordProperty("bytes_per_record", static_cast<int>(per));
+    EXPECT_LE(per, 2040u);
 }

@@ -16,17 +16,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "core/challenge.hpp"
 #include "core/nearest.hpp"
 #include "core/nearest_scan.hpp"
+#include "core/remap.hpp"
+#include "crypto/key.hpp"
+#include "crypto/sha256.hpp"
 #include "mc/mapgen.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
 namespace core = authenticache::core;
 namespace sim = authenticache::sim;
+namespace crypto = authenticache::crypto;
 namespace mc = authenticache::mc;
 namespace util = authenticache::util;
 using authenticache::util::Rng;
@@ -68,10 +74,10 @@ kernelDistances(const core::ErrorPlane &plane,
         qw.push_back(q.way);
     }
     std::vector<std::uint32_t> out(queries.size(), 0xDEADBEEFu);
-    core::nearestDistancesSoA(plane.errorSets().data(),
-                              plane.errorWays().data(),
-                              plane.errorCount(), qs.data(), qw.data(),
-                              queries.size(), out.data(), level);
+    core::nearestDistancesLines(plane.errorLines(),
+                                plane.geometry().ways(), qs.data(),
+                                qw.data(), queries.size(), out.data(),
+                                level);
     return out;
 }
 
@@ -381,6 +387,29 @@ TEST(NearestScan, DistancesKernelUnsortedWideStreamFallsBackToScalar)
     }
 }
 
+namespace {
+
+/** Eq 8 over nearestErrorBrute distances on @p map. */
+core::Response
+bruteResponse(const core::ErrorMap &map, const core::Challenge &challenge)
+{
+    auto distance = [&](const core::ChallengePoint &p) {
+        if (!map.hasPlane(p.vddMv))
+            return core::kInfiniteDistance;
+        auto r = core::nearestErrorBrute(map.plane(p.vddMv), p.line);
+        return r.found ? r.distance : core::kInfiniteDistance;
+    };
+    core::Response response(challenge.size());
+    for (std::size_t i = 0; i < challenge.size(); ++i) {
+        response.set(i, core::responseBitFromDistances(
+                            distance(challenge.bits[i].a),
+                            distance(challenge.bits[i].b)));
+    }
+    return response;
+}
+
+} // namespace
+
 TEST(NearestScan, EvaluateMatchesBruteAtEveryWidth)
 {
     // core::evaluate at each width against Eq 8 over brute distances,
@@ -394,13 +423,6 @@ TEST(NearestScan, EvaluateMatchesBruteAtEveryWidth)
     map.plane(720);
     const std::vector<core::VddMv> levels = {700, 710, 720, 730};
 
-    auto bruteDistance = [&](const core::ChallengePoint &p) {
-        if (!map.hasPlane(p.vddMv))
-            return core::kInfiniteDistance;
-        auto r = core::nearestErrorBrute(map.plane(p.vddMv), p.line);
-        return r.found ? r.distance : core::kInfiniteDistance;
-    };
-
     for (int round = 0; round < 24; ++round) {
         const std::size_t bits = 1 + rng.nextBelow(130);
         core::Challenge challenge =
@@ -411,12 +433,7 @@ TEST(NearestScan, EvaluateMatchesBruteAtEveryWidth)
                 bit.b.vddMv = levels[rng.nextBelow(levels.size())];
             }
         }
-        core::Response want(bits);
-        for (std::size_t i = 0; i < bits; ++i) {
-            want.set(i, core::responseBitFromDistances(
-                            bruteDistance(challenge.bits[i].a),
-                            bruteDistance(challenge.bits[i].b)));
-        }
+        const core::Response want = bruteResponse(map, challenge);
         for (util::SimdLevel level : util::supportedSimdLevels()) {
             EXPECT_EQ(core::evaluate(map, challenge, level), want)
                 << "@" << util::simdLevelName(level) << " round "
@@ -425,3 +442,78 @@ TEST(NearestScan, EvaluateMatchesBruteAtEveryWidth)
         EXPECT_EQ(core::evaluate(map, challenge), want);
     }
 }
+
+namespace {
+
+/**
+ * The line-index stream's edges: a way count that is not a power of
+ * two (the split divides), and the full 2^32-line domain, whose last
+ * line index is 0xFFFFFFFF and whose Feistel round table is two bytes
+ * per entry.
+ */
+struct LineStreamCase
+{
+    const char *name;
+    sim::CacheGeometry geom;
+};
+
+void
+PrintTo(const LineStreamCase &c, std::ostream *os)
+{
+    *os << c.geom.describe();
+}
+
+} // namespace
+
+class NearestScanLineStream : public ::testing::TestWithParam<LineStreamCase>
+{
+};
+
+TEST_P(NearestScanLineStream, EvaluateMatchesBrute)
+{
+    // Physical planes through evaluate at every width, and the keyed
+    // logical view through evaluate over LogicalPlane, each against
+    // Eq 8 over brute distances on the same (mapped) errors.
+    const sim::CacheGeometry &geom = GetParam().geom;
+    Rng rng(geom.lines() ^ geom.ways());
+    core::ErrorMap map = mc::randomErrorMap(geom, 700, 40, rng);
+    map.plane(700).add(geom.pointOf(geom.lines() - 1));
+    map.plane(700).add({0, 0});
+    const crypto::Key256 key = crypto::Key256::fromDigest(
+        crypto::Sha256::hash("line-stream-" + geom.describe()));
+    const core::LogicalPlane view(key, map, 700);
+    const core::LogicalPlane *views[] = {&view};
+    const core::ErrorMap logical =
+        core::LogicalRemap(key, geom).mapErrorMap(map);
+    EXPECT_TRUE(std::ranges::equal(view.errorLines(),
+                                   logical.plane(700).errorLines()));
+
+    for (int round = 0; round < 6; ++round) {
+        const std::size_t bits = 1 + rng.nextBelow(130);
+        core::Challenge challenge =
+            core::randomChallenge(geom, 700, bits, rng);
+        // Both corner lines, each an error of the physical plane.
+        challenge.bits[0].a.line = {0, 0};
+        challenge.bits[0].b.line = geom.pointOf(geom.lines() - 1);
+        const core::Response want = bruteResponse(map, challenge);
+        for (util::SimdLevel level : util::supportedSimdLevels()) {
+            EXPECT_EQ(core::evaluate(map, challenge, level), want)
+                << "@" << util::simdLevelName(level) << " round "
+                << round;
+        }
+        EXPECT_EQ(core::evaluate(views, challenge),
+                  bruteResponse(logical, challenge))
+            << "round " << round;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, NearestScanLineStream,
+    ::testing::Values(
+        LineStreamCase{"TwelveWays",
+                       sim::CacheGeometry(256 * 12 * 64, 64, 12)},
+        LineStreamCase{"TwoToThe32Lines",
+                       sim::CacheGeometry(std::uint64_t{1} << 38, 64, 16)}),
+    [](const ::testing::TestParamInfo<LineStreamCase> &param) {
+        return std::string(param.param.name);
+    });

@@ -115,6 +115,21 @@ TEST(Storage, ErrorMapRejectsOutOfRangeError)
     EXPECT_THROW(srv::decodeErrorMap(r), proto::DecodeError);
 }
 
+TEST(Storage, ErrorMapRejectsPlaneAboveTwoToThe32Lines)
+{
+    // 2^33 lines: a valid geometry, but no plane stores its 32-bit
+    // line indices, so a map with a level there does not decode.
+    proto::ByteWriter w;
+    w.putU64(std::uint64_t{1} << 39);
+    w.putU32(64);
+    w.putU32(8);
+    w.putU32(1);   // One plane.
+    w.putU32(700); // Level.
+    w.putU64(0);   // No errors.
+    proto::ByteReader r(w.bytes());
+    EXPECT_THROW(srv::decodeErrorMap(r), proto::DecodeError);
+}
+
 TEST(Storage, DeviceRecordRoundTrip)
 {
     auto record = sampleRecord(42, 7);
