@@ -164,14 +164,18 @@ struct SuiteResult
 // ---------------------------------------------------------------
 
 /**
- * The scalar primitives, the same code at every dispatch width: the
- * frame codec (the wire encode and the client-side decode --
- * WireDecoder + decodeMessage -- of the 128-bit ChallengeMsg the
- * server sends per auth, and CRC-32 over 4 KiB), SipHash-2-4 of a u64
- * (the Feistel round function), SHA-256 of 1 KiB, and
- * FeistelPermutation::map over a 2^19-entry domain. Each sample times
- * one batch of a primitive over the same inputs, and every batch is
- * checked, which also keeps its results live.
+ * The frame codec and the hash primitives: the wire encode and the
+ * client-side decode (WireDecoder + decodeMessage) of the 128-bit
+ * ChallengeMsg the server sends per auth, at the dispatch level's
+ * CRC-32; CRC-32 over 4 KiB, SipHash-2-4 of a u64 (the Feistel round
+ * function), SHA-256 of 1 KiB, and FeistelPermutation::map over a
+ * 2^19-entry domain, each on the portable path ("scalar"); then the
+ * hardware paths of CRC-32 and SHA-256 ("avx2", where the CPU has
+ * them) and the 65 536-line Feistel round table (1 536 SipHash
+ * entries, a keyed view's construction at the shipped geometry) on
+ * each path. Each sample times one batch of a primitive over the same
+ * inputs, and every batch is checked, which also keeps its results
+ * live.
  */
 void
 runScalarPrimitives(const core::CacheGeometry &geom, core::VddMv level_mv,
@@ -205,19 +209,47 @@ runScalarPrimitives(const core::CacheGeometry &geom, core::VddMv level_mv,
     struct Primitive
     {
         const char *name;
+        util::SimdLevel level;
         std::uint64_t opsPerSample;
         std::function<std::uint64_t()> batch;
         std::vector<double> ns = {};
     };
-    Primitive primitives[] = {
-        {"challenge_wire_encode_128bit", kBatch,
+    const auto crc = [&](util::SimdLevel level) {
+        return [&block, level] {
+            std::uint64_t acc = 0;
+            for (std::uint64_t i = 0; i < kBatch; ++i)
+                acc += util::crc32Update(0, block, level);
+            return acc;
+        };
+    };
+    const auto sha = [&](util::SimdLevel level) {
+        return [&kib, level] {
+            std::uint64_t acc = 0;
+            for (std::uint64_t i = 0; i < kBatch / 8; ++i)
+                acc += crypto::Sha256::hash(kib, level)[i];
+            return acc;
+        };
+    };
+    const auto feistelTable = [&](util::SimdLevel level) {
+        return [&key, level] {
+            std::uint64_t acc = 0;
+            for (std::uint64_t i = 0; i < kBatch / 8; ++i)
+                acc += crypto::FeistelPermutation(key, 65536, 6, level)
+                           .roundTable()[i];
+            return acc;
+        };
+    };
+    constexpr auto kScalar = util::SimdLevel::Scalar;
+    constexpr auto kAvx2 = util::SimdLevel::Avx2;
+    std::vector<Primitive> primitives = {
+        {"challenge_wire_encode_128bit", kScalar, kBatch,
          [&] {
              std::uint64_t acc = 0;
              for (std::uint64_t i = 0; i < kBatch; ++i)
                  acc += net::encodeWireMessage(1, msg) == frame;
              return acc;
          }},
-        {"challenge_wire_decode_128bit", kBatch,
+        {"challenge_wire_decode_128bit", kScalar, kBatch,
          [&] {
              std::uint64_t acc = 0;
              for (std::uint64_t i = 0; i < kBatch; ++i)
@@ -225,62 +257,73 @@ runScalarPrimitives(const core::CacheGeometry &geom, core::VddMv level_mv,
                             .nonce == msg.nonce;
              return acc;
          }},
-        {"crc32_4kib", kBatch,
-         [&] {
-             std::uint64_t acc = 0;
-             for (std::uint64_t i = 0; i < kBatch; ++i)
-                 acc += util::crc32(block);
-             return acc;
-         }},
-        {"siphash24_u64", kBatch,
+        {"crc32_4kib", kScalar, kBatch, crc(kScalar)},
+        {"siphash24_u64", kScalar, kBatch,
          [&] {
              std::uint64_t acc = 0;
              for (std::uint64_t w = 0; w < kBatch; ++w)
                  acc ^= crypto::siphash24(key, w);
              return acc;
          }},
-        {"sha256_1kib", kBatch / 8,
-         [&] {
-             std::uint64_t acc = 0;
-             for (std::uint64_t i = 0; i < kBatch / 8; ++i)
-                 acc += crypto::Sha256::hash(kib)[i];
-             return acc;
-         }},
-        {"feistel_map", kBatch,
+        {"sha256_1kib", kScalar, kBatch / 8, sha(kScalar)},
+        {"feistel_map", kScalar, kBatch,
          [&] {
              std::uint64_t acc = 0;
              for (std::uint64_t x = 0; x < kBatch; ++x)
                  acc ^= perm.map(x);
              return acc;
          }},
+        {"feistel_table_65536", kScalar, kBatch / 8,
+         feistelTable(kScalar)},
     };
+    if (util::detectedSimdLevel() >= kAvx2) {
+        if (util::cpuHasPclmul())
+            primitives.push_back({"crc32_4kib", kAvx2, kBatch, crc(kAvx2)});
+        if (util::cpuHasSha())
+            primitives.push_back(
+                {"sha256_1kib", kAvx2, kBatch / 8, sha(kAvx2)});
+        primitives.push_back({"feistel_table_65536", kAvx2, kBatch / 8,
+                              feistelTable(kAvx2)});
+    }
 
+    // A primitive's paths must agree with each other too.
     std::vector<std::uint64_t> want;
-    for (Primitive &p : primitives)
+    for (Primitive &p : primitives) {
         want.push_back(p.batch());
-    // The codec and the hash primitives are sampled as two groups:
-    // interleaving the codec's allocations with the Feistel map
-    // measured up to 2x its time.
+        for (std::size_t j = 0; j + 1 < want.size(); ++j) {
+            if (std::strcmp(primitives[j].name, p.name) == 0 &&
+                want[j] != want.back()) {
+                std::cerr << "FAIL: " << p.name << " ["
+                          << util::simdLevelName(p.level)
+                          << "] differs from its portable path\n";
+                std::exit(1);
+            }
+        }
+    }
+    // The codec, the portable hashes and the remaining paths are
+    // sampled as three groups: interleaving the codec's allocations
+    // with the Feistel map measured up to 2x its time.
     constexpr std::size_t kSamples = 400;
-    for (auto [lo, hi] : {std::pair{0, 3}, std::pair{3, 6}}) {
+    for (auto [lo, hi] : {std::pair<std::size_t, std::size_t>{0, 3},
+                          {3, 6}, {6, primitives.size()}}) {
         for (std::size_t s = 0; s < kSamples; ++s) {
-            for (int i = lo; i < hi; ++i) {
+            for (std::size_t i = lo; i < hi; ++i) {
                 Primitive &p = primitives[i];
                 const auto t0 = Clock::now();
                 const std::uint64_t got = p.batch();
                 p.ns.push_back(nsSince(t0));
                 if (got != want[i]) {
-                    std::cerr << "FAIL: " << p.name << " diverged\n";
+                    std::cerr << "FAIL: " << p.name << " ["
+                              << util::simdLevelName(p.level)
+                              << "] diverged\n";
                     std::exit(1);
                 }
             }
         }
     }
-    const std::string scalar =
-        util::simdLevelName(util::SimdLevel::Scalar);
     for (Primitive &p : primitives)
-        series.push_back(makeSeries(p.name, scalar, p.opsPerSample,
-                                    std::move(p.ns)));
+        series.push_back(makeSeries(p.name, util::simdLevelName(p.level),
+                                    p.opsPerSample, std::move(p.ns)));
 }
 
 /**

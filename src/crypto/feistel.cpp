@@ -1,5 +1,7 @@
 #include "crypto/feistel.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -9,6 +11,14 @@ namespace authenticache::crypto {
 FeistelPermutation::FeistelPermutation(const SipHashKey &key,
                                        std::uint64_t domain,
                                        unsigned rounds_)
+    : FeistelPermutation(key, domain, rounds_, util::simdLevel())
+{
+}
+
+FeistelPermutation::FeistelPermutation(const SipHashKey &key,
+                                       std::uint64_t domain,
+                                       unsigned rounds_,
+                                       util::SimdLevel level)
     : domainSize(domain), rounds(rounds_)
 {
     assert(domain >= 2);
@@ -23,23 +33,34 @@ FeistelPermutation::FeistelPermutation(const SipHashKey &key,
         bits += 2;
     halfBits = bits / 2;
 
-    // Domain-separate rounds by folding the round index into the input.
-    // Writing round-major fills index (round << halfBits) | half.
+    // Domain-separate rounds by folding the round index into the input:
+    // entry (round << halfBits) | half is the SipHash of
+    // (round << 56) ^ (domain << 32) ^ half. The low 32 bits of the
+    // first two terms are zero, so a round's inputs are one run of
+    // consecutive words, hashed a chunk at a time.
     const std::uint64_t halves = 1ull << halfBits;
     const std::size_t width = halfBits <= 8 ? 1 : 2;
     table.resize(rounds * halves * width);
     std::uint8_t *out = table.data();
+    std::array<std::uint64_t, 256> hashes;
     for (unsigned r = 0; r < rounds; ++r) {
-        for (std::uint64_t half = 0; half < halves; ++half) {
-            std::uint64_t input = (static_cast<std::uint64_t>(r) << 56) ^
-                                  (domainSize << 32) ^ half;
-            const auto value = static_cast<std::uint16_t>(
-                siphash24(key, input) & (halves - 1));
-            if (width == 1)
-                *out = static_cast<std::uint8_t>(value);
-            else
-                std::memcpy(out, &value, sizeof value);
-            out += width;
+        const std::uint64_t base =
+            (static_cast<std::uint64_t>(r) << 56) ^ (domainSize << 32);
+        for (std::uint64_t half = 0; half < halves;
+             half += hashes.size()) {
+            const std::span<std::uint64_t> chunk(
+                hashes.data(), std::min<std::uint64_t>(hashes.size(),
+                                                       halves - half));
+            siphash24Words(key, base + half, chunk, level);
+            for (std::uint64_t h : chunk) {
+                const auto value =
+                    static_cast<std::uint16_t>(h & (halves - 1));
+                if (width == 1)
+                    *out = static_cast<std::uint8_t>(value);
+                else
+                    std::memcpy(out, &value, sizeof value);
+                out += width;
+            }
         }
     }
 }

@@ -17,9 +17,11 @@
 #define AUTH_CRYPTO_FEISTEL_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "crypto/siphash.hpp"
+#include "util/simd.hpp"
 
 namespace authenticache::crypto {
 
@@ -46,6 +48,13 @@ class FeistelPermutation
     FeistelPermutation(const SipHashKey &key, std::uint64_t domain,
                        unsigned rounds = 6);
 
+    /**
+     * The same permutation with its round table filled at a pinned
+     * path (see siphash24Words); the table is the same at every level.
+     */
+    FeistelPermutation(const SipHashKey &key, std::uint64_t domain,
+                       unsigned rounds, util::SimdLevel level);
+
     /** Forward mapping (physical -> logical). */
     std::uint64_t map(std::uint64_t x) const;
 
@@ -53,6 +62,9 @@ class FeistelPermutation
     std::uint64_t unmap(std::uint64_t y) const;
 
     std::uint64_t domain() const { return domainSize; }
+
+    /** The round table's bytes, for comparing construction paths. */
+    std::span<const std::uint8_t> roundTable() const { return table; }
 
   private:
     // Entry is the round table's entry type (std::uint8_t or

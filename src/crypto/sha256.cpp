@@ -1,7 +1,15 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define AUTH_SIMD_X86 1
+#include <immintrin.h>
+#else
+#define AUTH_SIMD_X86 0
+#endif
 
 namespace authenticache::crypto {
 
@@ -28,13 +36,105 @@ rotr(std::uint32_t x, int n)
     return (x >> n) | (x << (32 - n));
 }
 
+#if AUTH_SIMD_X86
+
+/**
+ * The compression on the SHA extensions. The state lives in two
+ * registers in the instructions' order, ABEF and CDGH. Each group of
+ * four rounds adds the round constants to four message words and runs
+ * two SHA256RNDS2; message words 16..63 come from the previous
+ * sixteen by SHA256MSG1 (two groups ahead) and SHA256MSG2.
+ */
+__attribute__((target("sha,sse4.1"))) void
+compressShaNi(std::array<std::uint32_t, 8> &state,
+              const std::uint8_t *block, std::size_t count)
+{
+    const auto *k = reinterpret_cast<const __m128i *>(kRound.data());
+    const __m128i bswap =
+        _mm_set_epi64x(0x0c0d0e0f08090a0bll, 0x0405060700010203ll);
+    const __m128i dcba =
+        _mm_shuffle_epi32(_mm_loadu_si128(
+                              reinterpret_cast<__m128i *>(&state[0])),
+                          0xB1);
+    const __m128i efgh = _mm_shuffle_epi32(
+        _mm_loadu_si128(reinterpret_cast<__m128i *>(&state[4])), 0x1B);
+    __m128i abef = _mm_alignr_epi8(dcba, efgh, 8);
+    __m128i cdgh = _mm_blend_epi16(efgh, dcba, 0xF0);
+
+    for (; count > 0; --count, block += 64) {
+        const __m128i abef0 = abef;
+        const __m128i cdgh0 = cdgh;
+        __m128i w[4];
+        for (int i = 0; i < 4; ++i)
+            w[i] = _mm_shuffle_epi8(
+                _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(block + 16 * i)),
+                bswap);
+#pragma GCC unroll 16
+        for (int g = 0; g < 16; ++g) {
+            __m128i wk = _mm_add_epi32(w[g % 4], _mm_loadu_si128(k + g));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            if (g >= 3 && g <= 14) {
+                __m128i &next = w[(g + 1) % 4];
+                next = _mm_add_epi32(
+                    next, _mm_alignr_epi8(w[g % 4], w[(g + 3) % 4], 4));
+                next = _mm_sha256msg2_epu32(next, w[g % 4]);
+            }
+            wk = _mm_shuffle_epi32(wk, 0x0E);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+            if (g >= 1 && g <= 12)
+                w[(g + 3) % 4] =
+                    _mm_sha256msg1_epu32(w[(g + 3) % 4], w[g % 4]);
+        }
+        abef = _mm_add_epi32(abef, abef0);
+        cdgh = _mm_add_epi32(cdgh, cdgh0);
+    }
+
+    const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+    const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(&state[0]),
+                     _mm_blend_epi16(feba, dchg, 0xF0));
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(&state[4]),
+                     _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif // AUTH_SIMD_X86
+
+bool
+useShaNi(util::SimdLevel level)
+{
+#if AUTH_SIMD_X86
+    return std::min(level, util::detectedSimdLevel()) ==
+               util::SimdLevel::Avx2 &&
+           util::cpuHasSha();
+#else
+    (void)level;
+    return false;
+#endif
+}
+
 } // namespace
 
-Sha256::Sha256()
+Sha256::Sha256() : Sha256(util::simdLevel()) {}
+
+Sha256::Sha256(util::SimdLevel level)
     : state{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f,
             0x9b05688c, 0x1f83d9ab, 0x5be0cd19},
-      buffer{}
+      buffer{}, shaNi(useShaNi(level))
 {
+}
+
+void
+Sha256::compress(const std::uint8_t *blocks, std::size_t count)
+{
+#if AUTH_SIMD_X86
+    if (shaNi) {
+        compressShaNi(state, blocks, count);
+        return;
+    }
+#endif
+    for (; count > 0; --count, blocks += 64)
+        processBlock(blocks);
 }
 
 void
@@ -50,13 +150,14 @@ Sha256::update(std::span<const std::uint8_t> data)
         bufferLen += take;
         offset = take;
         if (bufferLen == 64) {
-            processBlock(buffer.data());
+            compress(buffer.data(), 1);
             bufferLen = 0;
         }
     }
-    while (offset + 64 <= data.size()) {
-        processBlock(data.data() + offset);
-        offset += 64;
+    const std::size_t whole = (data.size() - offset) / 64;
+    if (whole > 0) {
+        compress(data.data() + offset, whole);
+        offset += 64 * whole;
     }
     if (offset < data.size()) {
         std::memcpy(buffer.data(), data.data() + offset,
@@ -76,18 +177,20 @@ Digest256
 Sha256::finalize()
 {
     assert(!finalized);
+    finalized = true;
 
-    std::uint64_t bit_len = totalLen * 8;
-    std::uint8_t pad = 0x80;
-    update({&pad, 1});
-    std::uint8_t zero = 0x00;
-    while (bufferLen != 56)
-        update({&zero, 1});
-    std::array<std::uint8_t, 8> len_be;
+    // 0x80, zeros, then the 64-bit big-endian bit length, ending on a
+    // block boundary: one block, or two when fewer than 9 bytes are
+    // left in this one.
+    const std::uint64_t bit_len = totalLen * 8;
+    std::array<std::uint8_t, 128> tail{};
+    std::memcpy(tail.data(), buffer.data(), bufferLen);
+    tail[bufferLen] = 0x80;
+    const std::size_t blocks = bufferLen < 56 ? 1 : 2;
+    std::uint8_t *len_be = tail.data() + 64 * blocks - 8;
     for (int i = 0; i < 8; ++i)
         len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-    update(len_be);
-    finalized = true;
+    compress(tail.data(), blocks);
 
     Digest256 digest;
     for (int i = 0; i < 8; ++i) {
@@ -148,7 +251,13 @@ Sha256::processBlock(const std::uint8_t *block)
 Digest256
 Sha256::hash(std::span<const std::uint8_t> data)
 {
-    Sha256 hasher;
+    return hash(data, util::simdLevel());
+}
+
+Digest256
+Sha256::hash(std::span<const std::uint8_t> data, util::SimdLevel level)
+{
+    Sha256 hasher(level);
     hasher.update(data);
     return hasher.finalize();
 }
@@ -165,9 +274,16 @@ Digest256
 hmacSha256(std::span<const std::uint8_t> key,
            std::span<const std::uint8_t> message)
 {
+    return hmacSha256(key, message, util::simdLevel());
+}
+
+Digest256
+hmacSha256(std::span<const std::uint8_t> key,
+           std::span<const std::uint8_t> message, util::SimdLevel level)
+{
     std::array<std::uint8_t, 64> k_block{};
     if (key.size() > 64) {
-        Digest256 kd = Sha256::hash(key);
+        Digest256 kd = Sha256::hash(key, level);
         std::memcpy(k_block.data(), kd.data(), kd.size());
     } else {
         std::memcpy(k_block.data(), key.data(), key.size());
@@ -180,12 +296,12 @@ hmacSha256(std::span<const std::uint8_t> key,
         opad[i] = static_cast<std::uint8_t>(k_block[i] ^ 0x5c);
     }
 
-    Sha256 inner;
+    Sha256 inner(level);
     inner.update(ipad);
     inner.update(message);
     Digest256 inner_digest = inner.finalize();
 
-    Sha256 outer;
+    Sha256 outer(level);
     outer.update(opad);
     outer.update(inner_digest);
     return outer.finalize();

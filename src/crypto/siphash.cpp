@@ -1,6 +1,14 @@
 #include "crypto/siphash.hpp"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define AUTH_SIMD_X86 1
+#include <immintrin.h>
+#else
+#define AUTH_SIMD_X86 0
+#endif
 
 namespace authenticache::crypto {
 
@@ -43,6 +51,109 @@ readLe64(const std::uint8_t *p)
     std::memcpy(&v, p, 8);
     return v; // Little-endian host assumed (x86/ARM little-endian).
 }
+
+#if AUTH_SIMD_X86
+
+/** Four SipHash states, one per 64-bit lane. */
+struct SipLanes
+{
+    __m256i v0, v1, v2, v3;
+};
+
+template <int B>
+__attribute__((target("avx2"))) inline __m256i
+rotl4(__m256i x)
+{
+    if constexpr (B == 32)
+        return _mm256_shuffle_epi32(x, 0xB1);
+    else if constexpr (B == 16)
+        // Each lane's bytes move up two places.
+        return _mm256_shuffle_epi8(
+            x, _mm256_setr_epi8(6, 7, 0, 1, 2, 3, 4, 5, 14, 15, 8, 9, 10,
+                                11, 12, 13, 6, 7, 0, 1, 2, 3, 4, 5, 14,
+                                15, 8, 9, 10, 11, 12, 13));
+    else
+        return _mm256_or_si256(_mm256_slli_epi64(x, B),
+                               _mm256_srli_epi64(x, 64 - B));
+}
+
+/** SipState::round on four lanes at once. */
+__attribute__((target("avx2"))) inline void
+sipRound(SipLanes &s)
+{
+    s.v0 = _mm256_add_epi64(s.v0, s.v1);
+    s.v1 = _mm256_xor_si256(rotl4<13>(s.v1), s.v0);
+    s.v0 = rotl4<32>(s.v0);
+    s.v2 = _mm256_add_epi64(s.v2, s.v3);
+    s.v3 = _mm256_xor_si256(rotl4<16>(s.v3), s.v2);
+    s.v0 = _mm256_add_epi64(s.v0, s.v3);
+    s.v3 = _mm256_xor_si256(rotl4<21>(s.v3), s.v0);
+    s.v2 = _mm256_add_epi64(s.v2, s.v1);
+    s.v1 = _mm256_xor_si256(rotl4<17>(s.v1), s.v2);
+    s.v2 = rotl4<32>(s.v2);
+}
+
+/**
+ * siphash24Words over a multiple of eight words: two SipLanes per
+ * step, each running siphash24(key, word) on its four words (one
+ * 8-byte block, then the length block 8 << 56, then finalization).
+ */
+__attribute__((target("avx2"))) void
+siphashWordsAvx2(const SipHashKey &key, std::uint64_t first,
+                 std::uint64_t *out, std::size_t count)
+{
+    const auto k0 = static_cast<long long>(key.k0);
+    const auto k1 = static_cast<long long>(key.k1);
+    const SipLanes init{
+        _mm256_set1_epi64x(k0 ^ 0x736f6d6570736575ll),
+        _mm256_set1_epi64x(k1 ^ 0x646f72616e646f6dll),
+        _mm256_set1_epi64x(k0 ^ 0x6c7967656e657261ll),
+        _mm256_set1_epi64x(k1 ^ 0x7465646279746573ll),
+    };
+    const __m256i last = _mm256_set1_epi64x(8ll << 56);
+    const __m256i ff = _mm256_set1_epi64x(0xFF);
+    const __m256i step = _mm256_set1_epi64x(8);
+    __m256i ma = _mm256_add_epi64(_mm256_set1_epi64x(
+                                      static_cast<long long>(first)),
+                                  _mm256_setr_epi64x(0, 1, 2, 3));
+    __m256i mb = _mm256_add_epi64(ma, _mm256_set1_epi64x(4));
+    for (std::size_t i = 0; i < count; i += 8) {
+        SipLanes a = init;
+        SipLanes b = init;
+        a.v3 = _mm256_xor_si256(a.v3, ma);
+        b.v3 = _mm256_xor_si256(b.v3, mb);
+        sipRound(a);
+        sipRound(b);
+        sipRound(a);
+        sipRound(b);
+        a.v0 = _mm256_xor_si256(a.v0, ma);
+        b.v0 = _mm256_xor_si256(b.v0, mb);
+        a.v3 = _mm256_xor_si256(a.v3, last);
+        b.v3 = _mm256_xor_si256(b.v3, last);
+        sipRound(a);
+        sipRound(b);
+        sipRound(a);
+        sipRound(b);
+        a.v0 = _mm256_xor_si256(a.v0, last);
+        b.v0 = _mm256_xor_si256(b.v0, last);
+        a.v2 = _mm256_xor_si256(a.v2, ff);
+        b.v2 = _mm256_xor_si256(b.v2, ff);
+        for (int r = 0; r < 4; ++r) {
+            sipRound(a);
+            sipRound(b);
+        }
+        const __m256i ha = _mm256_xor_si256(_mm256_xor_si256(a.v0, a.v1),
+                                            _mm256_xor_si256(a.v2, a.v3));
+        const __m256i hb = _mm256_xor_si256(_mm256_xor_si256(b.v0, b.v1),
+                                            _mm256_xor_si256(b.v2, b.v3));
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + i), ha);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + i + 4), hb);
+        ma = _mm256_add_epi64(ma, step);
+        mb = _mm256_add_epi64(mb, step);
+    }
+}
+
+#endif // AUTH_SIMD_X86
 
 } // namespace
 
@@ -105,6 +216,24 @@ siphash24(const SipHashKey &key, std::uint64_t word)
     std::array<std::uint8_t, 8> bytes;
     std::memcpy(bytes.data(), &word, 8);
     return siphash24(key, bytes);
+}
+
+void
+siphash24Words(const SipHashKey &key, std::uint64_t first,
+               std::span<std::uint64_t> out, util::SimdLevel level)
+{
+    std::size_t i = 0;
+#if AUTH_SIMD_X86
+    if (std::min(level, util::detectedSimdLevel()) ==
+        util::SimdLevel::Avx2) {
+        i = out.size() & ~std::size_t{7};
+        siphashWordsAvx2(key, first, out.data(), i);
+    }
+#else
+    (void)level;
+#endif
+    for (; i < out.size(); ++i)
+        out[i] = siphash24(key, first + i);
 }
 
 } // namespace authenticache::crypto

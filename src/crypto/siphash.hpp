@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <span>
 
+#include "util/simd.hpp"
+
 namespace authenticache::crypto {
 
 /** 128-bit SipHash key. */
@@ -29,6 +31,17 @@ std::uint64_t siphash24(const SipHashKey &key,
 
 /** Convenience: SipHash-2-4 of a single 64-bit word. */
 std::uint64_t siphash24(const SipHashKey &key, std::uint64_t word);
+
+/**
+ * out[i] = siphash24(key, first + i) for every i < out.size(): the
+ * run of words a Feistel round table is filled from. At
+ * SimdLevel::Avx2 (clamped to the CPU) eight words are hashed at a
+ * time, in two independent four-lane states so that one state's
+ * dependency chain hides the other's latency; every level gives the
+ * same values.
+ */
+void siphash24Words(const SipHashKey &key, std::uint64_t first,
+                    std::span<std::uint64_t> out, util::SimdLevel level);
 
 } // namespace authenticache::crypto
 

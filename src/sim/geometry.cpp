@@ -1,6 +1,7 @@
 #include "sim/geometry.hpp"
 
 #include <bit>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,15 +11,19 @@ CacheGeometry::CacheGeometry(std::uint64_t size_bytes,
                              std::uint32_t line_bytes, std::uint32_t ways)
     : bytes(size_bytes), lineSize(line_bytes), numWays(ways)
 {
-    if (!std::has_single_bit(size_bytes) && size_bytes % (line_bytes * ways))
-        throw std::invalid_argument("CacheGeometry: size not divisible");
     if (line_bytes < 8 || !std::has_single_bit(line_bytes))
         throw std::invalid_argument("CacheGeometry: bad line size");
     if (ways == 0)
         throw std::invalid_argument("CacheGeometry: zero ways");
+    // A set's bytes in 64 bits: the 32-bit product can wrap to 0.
+    const std::uint64_t set_bytes = std::uint64_t{line_bytes} * ways;
+    if (!std::has_single_bit(size_bytes) && size_bytes % set_bytes)
+        throw std::invalid_argument("CacheGeometry: size not divisible");
     std::uint64_t lines_total = size_bytes / line_bytes;
     if (lines_total % ways != 0 || lines_total == 0)
         throw std::invalid_argument("CacheGeometry: bad associativity");
+    if (lines_total / ways > std::numeric_limits<std::uint32_t>::max())
+        throw std::invalid_argument("CacheGeometry: 2^32 sets or more");
     numSets = static_cast<std::uint32_t>(lines_total / ways);
 }
 

@@ -45,6 +45,8 @@ class CacheGeometry
      * @param size_bytes Total capacity.
      * @param line_bytes Line size (default 64B).
      * @param ways Associativity (default 8).
+     * Throws std::invalid_argument on an incoherent shape or on 2^32
+     * sets or more (sets() is 32 bits).
      */
     CacheGeometry(std::uint64_t size_bytes, std::uint32_t line_bytes = 64,
                   std::uint32_t ways = 8);

@@ -3,6 +3,10 @@
 #include <cstdlib>
 #include <iostream>
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <cpuid.h>
+#endif
+
 namespace authenticache::util {
 
 const char *
@@ -30,6 +34,46 @@ detectedSimdLevel()
 #else
     return SimdLevel::Scalar;
 #endif
+}
+
+namespace {
+
+struct CpuExtensions
+{
+    bool pclmul = false;
+    bool sha = false;
+};
+
+// CPUID can trap to a hypervisor, so the bits are read once.
+const CpuExtensions &
+cpuExtensions()
+{
+    static const CpuExtensions ext = [] {
+        CpuExtensions e;
+#if defined(__x86_64__) && defined(__GNUC__)
+        unsigned a = 0, b = 0, c = 0, d = 0;
+        if (__get_cpuid(1, &a, &b, &c, &d))
+            e.pclmul = (c & bit_PCLMUL) != 0;
+        if (__get_cpuid_count(7, 0, &a, &b, &c, &d))
+            e.sha = (b & bit_SHA) != 0;
+#endif
+        return e;
+    }();
+    return ext;
+}
+
+} // namespace
+
+bool
+cpuHasPclmul()
+{
+    return cpuExtensions().pclmul;
+}
+
+bool
+cpuHasSha()
+{
+    return cpuExtensions().sha;
 }
 
 namespace detail {

@@ -5,8 +5,11 @@
  * The hot kernels (core::nearestDistancesSoA, ecc::SecdedCodec batch
  * encode/decode) ship scalar, SSE2, and AVX2 implementations that
  * produce bit-identical results; the widest instruction set the CPU
- * supports is selected once at startup. Every kernel also accepts an
- * explicit SimdLevel so tests and benchmarks can pin a width.
+ * supports is selected once at startup. The hashes on the auth path
+ * (util::crc32Update, crypto::Sha256, the FeistelPermutation round
+ * table) have a portable body and a hardware body taken at AVX2.
+ * Every kernel also accepts an explicit SimdLevel so tests and
+ * benchmarks can pin a width.
  *
  * The environment variable AUTHENTICACHE_SIMD overrides the choice
  * ("scalar", "sse2", or "avx2", case-sensitive); a request the CPU
@@ -52,6 +55,16 @@ SimdLevel simdLevel();
 
 /** All levels this CPU can run, narrowest first (always >= 1). */
 std::vector<SimdLevel> supportedSimdLevels();
+
+/**
+ * CPUID feature bits beside the vector width. The hash kernels
+ * (util::crc32Update, crypto::Sha256) take their hardware body only
+ * at SimdLevel::Avx2 and only when the extension they use is present:
+ * PCLMULQDQ (carry-less multiply) for the CRC-32 fold, the SHA
+ * extensions for the SHA-256 compression. Probed once per process.
+ */
+bool cpuHasPclmul();
+bool cpuHasSha();
 
 namespace detail {
 

@@ -2,7 +2,9 @@
  * @file
  * Tests for SHA-256 / HMAC (published vectors), SipHash (reference
  * vectors), key derivation, the Feistel coordinate permutation, and
- * the fuzzy extractor.
+ * the fuzzy extractor. The *Paths suites run each hash on every path
+ * pinned, the portable body (scalar) and the hardware body (avx2),
+ * and skip a path the CPU lacks.
  */
 
 #include <cstring>
@@ -19,10 +21,68 @@
 #include "crypto/key.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/siphash.hpp"
+#include "util/simd.hpp"
 
 namespace c = authenticache::crypto;
+namespace util = authenticache::util;
 using authenticache::util::BitVec;
 using authenticache::util::Rng;
+using authenticache::util::SimdLevel;
+
+namespace {
+
+std::span<const std::uint8_t>
+bytesOf(const std::string &s)
+{
+    return {reinterpret_cast<const std::uint8_t *>(s.data()), s.size()};
+}
+
+/** The two paths of a hash kernel, named for test ids. */
+const auto kHashPaths =
+    ::testing::Values(SimdLevel::Scalar, SimdLevel::Avx2);
+
+std::string
+hashPathName(const ::testing::TestParamInfo<SimdLevel> &info)
+{
+    return util::simdLevelName(info.param);
+}
+
+bool
+hasAvx2()
+{
+    return util::detectedSimdLevel() >= SimdLevel::Avx2;
+}
+
+/** A hash test pinned to one path; the SHA-NI path needs AVX2 + SHA. */
+class Sha256Paths : public ::testing::TestWithParam<SimdLevel>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (GetParam() == SimdLevel::Avx2 &&
+            (!hasAvx2() || !util::cpuHasSha()))
+            GTEST_SKIP() << "CPU lacks AVX2 or the SHA extensions";
+    }
+};
+
+using HmacSha256Paths = Sha256Paths;
+
+/** A SipHash test pinned to one path; the vector path needs AVX2. */
+class SipHashPaths : public ::testing::TestWithParam<SimdLevel>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (GetParam() == SimdLevel::Avx2 && !hasAvx2())
+            GTEST_SKIP() << "CPU lacks AVX2";
+    }
+};
+
+using FeistelTablePaths = SipHashPaths;
+
+} // namespace
 
 TEST(Sha256, EmptyStringVector)
 {
@@ -96,6 +156,87 @@ TEST(HmacSha256, Rfc4231Case2)
               "5a003f089d2739839dec58b964ec3843");
 }
 
+TEST_P(Sha256Paths, EveryLengthMatchesReference)
+{
+    // The digests of every prefix of one buffer, chained into one
+    // digest; the expected value is Python hashlib's over the same
+    // bytes, so each path is checked against an independent SHA-256
+    // (lengths 0..1100 cross every padding case: 0, 1 and 2 tail
+    // blocks, and the 55/56-byte boundary).
+    std::vector<std::uint8_t> buf(1100);
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    c::Sha256 chain(SimdLevel::Scalar);
+    for (std::size_t len = 0; len <= buf.size(); ++len) {
+        const std::span<const std::uint8_t> data(buf.data(), len);
+        const c::Digest256 d = c::Sha256::hash(data, GetParam());
+        ASSERT_EQ(d, c::Sha256::hash(data, SimdLevel::Scalar))
+            << "len " << len;
+        chain.update(d);
+    }
+    EXPECT_EQ(c::toHex(chain.finalize()),
+              "0171e074f0f495ce9c204306addddc35"
+              "179990df66ff0096bb0bb1c0b576a05c");
+}
+
+TEST_P(Sha256Paths, SplitUpdatesMatchOneShot)
+{
+    // Two updates split at every byte of a 300-byte message: the
+    // partial-block buffer, the multi-block run and the tail.
+    std::vector<std::uint8_t> buf(300);
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<std::uint8_t>(i ^ 0x5A);
+    const std::span<const std::uint8_t> all(buf);
+    const c::Digest256 want = c::Sha256::hash(all, SimdLevel::Scalar);
+    for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
+        c::Sha256 h(GetParam());
+        h.update(all.first(cut));
+        h.update(all.subspan(cut));
+        ASSERT_EQ(h.finalize(), want) << "cut at " << cut;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sha256, Sha256Paths, kHashPaths, hashPathName);
+
+TEST_P(HmacSha256Paths, Rfc4231Cases3467)
+{
+    const SimdLevel level = GetParam();
+    const std::vector<std::uint8_t> key20(20, 0xaa);
+    const std::vector<std::uint8_t> key131(131, 0xaa);
+    std::vector<std::uint8_t> key25(25);
+    for (std::size_t i = 0; i < key25.size(); ++i)
+        key25[i] = static_cast<std::uint8_t>(i + 1);
+
+    EXPECT_EQ(c::toHex(c::hmacSha256(
+                  key20, std::vector<std::uint8_t>(50, 0xdd), level)),
+              "773ea91e36800e46854db8ebd09181a7"
+              "2959098b3ef8c122d9635514ced565fe");
+    EXPECT_EQ(c::toHex(c::hmacSha256(
+                  key25, std::vector<std::uint8_t>(50, 0xcd), level)),
+              "82558a389a443c0ea4cc819899f2083a"
+              "85f0faa3e578f8077a2e3ff46729665b");
+    // Cases 6 and 7 hash the 131-byte key first.
+    EXPECT_EQ(c::toHex(c::hmacSha256(
+                  key131,
+                  bytesOf("Test Using Larger Than Block-Size Key - "
+                          "Hash Key First"),
+                  level)),
+              "60e431591ee0b67f0d8a26aacbf5b77f"
+              "8e0bc6213728c5140546040f0ee37f54");
+    EXPECT_EQ(c::toHex(c::hmacSha256(
+                  key131,
+                  bytesOf("This is a test using a larger than block-size "
+                          "key and a larger than block-size data. The "
+                          "key needs to be hashed before being used by "
+                          "the HMAC algorithm."),
+                  level)),
+              "9b09ffa71b942fcb27635fbcd5b0e944"
+              "bfdc63644f0713938a7f51535c3a35e2");
+}
+
+INSTANTIATE_TEST_SUITE_P(HmacSha256, HmacSha256Paths, kHashPaths,
+                         hashPathName);
+
 TEST(SipHash, ReferenceVectors)
 {
     // Reference key and inputs from the SipHash paper's test vectors:
@@ -125,6 +266,28 @@ TEST(SipHash, KeySensitivity)
     c::SipHashKey k2{1, 3};
     EXPECT_NE(c::siphash24(k1, 42ull), c::siphash24(k2, 42ull));
 }
+
+TEST_P(SipHashPaths, WordsMatchPerWordHash)
+{
+    // Every run length 0..40 (whole vector steps and every tail), at
+    // starts that include a Feistel round base and a run that wraps
+    // past 2^64.
+    const c::SipHashKey key{0x0706050403020100ull, 0x0F0E0D0C0B0A0908ull};
+    const std::uint64_t round_base =
+        (std::uint64_t{5} << 56) ^ (std::uint64_t{1024} << 32);
+    for (std::uint64_t first :
+         {std::uint64_t{0}, round_base, ~std::uint64_t{0} - 20}) {
+        for (std::size_t n = 0; n <= 40; ++n) {
+            std::vector<std::uint64_t> out(n);
+            c::siphash24Words(key, first, out, GetParam());
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(out[i], c::siphash24(key, first + i))
+                    << "first " << first << " n " << n << " i " << i;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(SipHash, SipHashPaths, kHashPaths, hashPathName);
 
 TEST(KeyDerivation, LabelsSeparateDomains)
 {
@@ -306,6 +469,49 @@ TEST(Feistel, RejectsDomainAboveTwoToThe32)
                  std::invalid_argument);
     EXPECT_NO_THROW(c::FeistelPermutation(key, 1ull << 32));
 }
+
+TEST_P(FeistelTablePaths, WholeTableMatchesPerEntryHash)
+{
+    // The whole round table, byte for byte, against entries computed
+    // one siphash24 call each (the definition). 4 has one-bit halves
+    // (fewer entries than a vector step), 1024 and 65 536 one-byte
+    // entries, 65 537 and 2^20 two-byte entries; at 2^32 the domain
+    // term (domain << 32) wraps to zero.
+    const c::SipHashKey key{0x0706050403020100ull, 0x0F0E0D0C0B0A0908ull};
+    constexpr unsigned kRounds = 6;
+    for (std::uint64_t domain : {std::uint64_t{4}, std::uint64_t{1024},
+                                 std::uint64_t{65536},
+                                 std::uint64_t{65537},
+                                 std::uint64_t{1} << 20,
+                                 std::uint64_t{1} << 32}) {
+        unsigned half_bits = 1;
+        while ((domain - 1) >> (2 * half_bits) != 0)
+            ++half_bits;
+        const std::uint64_t halves = std::uint64_t{1} << half_bits;
+        std::vector<std::uint8_t> want;
+        for (unsigned r = 0; r < kRounds; ++r) {
+            for (std::uint64_t half = 0; half < halves; ++half) {
+                const auto v = static_cast<std::uint16_t>(
+                    c::siphash24(key, (std::uint64_t{r} << 56) ^
+                                          (domain << 32) ^ half) &
+                    (halves - 1));
+                std::uint8_t bytes[2];
+                std::memcpy(bytes, &v, 2);
+                want.push_back(bytes[0]);
+                if (half_bits > 8)
+                    want.push_back(bytes[1]);
+            }
+        }
+        const c::FeistelPermutation perm(key, domain, kRounds,
+                                         GetParam());
+        const auto got = perm.roundTable();
+        ASSERT_EQ(std::vector<std::uint8_t>(got.begin(), got.end()), want)
+            << "domain " << domain;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Feistel, FeistelTablePaths, kHashPaths,
+                         hashPathName);
 
 TEST(FuzzyExtractor, RejectsBadRepetition)
 {

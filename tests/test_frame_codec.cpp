@@ -5,7 +5,9 @@
  *  - CRC-32 against a bitwise reference (the polynomial applied one
  *    bit at a time, no tables) at every length 0..4200 and every start
  *    alignment 0..7, plus crc32Update chained across every 8-byte
- *    boundary of a 4 KiB buffer.
+ *    boundary of a 4 KiB buffer. Crc32Paths repeats both on each
+ *    path pinned: the table, and the carry-less fold (skipped on a
+ *    CPU without AVX2 and PCLMULQDQ).
  *  - Wire-format goldens: the SHA-256 of encodeWireMessage for one
  *    frame of each of the 12 message types. The digests were recorded
  *    from the byte-at-a-time codec; any change to the encoder, the
@@ -29,6 +31,7 @@
 #include "protocol/serialize.hpp"
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace net = authenticache::net;
 namespace proto = authenticache::protocol;
@@ -200,6 +203,72 @@ TEST(FrameCodec, Crc32UpdateChainsAtEveryEightByteBoundary)
     c = util::crc32Update(c, all.subspan(2014));
     EXPECT_EQ(c, whole);
 }
+
+namespace {
+
+std::string
+crcPathName(const ::testing::TestParamInfo<util::SimdLevel> &param)
+{
+    return util::simdLevelName(param.param);
+}
+
+/** One CRC-32 path: the table (scalar) or the carry-less fold (avx2). */
+class Crc32Paths : public ::testing::TestWithParam<util::SimdLevel>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (GetParam() == util::SimdLevel::Avx2 &&
+            (util::detectedSimdLevel() < util::SimdLevel::Avx2 ||
+             !util::cpuHasPclmul()))
+            GTEST_SKIP() << "CPU lacks AVX2 or PCLMULQDQ";
+    }
+};
+
+} // namespace
+
+TEST_P(Crc32Paths, MatchesBitwiseAtEveryLengthAndOffset)
+{
+    const auto buf = randomBytes(4200 + 8, 0xC1A5);
+    for (std::size_t start = 0; start < 8; ++start) {
+        // The bitwise register after each prefix of the span, so the
+        // reference costs one pass per offset.
+        std::uint32_t ref = 0xFFFFFFFFu;
+        for (std::size_t len = 0; len <= 4200; ++len) {
+            std::span<const std::uint8_t> s(buf.data() + start, len);
+            ASSERT_EQ(util::crc32Update(0, s, GetParam()),
+                      ref ^ 0xFFFFFFFFu)
+                << "start " << start << " len " << len;
+            if (len < 4200) {
+                ref ^= s.data()[len];
+                for (int k = 0; k < 8; ++k)
+                    ref = (ref >> 1) ^ (0xEDB88320u & (0u - (ref & 1u)));
+            }
+        }
+    }
+}
+
+TEST_P(Crc32Paths, UpdateChainsAtEverySplit)
+{
+    const auto buf = randomBytes(4096, 0x5EED);
+    const std::uint32_t whole = bitwiseCrc32(buf);
+    std::span<const std::uint8_t> all(buf);
+    const auto split = [&](std::size_t cut) {
+        return util::crc32Update(
+            util::crc32Update(0, all.first(cut), GetParam()),
+            all.subspan(cut), GetParam());
+    };
+    for (std::size_t cut = 0; cut < 256; ++cut)
+        ASSERT_EQ(split(cut), whole) << "cut at " << cut;
+    for (std::size_t cut = 0; cut <= buf.size(); cut += 16)
+        ASSERT_EQ(split(cut), whole) << "cut at " << cut;
+}
+
+INSTANTIATE_TEST_SUITE_P(FrameCodec, Crc32Paths,
+                         ::testing::Values(util::SimdLevel::Scalar,
+                                           util::SimdLevel::Avx2),
+                         crcPathName);
 
 TEST(FrameCodec, WireBytesMatchRecordedGoldens)
 {

@@ -61,6 +61,30 @@ TEST(Geometry, RejectsBadShapes)
                  std::invalid_argument);
 }
 
+TEST(Geometry, RejectsTwoToThe32SetsOrMore)
+{
+    // sets() is 32 bits: 2^35 sets once narrowed to 0 sets, 0 lines.
+    EXPECT_THROW(s::CacheGeometry(std::uint64_t{1} << 41, 64, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(s::CacheGeometry(std::uint64_t{1} << 38, 64, 1),
+                 std::invalid_argument);
+    const s::CacheGeometry widest(((std::uint64_t{1} << 32) - 1) * 64,
+                                  64, 1);
+    EXPECT_EQ(widest.sets(), 0xFFFFFFFFu);
+}
+
+TEST(Geometry, SetBytesDoNotWrapInThirtyTwoBits)
+{
+    // 64-byte lines times 2^26 ways is 2^32 bytes per set, which a
+    // 32-bit product wrapped to 0 before the size check divided by it.
+    const s::CacheGeometry g(std::uint64_t{3} << 32, 64, 1u << 26);
+    EXPECT_EQ(g.sets(), 3u);
+    EXPECT_EQ(g.lines(), std::uint64_t{3} << 26);
+    EXPECT_THROW(s::CacheGeometry((std::uint64_t{3} << 32) + 64, 64,
+                                  1u << 26),
+                 std::invalid_argument);
+}
+
 TEST(Geometry, PossibleCrpsMatchesEq10)
 {
     s::CacheGeometry g(4ull * 1024 * 1024);

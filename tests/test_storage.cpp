@@ -14,6 +14,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -98,6 +99,26 @@ TEST(Storage, ErrorMapRejectsBadGeometry)
     w.putU32(0);
     proto::ByteReader r(w.bytes());
     EXPECT_THROW(srv::decodeErrorMap(r), proto::DecodeError);
+}
+
+TEST(Storage, ErrorMapRejectsGeometryPastThirtyTwoBits)
+{
+    // Snapshot geometries whose shape overflows 32 bits: 2^32 bytes
+    // per set (the size check once divided by its 32-bit wrap, 0, and
+    // crashed) and 2^35 sets (once narrowed to an empty geometry).
+    const std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>
+        shapes[] = {{(std::uint64_t{3} << 32) + 64, 64, 1u << 26},
+                    {std::uint64_t{1} << 41, 64, 1}};
+    for (const auto &[size, line, ways] : shapes) {
+        proto::ByteWriter w;
+        w.putU64(size);
+        w.putU32(line);
+        w.putU32(ways);
+        w.putU32(0); // No planes.
+        proto::ByteReader r(w.bytes());
+        EXPECT_THROW(srv::decodeErrorMap(r), proto::DecodeError)
+            << "size " << size << " ways " << ways;
+    }
 }
 
 TEST(Storage, ErrorMapRejectsOutOfRangeError)
